@@ -15,7 +15,7 @@ from . import oracle as oracle_mod
 from .compression import power_compression_sequence
 from .corpus import corpus_generate, save_corpus
 from .engine import replay
-from .errors import NilfillError
+from .errors import NilfillError, TraceSyntaxError
 from .filler import fill_with_report
 from .presentations import (
     build_chain_presentation,
@@ -150,8 +150,15 @@ def cmd_fill(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    pres = load_presentation(args.presentation)
-    seq, _ = load_trace(args.trace, pres)
+    try:
+        pres = load_presentation(args.presentation)
+        seq, _ = load_trace(args.trace, pres)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except TraceSyntaxError as exc:
+        print(f"error line={exc.line} {exc.reason}")
+        return 1
     code, line = verdict_line(seq, require_null=args.null)
     print(line)
     return code

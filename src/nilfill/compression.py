@@ -22,7 +22,13 @@ leftover inverse block is transported to its mirror position.
 
 from __future__ import annotations
 
-from .engine import PSequence, SequenceBuilder, apply_move_inplace, invert_sequence
+from .engine import (
+    PSequence,
+    SequenceBuilder,
+    apply_move_inplace,
+    invert_sequence,
+    pack_moves,
+)
 from .errors import NoTransportRelator, OutOfRange
 from .presentations import Presentation
 from .words import Word, inverse_word, nested_commutator
@@ -56,6 +62,7 @@ class _ScratchPresentation:
         self.rank = base.rank
         self.relators: list = []
         self._index: dict = {}
+        self._move_templates: dict = {}
 
     def ensure(self, word) -> int:
         rid = self._index.get(word)
@@ -68,7 +75,18 @@ class _ScratchPresentation:
 
 class ChainContext:
     """A commutator chain bound to a presentation holding its transport
-    relators.  Letters are weight-1 generator indices and may repeat."""
+    relators.  Letters are weight-1 generator indices and may repeat.
+
+    The context memoizes register increments: ``increments`` maps
+    (n, q mod n^c) to the packed moves of one absorption at that exponent
+    and, once asked for, of its mirror, both as built and checked on the
+    first miss (see ``CompressedPower.local_moves``).  The memo lives as
+    long as the presentation and holds at most n^c entries for each base n;
+    together they are about one power-compression certificate.  It pays
+    off over many fills on one presentation in one process, as in
+    ``bench fill`` or a corpus: within a single fill almost every entry is
+    used only once, so one ``nilfill fill`` gains nothing from it.
+    """
 
     def __init__(self, pres: Presentation, chain):
         self.pres = pres
@@ -83,6 +101,8 @@ class ChainContext:
         self.scratch = _ScratchPresentation(pres)
         self._movers = {}
         self.rid_chain = {}
+        self.increments: dict = {}
+        self._cword_lengths: dict = {}
 
     def level_presentation(self, level: int):
         return self.pres if level == 0 else self.scratch
@@ -97,12 +117,24 @@ class ChainContext:
             self._movers[key] = m
         return m
 
+    def _cword_length(self, n: int, s: int) -> int:
+        key = (n, s)
+        length = self._cword_lengths.get(key)
+        if length is None:
+            length = self._cword_lengths[key] = len(_cword(self, 0, n, s))
+        return length
+
+    def register_length(self, n: int, q: int) -> int:
+        """len(extended_word(self, n, q)) from cached compression word
+        lengths: len(ztilde^A) + B len(ztilde^{n^c}) for q = A + B n^c."""
+        cap = n**self.c
+        a_part, blocks = q % cap, q // cap
+        head = self._cword_length(n, a_part) if a_part else 0
+        return head + blocks * self._cword_length(n, cap) if blocks else head
+
 
 def chain_context(pres: Presentation, chain) -> ChainContext:
-    try:
-        cache = pres._chain_ctxs
-    except AttributeError:
-        cache = pres._chain_ctxs = {}
+    cache = pres._chain_ctxs
     key = tuple(chain)
     ctx = cache.get(key)
     if ctx is None:
@@ -419,7 +451,7 @@ class CompressedPower:
     ``offset`` in the builder, the register word right after it) into
     ztilde^{q+1}; the mirrored variant works on the inverse word, with the
     z_1^-1 word arriving on the right.  Crossing into a new block happens
-    exactly when n^c divides q+1.
+    exactly when n^c divides q+1.  ``length`` is len(ztilde^q).
     """
 
     def __init__(self, pres: Presentation, chain, n: int):
@@ -428,42 +460,47 @@ class CompressedPower:
         self.ctx = chain_context(pres, chain)
         self.n = n
         self.q = 0
-        self._word_cache = (0, ())
-
-    @property
-    def word(self) -> Word:
-        q, w = self._word_cache
-        if q != self.q:
-            w = extended_word(self.ctx, self.n, self.q)
-            self._word_cache = (self.q, w)
-        return w
+        self.length = 0
 
     @property
     def z_word(self) -> Word:
         return self.ctx.z_words[0]
 
-    def local_moves(self):
-        """(initial, moves) on the subword z_1w . ztilde^{A-part}; blocks
-        to the right are never touched."""
+    def local_moves(self, mirrored: bool = False):
+        """Packed moves of the absorption at the current q, on the subword
+        z_1 ztilde^{A-part} (mirrored: on its inverse); blocks to the right
+        are never touched.  Memoized on the chain context."""
         ctx, n = self.ctx, self.n
-        cap = n**ctx.c
-        a_part = self.q % cap
-        zw = ctx.z_words[0]
-        b = SequenceBuilder(ctx.pres, zw + (_cword(ctx, 0, n, a_part) if a_part else ()))
-        if a_part == 0 and ctx.c > 1:
-            insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
-        inc = _increment(ctx, 0, n, a_part, exact=False)
-        b.replay_embedded(inc.moves, 0)
-        return b.initial, b.moves
+        a_part = self.q % n**ctx.c
+        entry = ctx.increments.get((n, a_part))
+        if entry is None:
+            entry = ctx.increments[(n, a_part)] = [None, None]
+        packed = entry[mirrored]
+        if packed is None:
+            zw = ctx.z_words[0]
+            head = _cword(ctx, 0, n, a_part) if a_part else ()
+            b = SequenceBuilder(ctx.pres, zw + head)
+            if a_part == 0 and ctx.c > 1:
+                insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
+            inc = _increment(ctx, 0, n, a_part, exact=False)
+            b.replay_embedded(inc.moves, 0)
+            entry[0] = pack_moves(b.moves)
+            if mirrored:
+                entry[1] = pack_moves(invert_sequence(b.finish()).moves)
+            packed = entry[mirrored]
+        return packed
 
     def emit_increment(self, b: SequenceBuilder, offset: int) -> None:
-        _, moves = self.local_moves()
-        b.replay_embedded(moves, offset)
-        self.q += 1
+        b.replay_packed(self.local_moves(), offset)
+        self._advance()
 
     def emit_increment_mirror(self, b: SequenceBuilder, end: int) -> None:
         """Mirrored absorption: ... (ztilde^q)^-1 z_1^-1 ... ending at ``end``."""
-        initial, moves = self.local_moves()
-        inv = invert_sequence(PSequence(self.ctx.pres, initial, moves))
-        b.replay_embedded(inv.moves, end - len(inv.initial))
+        ctx, n = self.ctx, self.n
+        start = end - len(ctx.z_words[0]) - ctx.register_length(n, self.q % n**ctx.c)
+        b.replay_packed(self.local_moves(mirrored=True), start)
+        self._advance()
+
+    def _advance(self) -> None:
         self.q += 1
+        self.length = self.ctx.register_length(self.n, self.q)

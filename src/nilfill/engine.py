@@ -16,6 +16,7 @@ position makes the trace invalid, it is never repaired.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 from .errors import EndpointMismatch, NotApplicable, NotNull
@@ -43,10 +44,7 @@ class PSequence:
 
 def _move_template(pres: Presentation, rid: int, shift: int, inv: int, split: int):
     """(u, v) lists for a relator application, cached on the presentation."""
-    try:
-        cache = pres._move_templates
-    except AttributeError:
-        cache = pres._move_templates = {}
+    cache = pres._move_templates
     key = (rid, shift, inv, split)
     hit = cache.get(key)
     if hit is None:
@@ -203,6 +201,26 @@ def find_rotation(pres: Presentation, rid: int, target: Word):
     return None
 
 
+# Packed move lists: a flat array("i") holding one fixed record of six ints
+# per move, (kind, pos, letter or rid, shift, inv, split), unused fields 0.
+_FR, _FE, _AR = 0, 1, 2
+
+
+def pack_moves(moves) -> array:
+    """Move tuples as a packed move list, 24 bytes a move."""
+    out = array("i")
+    for move in moves:
+        op = move[0]
+        if op == "fr":
+            out.extend((_FR, move[1], 0, 0, 0, 0))
+        elif op == "fe":
+            out.extend((_FE, move[1], move[2], 0, 0, 0))
+        else:
+            out.append(_AR)
+            out.extend(move[1:])
+    return out
+
+
 class SequenceBuilder:
     """Mutable word + emitted move list; every emission is applied and
     checked immediately, so a finished builder yields a valid sequence."""
@@ -279,6 +297,35 @@ class SequenceBuilder:
                 self.fe(move[1] + offset, move[2])
             else:
                 self.ar(move[1] + offset, move[2], move[3], move[4], move[5])
+
+    def replay_packed(self, packed: array, offset: int) -> None:
+        """``replay_embedded`` for a packed move list (see ``pack_moves``).
+
+        The hot path of register absorptions, so the checks of ``fr`` and
+        ``ar`` are made inline rather than through the methods."""
+        pres = self.pres
+        w = self.word
+        emit = self.moves.append
+        area = 0
+        it = iter(packed)
+        for kind, p, a, shift, inv, split in zip(it, it, it, it, it, it):
+            p += offset
+            if kind == _FR:
+                if w[p] != -w[p + 1]:
+                    raise NotApplicable(f"builder: no inverse pair at {p}")
+                del w[p : p + 2]
+                emit(("fr", p))
+            elif kind == _FE:
+                w[p:p] = (a, -a)
+                emit(("fe", p, a))
+            else:
+                u, v = _move_template(pres, a, shift, inv, split)
+                if w[p : p + split] != u:
+                    raise NotApplicable(f"builder: relator prefix missing at {p}")
+                w[p : p + split] = v
+                emit(("ar", p, a, shift, inv, split))
+                area += 1
+        self.area += area
 
     def finish(self) -> PSequence:
         return PSequence(self.pres, self.initial, self.moves)

@@ -22,6 +22,18 @@ class NotApplicable(NilfillError):
         self.move_index = move_index
 
 
+class TraceSyntaxError(NilfillError):
+    """A trace file line that is not in the trace grammar.
+
+    Carries the 1-based line number in the file for the validator's
+    ``error line=N reason`` verdict."""
+
+    def __init__(self, line, reason):
+        super().__init__(f"line {line}: {reason}")
+        self.line = line
+        self.reason = reason
+
+
 class NotNull(NilfillError):
     """A claimed null-sequence ended at a nonempty word."""
 

@@ -259,7 +259,7 @@ class _FillRun:
 
     @property
     def lo(self) -> int:
-        return sum(len(reg.word) for reg in self.left)
+        return sum(reg.length for reg in self.left)
 
     @property
     def hi(self) -> int:
@@ -312,7 +312,7 @@ class _FillRun:
             self._send_left(p)
             off_hi -= 1
         # shape invariant: registers, a weight-c-free region, registers
-        if len(word) != self.hi + sum(len(r.word) for r in self.right):
+        if len(word) != self.hi + sum(r.length for r in self.right):
             raise AssertionError("collected word lost its register shape")
 
     def _apply_rewrite(self, p: int, a: int) -> int:
@@ -337,7 +337,7 @@ class _FillRun:
         b = self.b
         z = b.word[p]
         j = self.slot_of[z]
-        target = self.hi - 1 + sum(len(self.right[i].word) for i in range(j))
+        target = self.hi - 1 + sum(self.right[i].length for i in range(j))
         self._letter_mover(z).move_right(b, p, target, +1, exact=False)
         self.region_len -= 1
         self._absorb_right(j, target)
@@ -346,7 +346,7 @@ class _FillRun:
         b = self.b
         z = -b.word[p]
         j = self.slot_of[z]
-        target = self.lo - sum(len(self.left[i].word) for i in range(j))
+        target = self.lo - sum(self.left[i].length for i in range(j))
         self._letter_mover(z).move_left(b, p, target, -1, exact=False)
         self.region_len -= 1
         self._absorb_left(j, target)

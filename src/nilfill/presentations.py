@@ -53,6 +53,10 @@ class Presentation:
         self._expansion = {}
         self._quotient = None
         self._basis = None
+        self._max_weight_c = None
+        # filled by compression.chain_context and engine._move_template
+        self._chain_ctxs: dict = {}
+        self._move_templates: dict = {}
 
     # -- basic views --------------------------------------------------------
 
@@ -83,11 +87,13 @@ class Presentation:
     @property
     def max_weight_c_per_relator(self) -> int:
         """M: most weight-c letters (either sign) in any single relator."""
-        c = self.nclass
-        return max(
-            (sum(1 for a in r if self.weight_of(a) == c) for r in self.relators),
-            default=0,
-        )
+        if self._max_weight_c is None:
+            c = self.nclass
+            self._max_weight_c = max(
+                (sum(1 for a in r if self.weight_of(a) == c) for r in self.relators),
+                default=0,
+            )
+        return self._max_weight_c
 
     def parse_word(self, text: str) -> Word:
         return parse_word(text, self.name_to_index)

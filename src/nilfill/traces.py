@@ -14,7 +14,7 @@ The validator's one-line verdict is `ok area=.. fl=.. height=..` or
 from __future__ import annotations
 
 from .engine import Metrics, PSequence, replay, validate_null
-from .errors import NilfillError, NotApplicable, NotNull
+from .errors import NilfillError, NotApplicable, NotNull, TraceSyntaxError
 from .presentations import Presentation
 from .words import format_letter, parse_word
 
@@ -45,27 +45,49 @@ def save_trace(seq: PSequence, path, presentation_path: str) -> None:
 
 
 def parse_trace(text: str, pres: Presentation):
-    """Parse trace text against a presentation; returns (PSequence, pres path)."""
+    """Parse trace text against a presentation; returns (PSequence, pres path).
+
+    Raises TraceSyntaxError with the 1-based line number of the first line
+    that is not in the grammar."""
     lines = text.splitlines()
-    if len(lines) < 3 or not lines[0].startswith("word:") \
-            or not lines[1].startswith("presentation:") or lines[-1] != "qed":
-        raise NilfillError("malformed trace file")
-    initial = parse_word(lines[0][len("word:"):].strip(), pres.name_to_index)
+    for number, tag in ((1, "word:"), (2, "presentation:")):
+        if len(lines) < number or not lines[number - 1].startswith(tag):
+            raise TraceSyntaxError(number, f"expected a {tag!r} header line")
+    try:
+        initial = parse_word(lines[0][len("word:"):].strip(), pres.name_to_index)
+    except NilfillError as exc:
+        raise TraceSyntaxError(1, str(exc)) from None
     pres_path = lines[1][len("presentation:"):].strip()
+    if len(lines) < 3 or lines[-1] != "qed":
+        raise TraceSyntaxError(len(lines) + 1, "missing final qed line")
     moves = []
-    for line in lines[2:-1]:
+    append = moves.append
+    letters = {}        # fe letter token -> letter, for this parse
+    name_to_index = pres.name_to_index
+    for number, line in enumerate(lines[2:-1], 3):
         parts = line.split()
-        if parts[0] == "fr" and len(parts) == 2:
-            moves.append(("fr", int(parts[1])))
-        elif parts[0] == "fe" and len(parts) == 3:
-            letter_word = parse_word(parts[2], pres.name_to_index)
-            if len(letter_word) != 1:
-                raise NilfillError(f"bad fe letter token {parts[2]!r}")
-            moves.append(("fe", int(parts[1]), letter_word[0]))
-        elif parts[0] == "ar" and len(parts) == 6:
-            moves.append(("ar",) + tuple(int(x) for x in parts[1:]))
-        else:
-            raise NilfillError(f"bad trace line {line!r}")
+        kind = parts[0] if parts else None
+        try:
+            if kind == "fr" and len(parts) == 2:
+                append(("fr", int(parts[1])))
+            elif kind == "fe" and len(parts) == 3:
+                token = parts[2]
+                letter = letters.get(token)
+                if letter is None:
+                    letter_word = parse_word(token, name_to_index)
+                    if len(letter_word) != 1:
+                        raise NilfillError(f"bad fe letter token {token!r}")
+                    letter = letters[token] = letter_word[0]
+                append(("fe", int(parts[1]), letter))
+            elif kind == "ar" and len(parts) == 6:
+                append(("ar", int(parts[1]), int(parts[2]), int(parts[3]),
+                        int(parts[4]), int(parts[5])))
+            else:
+                raise NilfillError(f"bad trace line {line!r}")
+        except ValueError:
+            raise TraceSyntaxError(number, f"bad integer in trace line {line!r}") from None
+        except NilfillError as exc:
+            raise TraceSyntaxError(number, str(exc)) from None
     return PSequence(pres, initial, moves), pres_path
 
 

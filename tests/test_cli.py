@@ -123,3 +123,44 @@ def test_bench_fill_csv(tmp_path, capsys):
     assert code == 0
     assert "lambda=" in out
     assert len(csv.read_text().splitlines()) == 6
+
+
+def _compress_trace(tmp_path, capsys):
+    trace = tmp_path / "c.trace"
+    code, _ = run(capsys, "compress", "--class", "2", "--n", "2", "--trace", str(trace))
+    assert code == 0
+    return trace
+
+
+@pytest.mark.parametrize("edit,line,reason", [
+    pytest.param(lambda lines: lines[:3] + [""] + lines[3:], 4, "bad trace line ''",
+                 id="blank-line"),
+    pytest.param(lambda lines: lines[:2] + ["fr x"] + lines[2:], 3, "bad integer",
+                 id="fr-x"),
+    pytest.param(lambda lines: lines[:2] + ["fe 0 nope"] + lines[2:], 3,
+                 "unknown generator", id="fe-unknown-letter"),
+    pytest.param(lambda lines: lines[:-1], None, "missing final qed", id="no-qed"),
+    pytest.param(lambda lines: lines[1:], 1, "expected a 'word:' header",
+                 id="no-word-header"),
+])
+def test_validate_malformed_trace_gives_verdict(tmp_path, capsys, edit, line, reason):
+    trace = _compress_trace(tmp_path, capsys)
+    lines = edit(trace.read_text().splitlines())
+    trace.write_text("\n".join(lines) + "\n")
+    code = main(["validate", "--trace", str(trace),
+                 "--presentation", str(trace) + ".pres"])
+    captured = capsys.readouterr()
+    want = len(lines) + 1 if line is None else line
+    assert code == 1
+    assert captured.out.startswith(f"error line={want} {reason}")
+    assert captured.err == ""
+
+
+def test_validate_missing_file_is_usage_error(tmp_path, capsys):
+    trace = _compress_trace(tmp_path, capsys)
+    code = main(["validate", "--trace", str(tmp_path / "absent.trace"),
+                 "--presentation", str(trace) + ".pres"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -271,13 +271,15 @@ def test_compressed_power_register():
     for s in range(6):
         reg.emit_increment(b, (6 - s - 1) * len(z1))
     assert reg.q == 6
-    assert b.word == list(reg.word)
+    assert b.word == list(extended_word(reg.ctx, 2, 6))
+    assert reg.length == len(b.word)
     # mirrored register: (ztilde^q)^-1 built from the right
     regm = CompressedPower(pres, chain, 2)
     bm = SequenceBuilder(pres, inverse_word(z1 * 6))
     for s in range(6):
         regm.emit_increment_mirror(bm, len(bm.word) - s * 0 - (6 - s - 1) * len(z1))
-    assert bm.word == list(inverse_word(regm.word))
+    assert bm.word == list(inverse_word(extended_word(regm.ctx, 2, 6)))
+    assert regm.length == len(bm.word)
 
 
 # --- summation and counting checks -------------------------------------------

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from nilfill.bench import BenchRecord, write_csv
+from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, replay
 from nilfill.errors import NotApplicable
 from nilfill.filler import fill
@@ -13,6 +14,7 @@ from nilfill.presentations import (
     build_filler_presentation,
     save_presentation,
 )
+from nilfill.traces import serialize_trace
 from nilfill.words import inverse_word
 
 # Frozen digests of the canonical presentations.  Relator ids are embedded
@@ -34,6 +36,34 @@ def test_presentation_digests_stable(tmp_path, kind, a, b):
     save_presentation(pres, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     assert digest == PRESENTATION_DIGESTS[(kind, a, b)]
+
+
+# Frozen digests of the serialized fill traces of seeded corpora, keyed by
+# (class, length budget, count, seed) on the 2-generator filler presentation.
+# A speedup must leave every certificate byte-identical.
+FILL_DIGESTS = {
+    (2, 24, 16, 11): "27ae7ffadd4b9163",
+    (3, 14, 10, 11): "26fddb911b11aa10",
+}
+
+
+def _fill_digest(pres, words):
+    h = hashlib.sha256()
+    for w in words:
+        h.update(serialize_trace(fill(w, pres), "p.pres").encode())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("c,n,count,seed", [k for k in FILL_DIGESTS])
+def test_fill_trace_digests_stable(c, n, count, seed):
+    # twice on one presentation (the second pass reuses every cached
+    # register increment), once on a freshly built one (nothing cached)
+    pres = build_filler_presentation(c, 2)
+    words = corpus_generate(pres, n, count, seed)
+    fresh = build_filler_presentation.__wrapped__(c, 2)
+    digests = [_fill_digest(pres, words), _fill_digest(pres, words),
+               _fill_digest(fresh, words)]
+    assert digests == [FILL_DIGESTS[(c, n, count, seed)]] * 3
 
 
 def test_corrupt_traces_are_rejected():
