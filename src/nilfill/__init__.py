@@ -4,24 +4,19 @@ from .bench import bench_compression, bench_fill, fit_exponent
 from .compression import (
     CompressedPower,
     compression_word,
-    digits,
-    extended_compression,
     increment_sequence,
     power_compression_sequence,
-    transport_central,
 )
 from .corpus import corpus_generate
 from .engine import (
     Metrics,
     PSequence,
-    apply_move,
-    concatenate,
     invert_sequence,
     normalize_insertions,
     replay,
     validate_null,
 )
-from .filler import certify_afl_pair, fill, fill_with_report, select_basis
+from .filler import certify_afl_pair, fill, fill_with_report
 from .presentations import (
     Presentation,
     build_chain_presentation,
@@ -36,17 +31,13 @@ __all__ = [
     "Metrics",
     "PSequence",
     "Presentation",
-    "apply_move",
     "bench_compression",
     "bench_fill",
     "build_chain_presentation",
     "build_filler_presentation",
     "certify_afl_pair",
     "compression_word",
-    "concatenate",
     "corpus_generate",
-    "digits",
-    "extended_compression",
     "fill",
     "fill_with_report",
     "fit_exponent",
@@ -60,7 +51,5 @@ __all__ = [
     "power_compression_sequence",
     "replay",
     "save_presentation",
-    "select_basis",
-    "transport_central",
     "validate_null",
 ]

@@ -25,26 +25,15 @@ from __future__ import annotations
 from .engine import (
     PSequence,
     SequenceBuilder,
-    apply_move_inplace,
+    block_reduction_moves,
     invert_sequence,
-    pack_moves,
+    inverse_pair_moves,
+    pair_inverse_moves,
+    reduction_steps,
 )
 from .errors import NoTransportRelator, OutOfRange
 from .presentations import Presentation
 from .words import Word, inverse_word, nested_commutator
-
-
-def digits(s: int, n: int, c: int):
-    """Little-endian base-n digits of s, exactly c of them."""
-    if n < 2:
-        raise OutOfRange(f"base must be at least 2, got {n}")
-    if not 0 <= s <= n**c - 1:
-        raise OutOfRange(f"need 0 <= s <= n^c - 1, got s={s}")
-    out = []
-    for _ in range(c):
-        out.append(s % n)
-        s //= n
-    return tuple(out)
 
 
 class _ScratchPresentation:
@@ -78,14 +67,17 @@ class ChainContext:
     relators.  Letters are weight-1 generator indices and may repeat.
 
     The context memoizes register increments: ``increments`` maps
-    (n, q mod n^c) to the packed moves of one absorption at that exponent
-    and, once asked for, of its mirror, both as built and checked on the
-    first miss (see ``CompressedPower.local_moves``).  The memo lives as
-    long as the presentation and holds at most n^c entries for each base n;
-    together they are about one power-compression certificate.  It pays
-    off over many fills on one presentation in one process, as in
-    ``bench fill`` or a corpus: within a single fill almost every entry is
-    used only once, so one ``nilfill fill`` gains nothing from it.
+    (n, q mod n^c) to the moves of one absorption at that exponent and,
+    once asked for, of its mirror, both as built and checked on the first
+    miss (see ``CompressedPower.local_moves``).  Entries are tuples of move
+    tuples at offset 0, and each distinct move is stored once, in
+    ``_move_pool``: across its entries a context holds some 25 moves for
+    every distinct one.  The memo lives as long as the
+    presentation and holds at most n^c entries for each base n; together
+    they are about one power-compression certificate.  It pays off over
+    many fills on one presentation in one process, as in ``bench fill`` or
+    a corpus: within a single fill almost every entry is used only once,
+    so one ``nilfill fill`` gains nothing from it.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -102,7 +94,13 @@ class ChainContext:
         self._movers = {}
         self.rid_chain = {}
         self.increments: dict = {}
+        self._move_pool: dict = {}
         self._cword_lengths: dict = {}
+
+    def intern(self, moves) -> tuple:
+        """``moves`` as a tuple whose equal moves are one shared object."""
+        pool = self._move_pool
+        return tuple([pool.setdefault(mv, mv) for mv in moves])
 
     def level_presentation(self, level: int):
         return self.pres if level == 0 else self.scratch
@@ -176,67 +174,65 @@ class BlockMover:
                 self.registry[rid] = (t,) + self.chain
         return rid
 
-    def _free_swap(self, b: SequenceBuilder, p: int, keep_first: int) -> bool:
-        """A single-letter block meeting its own inverse swaps freely:
-        cancel the pair and re-expand it the other way round."""
-        w = b.word
-        if self.length != 1 or w[p] != -w[p + 1]:
-            return False
-        b.fr(p)
-        b.fe(p, keep_first)
-        return True
-
-    def step_left(self, b: SequenceBuilder, p: int, sign: int, exact: bool) -> None:
-        """Swap letter at p with the block at [p+1, p+1+L) (block moves left)."""
+    def _swap_left(self, p: int, t: int, head: int, sign: int, exact: bool) -> list:
+        """Moves swapping the letter t at p with the block at [p+1, p+1+L);
+        ``head`` is the block's first letter."""
         L = self.length
-        t = b.word[p]
-        if L == 1 and t == -b.word[p + 1] and self._free_swap(b, p, b.word[p + 1]):
-            return
-        if exact:
+        if L == 1 and t == -head:
+            # a single-letter block meeting its own inverse swaps freely
+            return [("fr", p), ("fe", p, head)]
+        if not exact:
             if sign > 0:
-                b.ar(p + 1 + L, self._rid(t), 0, 0, 0)  # insert [t,W]^-1 after
-                b.reduce_adjacent_blocks(p + 1, L)
-                b.fr(p)
-            else:
-                b.ar(p, self._rid(-t), 0, 0, 0)  # insert [t^-1,W]^-1 before
-                b.fr(p + 2 * L + 1)
-                b.reduce_adjacent_blocks(p + L + 1, L)
-        else:
-            if sign > 0:
-                b.ar(p, self._rid(t), L + 1, 0, L + 1)
-            else:
-                b.ar(p, self._rid(-t), 0, 0, L + 1)
+                return [("ar", p, self._rid(t), L + 1, 0, L + 1)]
+            return [("ar", p, self._rid(-t), 0, 0, L + 1)]
+        if sign > 0:
+            # insert [t,W]^-1 after the block
+            return ([("ar", p + 1 + L, self._rid(t), 0, 0, 0)]
+                    + block_reduction_moves(p + 1, L) + [("fr", p)])
+        # insert [t^-1,W]^-1 before the letter
+        return ([("ar", p, self._rid(-t), 0, 0, 0), ("fr", p + 2 * L + 1)]
+                + block_reduction_moves(p + L + 1, L))
 
-    def step_right(self, b: SequenceBuilder, p: int, sign: int, exact: bool) -> None:
-        """Swap the block at [p, p+L) with the letter at p+L (block moves right)."""
+    def _swap_right(self, p: int, t: int, head: int, sign: int, exact: bool) -> list:
+        """Moves swapping the block at [p, p+L) with the letter t at p+L."""
         L = self.length
-        t = b.word[p + L]
-        if L == 1 and t == -b.word[p] and self._free_swap(b, p, t):
-            return
-        if exact:
+        if L == 1 and t == -head:
+            return [("fr", p), ("fe", p, t)]
+        if not exact:
             if sign > 0:
-                b.ar(p + L + 1, self._rid(t), 0, 1, 0)  # insert [t,W] after
-                b.fr(p + L)
-                b.reduce_adjacent_blocks(p, L)
-            else:
-                b.ar(p, self._rid(-t), 0, 1, 0)  # insert [t^-1,W] before
-                b.reduce_adjacent_blocks(p + L + 2, L)
-                b.fr(p + L + 1)
-        else:
-            if sign > 0:
-                b.ar(p, self._rid(t), L + 1, 1, L + 1)
-            else:
-                b.ar(p, self._rid(-t), 0, 1, L + 1)
+                return [("ar", p, self._rid(t), L + 1, 1, L + 1)]
+            return [("ar", p, self._rid(-t), 0, 1, L + 1)]
+        if sign > 0:
+            # insert [t,W] after the letter
+            return ([("ar", p + L + 1, self._rid(t), 0, 1, 0), ("fr", p + L)]
+                    + block_reduction_moves(p, L))
+        # insert [t^-1,W] before the block
+        return ([("ar", p, self._rid(-t), 0, 1, 0)]
+                + block_reduction_moves(p + L + 2, L) + [("fr", p + L + 1)])
+
+    # The letters a block passes do not change while it moves, so every
+    # swap's moves are known up front and go to the builder as one batch.
 
     def move_left(self, b, start: int, target: int, sign: int, exact: bool) -> None:
-        while start > target:
-            self.step_left(b, start - 1, sign, exact)
-            start -= 1
+        """Move the block at ``start`` left to ``target``, one swap per
+        letter passed."""
+        w = b.word
+        head = w[start]
+        moves = []
+        for p in range(start - 1, target - 1, -1):
+            moves += self._swap_left(p, w[p], head, sign, exact)
+        b.extend(moves)
 
     def move_right(self, b, start: int, target: int, sign: int, exact: bool) -> None:
-        while start < target:
-            self.step_right(b, start, sign, exact)
-            start += 1
+        """Move the block at ``start`` right to ``target``, one swap per
+        letter passed."""
+        w = b.word
+        head = w[start]
+        L = self.length
+        moves = []
+        for p in range(start, target):
+            moves += self._swap_right(p, w[p + L], head, sign, exact)
+        b.extend(moves)
 
 
 def compression_word(pres: Presentation, chain, n: int, s: int) -> Word:
@@ -268,21 +264,10 @@ def _commutator_block(u: Word, v: Word) -> Word:
 
 def insert_trivial_word(b: SequenceBuilder, pos: int, w: Word) -> None:
     """Free-expand a freely trivial word at pos (len(w)/2 expansions)."""
-    work = list(w)
-    steps = []
-    i = 0
-    while i + 1 < len(work):
-        if work[i] == -work[i + 1]:
-            steps.append((i, work[i]))
-            del work[i : i + 2]
-            if i > 0:
-                i -= 1
-        else:
-            i += 1
-    if work:
+    steps = reduction_steps(w)
+    if 2 * len(steps) != len(w):
         raise OutOfRange("word is not freely trivial")
-    for p, a in reversed(steps):
-        b.fe(pos + p, a)
+    b.extend([("fe", pos + p, a) for p, a in reversed(steps)])
 
 
 def increment_sequence(pres: Presentation, chain, n: int, s: int) -> PSequence:
@@ -329,63 +314,58 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact) -> None:
     lt = len(tword)
     zmover = ctx.mover(chain, level)
 
+    # Moves are buffered in ``pending`` and flushed before each transport,
+    # which reads the word.
     # word: zw^n a^-n tword^-1 a^n tword.  Insert z2^-1 z2 before a^n.
-    b.insert_inverse_pair(n * lz + n + lt, z2w)
+    pending = inverse_pair_moves(n * lz + n + lt, z2w)
 
     for i in range(n):
         # z2 block before its i-th swap with the letter a
         p = (n - i) * lz + n + lt + lz2 + i
-        b.fe(p, a)
-        b.insert_pair_inverse(p + 1, z2w)
+        pending.append(("fe", p, a))
+        pending += pair_inverse_moves(p + 1, z2w)
+        b.extend(pending)
         # new z_level^-1 block starts right of the fresh z2 copy
         start = p + 1 + lz2
         boundary = (n - i) * lz
         zmover.move_left(b, start, boundary, -1, exact)
-        b.reduce_adjacent_blocks(boundary - lz, lz)
+        pending = block_reduction_moves(boundary - lz, lz)
 
     # word: a^-n tword^-1 z2^-1 a^n z2 tword; run the level-2 increment
-    # and its inverse concurrently on the two halves.
+    # and its inverse concurrently on the two halves, the left half
+    # starting at n and the right half at n + lcur + n, lcur the length of
+    # the inner word before each inner move.
     inner = _increment(ctx, level + 1, n, t, exact=True)
-    rh = list(inner.initial)
+    relators = ctx.scratch.relators
+    lcur = len(inner.initial)
     for mv in inner.moves:
-        lcur = len(rh)
-        off_lh = n
         off_rh = n + lcur + n
         op = mv[0]
         if op == "fr":
-            b.fr(off_rh + mv[1])
-            b.fr(off_lh + lcur - mv[1] - 2)
+            pending.append(("fr", off_rh + mv[1]))
+            pending.append(("fr", n + lcur - mv[1] - 2))
+            lcur -= 2
         elif op == "fe":
-            b.fe(off_rh + mv[1], mv[2])
-            b.fe(off_lh + lcur - mv[1], mv[2])
+            pending.append(("fe", off_rh + mv[1], mv[2]))
+            pending.append(("fe", n + lcur - mv[1], mv[2]))
+            lcur += 2
         else:
             _, pos, rid, shift, inv, split = mv
             if shift or split:
                 raise AssertionError("liftable sequences must insert whole relators")
-            block_chain = ctx.rid_chain[rid]
-            relator = ctx.scratch.relators[rid]
+            relator = relators[rid]
             # inserted word is r^-1 (inv=0) or r (inv=1); the leftover
             # block transported to the mirror is its inverse
             inserted = relator if inv else inverse_word(relator)
             sign = -1 if inv else 1
             here = off_rh + pos
-            b.insert_inverse_pair(here, inserted)
-            target = off_lh + lcur - pos
-            ctx.mover(block_chain, level).move_left(b, here, target, sign, exact)
-        apply_move_inplace(rh, mv, ctx.scratch)
-
-
-def transport_central(pres: Presentation, w: Word, chain, sign: int,
-                      start: int, target: int) -> PSequence:
-    """Move the block W^sign (W the nested commutator of ``chain``) occupying
-    ``start`` in w to ``target``, one relator application per letter passed."""
-    mover = BlockMover(pres, chain)
-    b = SequenceBuilder(pres, w)
-    if target <= start:
-        mover.move_left(b, start, target, sign, exact=False)
-    else:
-        mover.move_right(b, start, target, sign, exact=False)
-    return b.finish()
+            pending += inverse_pair_moves(here, inserted)
+            b.extend(pending)
+            pending = []
+            target = n + lcur - pos
+            ctx.mover(ctx.rid_chain[rid], level).move_left(b, here, target, sign, exact)
+            lcur += len(relator)
+    b.extend(pending)
 
 
 def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
@@ -407,31 +387,10 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
         insert_trivial_word(b, total * lz, pad)
     for s in range(total):
         offset = (total - s - 1) * lz
-        inc = _increment(ctx, 0, n, s, exact=False)
-        b.replay_embedded(inc.moves, offset)
+        b.extend(_increment(ctx, 0, n, s, exact=False).moves, offset)
     if b.word != list(_cword(ctx, 0, n, total)):
         raise AssertionError("power compression endpoint mismatch")
     return b.finish()
-
-
-def extended_compression(pres: Presentation, chain, n: int, q: int):
-    """Compression word for arbitrary q >= 0 (blocks of [a_1^n,...,a_c^n]
-    beyond n^c) and a sequence reaching it from z_1^q."""
-    if q < 0:
-        raise OutOfRange(f"need q >= 0, got {q}")
-    ctx = chain_context(pres, chain)
-    c = ctx.c
-    word = extended_word(ctx, n, q)
-    zw = ctx.z_words[0]
-    lz = len(zw)
-    b = SequenceBuilder(pres, zw * q)
-    reg = CompressedPower(pres, chain, n)
-    for s in range(q):
-        offset = (q - s - 1) * lz
-        reg.emit_increment(b, offset)
-    if b.word != list(word):
-        raise AssertionError("extended compression endpoint mismatch")
-    return word, b.finish()
 
 
 def extended_word(ctx: ChainContext, n: int, q: int) -> Word:
@@ -466,39 +425,40 @@ class CompressedPower:
     def z_word(self) -> Word:
         return self.ctx.z_words[0]
 
-    def local_moves(self, mirrored: bool = False):
-        """Packed moves of the absorption at the current q, on the subword
-        z_1 ztilde^{A-part} (mirrored: on its inverse); blocks to the right
-        are never touched.  Memoized on the chain context."""
+    def local_moves(self, mirrored: bool = False) -> tuple:
+        """Moves of the absorption at the current q, at offset 0, on the
+        subword z_1 ztilde^{A-part} (mirrored: on its inverse); blocks to
+        the right are never touched.  Memoized on the chain context."""
         ctx, n = self.ctx, self.n
         a_part = self.q % n**ctx.c
         entry = ctx.increments.get((n, a_part))
         if entry is None:
             entry = ctx.increments[(n, a_part)] = [None, None]
-        packed = entry[mirrored]
-        if packed is None:
+        moves = entry[mirrored]
+        if moves is None:
             zw = ctx.z_words[0]
-            head = _cword(ctx, 0, n, a_part) if a_part else ()
-            b = SequenceBuilder(ctx.pres, zw + head)
-            if a_part == 0 and ctx.c > 1:
-                insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
-            inc = _increment(ctx, 0, n, a_part, exact=False)
-            b.replay_embedded(inc.moves, 0)
-            entry[0] = pack_moves(b.moves)
+            initial = zw + (_cword(ctx, 0, n, a_part) if a_part else ())
+            if entry[0] is None:
+                b = SequenceBuilder(ctx.pres, initial)
+                if a_part == 0 and ctx.c > 1:
+                    insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
+                b.extend(_increment(ctx, 0, n, a_part, exact=False).moves)
+                entry[0] = ctx.intern(b.moves)
             if mirrored:
-                entry[1] = pack_moves(invert_sequence(b.finish()).moves)
-            packed = entry[mirrored]
-        return packed
+                mirror = invert_sequence(PSequence(ctx.pres, initial, entry[0]))
+                entry[1] = ctx.intern(mirror.moves)
+            moves = entry[mirrored]
+        return moves
 
     def emit_increment(self, b: SequenceBuilder, offset: int) -> None:
-        b.replay_packed(self.local_moves(), offset)
+        b.extend(self.local_moves(), offset)
         self._advance()
 
     def emit_increment_mirror(self, b: SequenceBuilder, end: int) -> None:
         """Mirrored absorption: ... (ztilde^q)^-1 z_1^-1 ... ending at ``end``."""
         ctx, n = self.ctx, self.n
         start = end - len(ctx.z_words[0]) - ctx.register_length(n, self.q % n**ctx.c)
-        b.replay_packed(self.local_moves(mirrored=True), start)
+        b.extend(self.local_moves(mirrored=True), start)
         self._advance()
 
     def _advance(self) -> None:

@@ -22,16 +22,27 @@ class NotApplicable(NilfillError):
         self.move_index = move_index
 
 
-class TraceSyntaxError(NilfillError):
-    """A trace file line that is not in the trace grammar.
+class LineError(NilfillError):
+    """A file line that is not in its file's grammar; carries the 1-based
+    line number in the file."""
 
-    Carries the 1-based line number in the file for the validator's
-    ``error line=N reason`` verdict."""
+    prefix = "line"
 
     def __init__(self, line, reason):
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(f"{self.prefix} {line}: {reason}")
         self.line = line
         self.reason = reason
+
+
+class TraceSyntaxError(LineError):
+    """A trace file line that is not in the trace grammar, reported by the
+    validator's ``error line=N reason`` verdict."""
+
+
+class PresentationSyntaxError(LineError):
+    """A presentation file line that is not in the file grammar."""
+
+    prefix = "presentation line"
 
 
 class NotNull(NilfillError):
@@ -40,10 +51,6 @@ class NotNull(NilfillError):
     def __init__(self, final_length):
         super().__init__(f"final word has length {final_length}, expected empty")
         self.final_length = final_length
-
-
-class EndpointMismatch(NilfillError):
-    """Sequence concatenation where the endpoints do not agree."""
 
 
 class NoTransportRelator(NilfillError):

@@ -19,33 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .compression import BlockMover, CompressedPower
-from .engine import PSequence, SequenceBuilder, normalize_insertions
+from .engine import PSequence, SequenceBuilder, normalize_insertions, reduction_steps
 from .errors import NotNullHomotopic
 from .presentations import Presentation, weight_c_basis
 from .words import Word, inverse_word
-
-
-@dataclass(frozen=True)
-class BasisSelection:
-    """Weight-c letters split into a free-abelian basis and its complement."""
-
-    basis: tuple
-    complement: tuple
-    rewrite_table: dict
-    index: int = 1
-
-
-def select_basis(pres: Presentation) -> BasisSelection:
-    """Greedy basis of the weight-c letters (independent Lie vectors) with
-    integer rewrite words for the rest; index 1 or UnsupportedIndex."""
-    chosen, rewrite, _ = weight_c_basis(pres)
-    complement = tuple(i for i in pres.letters_of_weight(pres.nclass)
-                       if i not in chosen)
-    return BasisSelection(tuple(chosen), complement, dict(rewrite))
-
-
-def project_word(w: Word, pres: Presentation) -> Word:
-    return pres.project_word(w)
 
 
 @dataclass
@@ -104,10 +81,15 @@ def _abelian_fill(w: Word, pres: Presentation):
                     mover.move_left(b, p, target, 1 if a > 0 else -1, exact=False)
                 target += 1
             p += 1
-        b.reduce_all(0)
+        _reduce_all(b)
     if b.word:
         raise AssertionError("abelian fill left a nonempty word")
     return b.finish(), report
+
+
+def _reduce_all(b: SequenceBuilder) -> None:
+    """Greedy left-to-right full free reduction of the builder's word."""
+    b.extend([("fr", p) for p, _ in reduction_steps(b.word)])
 
 
 def _iroot(value: int, k: int) -> int:
@@ -177,34 +159,35 @@ class _FillRun:
         self.region_len = len(w)
         self._letter_movers: dict = {}
         self._rewrite_params: dict = {}
+        self._expansions: dict = {}
         self._counts = counts
 
         self.collect(0, len(w))
 
         lift_table = self.quot.lift_table
+        free = []       # free moves since the last relator application
         for mv in inner_norm.moves:
+            if mv[0] != "ar":
+                free.append(mv)
+                continue
             lo = self.lo
-            op = mv[0]
-            if op == "fr":
-                b.fr(lo + mv[1])
-                self.region_len -= 2
-            elif op == "fe":
-                b.fe(lo + mv[1], mv[2])
-                self.region_len += 2
+            if free:
+                self._lift_free(free, lo)
+                free = []
+            _, pos, rid, shift, inv, split = mv
+            assert split == 0, "inner sequence must be normalized"
+            src_rid, surviving = lift_table[rid]
+            src = pres.relators[src_rid]
+            if inv:
+                mirror = sorted(len(src) - 1 - s for s in surviving)
+                shift_src = mirror[shift]
             else:
-                _, pos, rid, shift, inv, split = mv
-                assert split == 0, "inner sequence must be normalized"
-                src_rid, surviving = lift_table[rid]
-                src = pres.relators[src_rid]
-                if inv:
-                    mirror = sorted(len(src) - 1 - s for s in surviving)
-                    shift_src = mirror[shift]
-                else:
-                    shift_src = surviving[shift]
-                b.ar(lo + pos, src_rid, shift_src, inv, 0)
-                span = len(src)
-                self.region_len += span
-                self.collect(lo + pos, lo + pos + span)
+                shift_src = surviving[shift]
+            b.extend([("ar", lo + pos, src_rid, shift_src, inv, 0)])
+            span = len(src)
+            self.region_len += span
+            self.collect(lo + pos, lo + pos + span)
+        self._lift_free(free, self.lo)
         if self.region_len:
             raise AssertionError("projected word did not empty")
         for j, (lreg, rreg) in enumerate(zip(self.left, self.right)):
@@ -214,7 +197,7 @@ class _FillRun:
                 )
             if rreg.q != self._counts[1][self.basis[j]]:
                 raise AssertionError("register count disagrees with precount")
-        b.reduce_all(0)
+        _reduce_all(b)
         if b.word:
             raise AssertionError("final mirror reduction left a nonempty word")
         if self.report.max_register > self.report.register_bound:
@@ -223,6 +206,14 @@ class _FillRun:
                 f"{self.report.register_bound}"
             )
         return b.finish(), self.report
+
+    def _lift_free(self, moves, lo: int) -> None:
+        """Replay free moves of the projected word verbatim at the region
+        start ``lo``."""
+        b = self.b
+        before = len(b.word)
+        b.extend(moves, lo)
+        self.region_len += len(b.word) - before
 
     def _count_releases(self, w, inner_norm):
         """Exact number of absorptions per basis letter and side."""
@@ -325,13 +316,13 @@ class _FillRun:
             relator = (i,) + inverse_word(v)
             rid = self.pres.relator_index[relator]
             if a > 0:
-                params = (rid, 0, 0, len(v))
+                move = ("ar", 0, rid, 0, 0, 1)
             else:
-                params = (rid, len(v), 1, len(v))
-            self._rewrite_params[a] = params
-        rid, shift, inv, vlen = params
-        self.b.ar(p, rid, shift, inv, 1)
-        return vlen - 1
+                move = ("ar", 0, rid, len(v), 1, 1)
+            params = self._rewrite_params[a] = ((move,), len(v) - 1)
+        moves, delta = params
+        self.b.extend(moves, p)
+        return delta
 
     def _send_right(self, p: int) -> None:
         b = self.b
@@ -366,23 +357,31 @@ class _FillRun:
     def _expand_letter(self, p: int) -> None:
         """Expand the compound letter at p into its defining chain word,
         one definition relator per unfolding."""
-        b, pres = self.b, self.pres
-        a = b.word[p]
-        pair = pres.parents[abs(a) - 1]
-        if pair is None:
-            return
-        x, y = pair
-        rid = pres.relator_index[(-abs(a), -x, -y, x, y)]
-        if a > 0:
-            b.ar(p, rid, 4, 1, 1)
-            # word at p: x^-1 y^-1 x y; expand the two y occurrences
-            self._expand_letter(p + 3)
-            self._expand_letter(p + 1)
-        else:
-            b.ar(p, rid, 0, 0, 1)
-            # word at p: y^-1 x^-1 y x
-            self._expand_letter(p + 2)
-            self._expand_letter(p)
+        a = self.b.word[p]
+        moves = self._expansions.get(a)
+        if moves is None:
+            moves = self._expansions[a] = []
+            _expansion_moves(self.pres, a, 0, moves)
+        self.b.extend(moves, p)
+
+
+def _expansion_moves(pres: Presentation, a: int, p: int, out: list) -> None:
+    """Append the moves expanding the letter a sitting at p."""
+    pair = pres.parents[abs(a) - 1]
+    if pair is None:
+        return
+    x, y = pair
+    rid = pres.relator_index[(-abs(a), -x, -y, x, y)]
+    if a > 0:
+        out.append(("ar", p, rid, 4, 1, 1))
+        # word at p: x^-1 y^-1 x y; expand the two y occurrences
+        _expansion_moves(pres, y, p + 3, out)
+        _expansion_moves(pres, -y, p + 1, out)
+    else:
+        out.append(("ar", p, rid, 0, 0, 1))
+        # word at p: y^-1 x^-1 y x
+        _expansion_moves(pres, y, p + 2, out)
+        _expansion_moves(pres, -y, p, out)
 
 
 # --- certification -----------------------------------------------------------

@@ -262,37 +262,35 @@ def weight_exponents(w: Word, basis: LyndonBasis) -> tuple:
 
 
 def solve_in_basis(target, basis_vectors):
-    """Exact integer solve of sum x_i * basis_vectors[i] = target.
+    """Exact solve of sum x_i * basis_vectors[i] = target over the rationals.
 
-    Returns the coefficient list, or None when no integer solution exists.
-    Basis vectors are expected to be linearly independent.
+    Returns the coefficients as Fractions, or None when the target lies
+    outside the span.  Coefficients of dependent basis vectors that are not
+    needed are 0.  The only elimination in the package: callers that need
+    integers check the denominators themselves.
     """
     k = len(basis_vectors)
-    if k == 0:
-        return [] if not any(target) else None
-    n = len(target)
-    # Columns are the basis vectors; eliminate over the rationals.
-    rows = [[Fraction(basis_vectors[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(n)]
-    pivot_row = 0
+    # augmented rows [basis coordinates..., target coordinate]
+    rows = [[Fraction(v[i]) for v in basis_vectors] + [Fraction(t)]
+            for i, t in enumerate(target)]
     pivots = []
+    r = 0
     for col in range(k):
-        pr = next((r for r in range(pivot_row, n) if rows[r][col] != 0), None)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pr is None:
-            return None  # dependent columns; caller promised independence
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][col]
+        rows[r] = [x / pv for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
         pivots.append(col)
-        pivot_row += 1
-    for r in range(pivot_row, n):
-        if rows[r][k] != 0:
-            return None
-    sol = [rows[i][k] for i in range(k)]
-    if any(x.denominator != 1 for x in sol):
+        r += 1
+    if any(row[k] for row in rows[r:]):
         return None
-    return [int(x) for x in sol]
+    sol = [Fraction(0)] * k
+    for i, col in enumerate(pivots):
+        sol[col] = rows[i][k]
+    return sol

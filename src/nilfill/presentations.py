@@ -15,11 +15,13 @@ lets the filling recursion run on the literal projection.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 
 from . import oracle
-from .errors import NilfillError, OutOfRange, UnsupportedIndex
+from .errors import NilfillError, OutOfRange, PresentationSyntaxError, UnsupportedIndex
 from .words import (
+    NAME_RE,
     Word,
     commutator,
     format_word,
@@ -45,6 +47,7 @@ class Presentation:
             for a in r:
                 if not 1 <= abs(a) <= len(self.names):
                     raise NilfillError(f"relator letter {a} names no generator")
+        self.rank = len(self.names)
         self.name_to_index = {n: i + 1 for i, n in enumerate(self.names)}
         if len(self.name_to_index) != len(self.names):
             raise NilfillError("duplicate generator names")
@@ -59,10 +62,6 @@ class Presentation:
         self._move_templates: dict = {}
 
     # -- basic views --------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        return len(self.names)
 
     @property
     def weight1_count(self) -> int:
@@ -264,7 +263,9 @@ def weight_c_basis(pres: Presentation):
 
     Returns (basis_letters, rewrite, vectors) where rewrite maps each
     non-basis weight-c letter to a word over the basis letters and vectors
-    maps every weight-c letter to its Lyndon coordinate tuple.
+    maps every weight-c letter to its Lyndon coordinate tuple.  A letter
+    joins the basis exactly when its vector lies outside the span of the
+    letters chosen before it.
     """
     if pres._basis is not None:
         return pres._basis
@@ -274,39 +275,26 @@ def weight_c_basis(pres: Presentation):
     vectors = {i: oracle.weight_exponents(pres.expand_letter(i), lbasis)
                for i in letters}
     chosen: list[int] = []
-    echelon: list[list] = []  # reduced rows spanning the chosen vectors
-
-    def try_reduce(vec):
-        from fractions import Fraction
-
-        row = [Fraction(x) for x in vec]
-        for er in echelon:
-            p = next(i for i, x in enumerate(er) if x != 0)
-            if row[p] != 0:
-                f = row[p] / er[p]
-                row = [a - f * b for a, b in zip(row, er)]
-        return row
-
-    for i in letters:
-        row = try_reduce(vectors[i])
-        if any(row):
-            chosen.append(i)
-            echelon.append(row)
-            echelon.sort(key=lambda r: next(j for j, x in enumerate(r) if x != 0))
-    basis_vecs = [vectors[i] for i in chosen]
     rewrite = {}
     for i in letters:
-        if i in chosen:
-            continue
-        sol = oracle.solve_in_basis(vectors[i], basis_vecs)
+        sol = oracle.solve_in_basis(vectors[i], [vectors[z] for z in chosen])
         if sol is None:
-            raise UnsupportedIndex(f"(letter {pres.names[i - 1]})")
-        w: list[int] = []
-        for z, e in zip(chosen, sol):
-            w.extend([z if e > 0 else -z] * abs(e))
-        rewrite[i] = tuple(w)
+            chosen.append(i)
+        else:
+            rewrite[i] = _basis_word(chosen, sol, f"(letter {pres.names[i - 1]})")
     pres._basis = (chosen, rewrite, vectors)
     return pres._basis
+
+
+def _basis_word(basis_letters, sol, detail: str) -> Word:
+    """The word prod z^e over the basis letters z with coefficients e;
+    UnsupportedIndex when a coefficient is not an integer."""
+    if any(e.denominator != 1 for e in sol):
+        raise UnsupportedIndex(detail)
+    w: list[int] = []
+    for z, e in zip(basis_letters, sol):
+        w.extend([z if e > 0 else -z] * abs(int(e)))
+    return tuple(w)
 
 
 def _lift_to_class(pres: Presentation, r: Word, basis_letters, basis_vecs) -> Word:
@@ -318,12 +306,10 @@ def _lift_to_class(pres: Presentation, r: Word, basis_letters, basis_vecs) -> Wo
     lbasis = oracle.lyndon_basis(pres.weight1_count, pres.nclass)
     coords = oracle.weight_exponents(pres.expand_word(r), lbasis)
     sol = oracle.solve_in_basis(coords, basis_vecs)
+    detail = f"(lift of relator of length {len(r)})"
     if sol is None:
-        raise UnsupportedIndex(f"(lift of relator of length {len(r)})")
-    v: list[int] = []
-    for z, e in zip(basis_letters, sol):
-        v.extend([z if e > 0 else -z] * abs(e))
-    return r + inverse_word(tuple(v))
+        raise UnsupportedIndex(detail)
+    return r + inverse_word(_basis_word(basis_letters, sol, detail))
 
 
 @lru_cache(maxsize=None)
@@ -397,29 +383,68 @@ def save_presentation(pres: Presentation, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_text(path, error) -> str:
+    """The UTF-8 text of a file.  A byte that is not UTF-8 raises
+    ``error(line, reason)`` naming its 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start].decode("utf-8")
+        raise error(len((before + ".").splitlines()), "not UTF-8 text") from None
+
+
+_COUNT_RE = re.compile(r"[0-9]+$")
+
+
+def _count(text: str, what: str, number: int) -> int:
+    if not _COUNT_RE.match(text) or int(text) < 1:
+        raise PresentationSyntaxError(number, f"{what} {text!r} is not a positive integer")
+    return int(text)
+
+
 def load_presentation(path) -> Presentation:
-    names: list[str] = []
+    """Read a presentation file.  Every line that is not in the grammar
+    raises PresentationSyntaxError naming it."""
+    table: dict = {}            # generator name -> 1-based index
     weights: list[int] = []
-    rel_texts: list[str] = []
+    rel_lines: list = []        # (line number, word text)
     nclass = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            kind, _, rest = line.partition(" ")
-            if kind == "class":
-                nclass = int(rest)
-            elif kind == "gen":
-                name, wt = rest.split()
-                names.append(name)
-                weights.append(int(wt))
-            elif kind == "rel":
-                rel_texts.append(rest)
-            else:
-                raise NilfillError(f"bad presentation line {line!r}")
+    text = read_text(path, PresentationSyntaxError)
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, _, rest = line.partition(" ")
+        if kind == "rel":
+            rel_lines.append((number, rest))
+            continue
+        fields = rest.split()
+        if kind == "class":
+            if nclass is not None:
+                raise PresentationSyntaxError(number, "second class line")
+            if len(fields) != 1:
+                raise PresentationSyntaxError(number, "expected 'class C'")
+            nclass = _count(fields[0], "class", number)
+        elif kind == "gen":
+            if len(fields) != 2:
+                raise PresentationSyntaxError(number, "expected 'gen NAME WEIGHT'")
+            name = fields[0]
+            if not NAME_RE.match(name):
+                raise PresentationSyntaxError(number, f"bad generator name {name!r}")
+            if name in table:
+                raise PresentationSyntaxError(number, f"duplicate generator {name!r}")
+            weights.append(_count(fields[1], "weight", number))
+            table[name] = len(weights)
+        else:
+            raise PresentationSyntaxError(number, f"unknown keyword {kind!r}")
     if nclass is None:
         raise NilfillError("presentation file lacks a class line")
-    table = {n: i + 1 for i, n in enumerate(names)}
-    relators = [parse_word(t, table) for t in rel_texts]
-    return Presentation(names, weights, relators, nclass)
+    relators = []
+    for number, rel_text in rel_lines:
+        try:
+            relators.append(parse_word(rel_text, table))
+        except NilfillError as exc:
+            raise PresentationSyntaxError(number, str(exc)) from None
+    return Presentation(list(table), weights, relators, nclass)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .engine import Metrics, PSequence, replay, validate_null
 from .errors import NilfillError, NotApplicable, NotNull, TraceSyntaxError
-from .presentations import Presentation
+from .presentations import Presentation, read_text
 from .words import format_letter, parse_word
 
 
@@ -92,8 +92,9 @@ def parse_trace(text: str, pres: Presentation):
 
 
 def load_trace(path, pres: Presentation):
-    with open(path) as fh:
-        return parse_trace(fh.read(), pres)
+    """Read and parse a trace file; a byte that is not UTF-8 is a
+    TraceSyntaxError on its line."""
+    return parse_trace(read_text(path, TraceSyntaxError), pres)
 
 
 def verdict_line(seq: PSequence, require_null: bool = True) -> tuple:

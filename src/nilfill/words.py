@@ -15,18 +15,8 @@ from .errors import NilfillError
 Letter = int
 Word = tuple  # tuple[int, ...]
 
-EPSILON: Word = ()
-
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*$")
 _TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*)(?:\^([+-]?[0-9]+))?$")
-
-
-def word(*letters: int) -> Word:
-    return tuple(letters)
-
-
-def length(w: Word) -> int:
-    return len(w)
 
 
 def inverse_word(w: Word) -> Word:
@@ -51,17 +41,6 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-def is_freely_trivial(w: Word) -> bool:
-    return not free_reduce(w)
-
-
-def power(w: Word, k: int) -> Word:
-    """k-th power; negative exponents use the inverse word."""
-    if k >= 0:
-        return w * k
-    return inverse_word(w) * (-k)
-
-
 def commutator(u: Word, v: Word) -> Word:
     """The commutator word u^-1 v^-1 u v, not reduced."""
     return inverse_word(u) + inverse_word(v) + u + v
@@ -80,11 +59,6 @@ def nested_commutator(items) -> Word:
     for u in reversed(parts[:-1]):
         acc = commutator(u, acc)
     return acc
-
-
-def nested_commutator_length(k: int) -> int:
-    """Length of [a1, ..., ak] over single letters: 3 * 2^(k-1) - 2."""
-    return 3 * (1 << (k - 1)) - 2
 
 
 # --- text grammar ---------------------------------------------------------

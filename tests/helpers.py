@@ -1,6 +1,6 @@
 """Shared test utilities."""
 
-from nilfill.engine import SequenceBuilder
+from nilfill.engine import SequenceBuilder, apply_moves
 from nilfill.words import inverse_word
 
 
@@ -16,10 +16,10 @@ def random_valid_sequence(pres, rng, start=None, steps=12):
         if kind < 0.3:
             sites = [i for i in range(len(w) - 1) if w[i] == -w[i + 1]]
             if sites:
-                b.fr(rng.choice(sites))
+                b.extend([("fr", rng.choice(sites))])
                 continue
         if kind < 0.55:
-            b.fe(rng.randrange(len(w) + 1), rng.choice(letters))
+            b.extend([("fe", rng.randrange(len(w) + 1), rng.choice(letters))])
             continue
         rid = rng.randrange(len(pres.relators))
         r = pres.relators[rid]
@@ -31,7 +31,14 @@ def random_valid_sequence(pres, rng, start=None, steps=12):
         u = list(rot[:split])
         hits = [i for i in range(len(w) - split + 1) if w[i:i + split] == u]
         if hits:
-            b.ar(rng.choice(hits), rid, shift, inv, split)
+            b.extend([("ar", rng.choice(hits), rid, shift, inv, split)])
         else:
-            b.ar(rng.randrange(len(w) + 1), rid, shift, inv, 0)
+            b.extend([("ar", rng.randrange(len(w) + 1), rid, shift, inv, 0)])
     return b.finish()
+
+
+def apply_move(w, move, pres):
+    """The word w after one move (pure)."""
+    word = list(w)
+    apply_moves(word, [move], pres)
+    return tuple(word)

@@ -133,20 +133,22 @@ def _compress_trace(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit,line,reason", [
-    pytest.param(lambda lines: lines[:3] + [""] + lines[3:], 4, "bad trace line ''",
+    pytest.param(lambda lines: lines[:3] + [b""] + lines[3:], 4, "bad trace line ''",
                  id="blank-line"),
-    pytest.param(lambda lines: lines[:2] + ["fr x"] + lines[2:], 3, "bad integer",
+    pytest.param(lambda lines: lines[:2] + [b"fr x"] + lines[2:], 3, "bad integer",
                  id="fr-x"),
-    pytest.param(lambda lines: lines[:2] + ["fe 0 nope"] + lines[2:], 3,
+    pytest.param(lambda lines: lines[:2] + [b"fe 0 nope"] + lines[2:], 3,
                  "unknown generator", id="fe-unknown-letter"),
     pytest.param(lambda lines: lines[:-1], None, "missing final qed", id="no-qed"),
     pytest.param(lambda lines: lines[1:], 1, "expected a 'word:' header",
                  id="no-word-header"),
+    pytest.param(lambda lines: lines[:4] + [b"f\xffr 0"] + lines[5:], 5, "not UTF-8 text",
+                 id="non-utf8"),
 ])
 def test_validate_malformed_trace_gives_verdict(tmp_path, capsys, edit, line, reason):
     trace = _compress_trace(tmp_path, capsys)
-    lines = edit(trace.read_text().splitlines())
-    trace.write_text("\n".join(lines) + "\n")
+    lines = edit(trace.read_bytes().splitlines())
+    trace.write_bytes(b"\n".join(lines) + b"\n")
     code = main(["validate", "--trace", str(trace),
                  "--presentation", str(trace) + ".pres"])
     captured = capsys.readouterr()
@@ -164,3 +166,34 @@ def test_validate_missing_file_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("edit,line,reason", [
+    pytest.param(lambda lines: lines + [b"gen x9"], None, "expected 'gen NAME WEIGHT'",
+                 id="gen-without-weight"),
+    pytest.param(lambda lines: lines + [b"gen x9 two"], None,
+                 "weight 'two' is not a positive integer", id="gen-bad-weight"),
+    pytest.param(lambda lines: [b"class"] + lines[1:], 1, "expected 'class C'",
+                 id="class-without-value"),
+    pytest.param(lambda lines: [b"class x"] + lines[1:], 1,
+                 "class 'x' is not a positive integer", id="class-not-integer"),
+    pytest.param(lambda lines: lines + [b"relator x1"], None, "unknown keyword 'relator'",
+                 id="unknown-keyword"),
+    pytest.param(lambda lines: lines + [b"rel x1 y7"], None, "unknown generator 'y7'",
+                 id="rel-unknown-generator"),
+    pytest.param(lambda lines: lines[:2] + [lines[1]] + lines[2:], 3,
+                 "duplicate generator 'x1'", id="duplicate-name"),
+    pytest.param(lambda lines: lines[:2] + [b"rel x1 \xc3"] + lines[2:], 3,
+                 "not UTF-8 text", id="non-utf8"),
+])
+def test_validate_malformed_presentation_names_line(tmp_path, capsys, edit, line, reason):
+    trace = _compress_trace(tmp_path, capsys)
+    pres = tmp_path / "c.trace.pres"
+    lines = edit(pres.read_bytes().splitlines())
+    pres.write_bytes(b"\n".join(lines) + b"\n")
+    code = main(["validate", "--trace", str(trace), "--presentation", str(pres)])
+    captured = capsys.readouterr()
+    want = len(lines) if line is None else line
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: presentation line {want}: {reason}\n"

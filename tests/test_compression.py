@@ -2,20 +2,18 @@ import pytest
 
 from nilfill import oracle
 from nilfill.compression import (
+    BlockMover,
     CompressedPower,
     compression_word,
-    digits,
-    extended_compression,
     extended_word,
     chain_context,
     increment_sequence,
     power_compression_sequence,
-    transport_central,
 )
-from nilfill.engine import replay, validate_null
+from nilfill.engine import SequenceBuilder, replay, validate_null
 from nilfill.errors import NoTransportRelator, OutOfRange
 from nilfill.presentations import build_chain_presentation
-from nilfill.words import free_reduce, inverse_word, nested_commutator, power
+from nilfill.words import free_reduce, inverse_word, nested_commutator
 
 
 def chain_setup(c):
@@ -27,25 +25,17 @@ def oracle_equal(pres, u, v):
     return pres.is_identity(u + inverse_word(v))
 
 
-# --- digits ----------------------------------------------------------------
-
-
-def test_digits_examples():
-    assert digits(0, 3, 2) == (0, 0)
-    assert digits(3**2 - 1, 3, 2) == (2, 2)
-    assert digits(5, 2, 3) == (1, 0, 1)
-
-
-def test_digits_range_errors():
-    with pytest.raises(OutOfRange):
-        digits(8, 2, 3)
-    with pytest.raises(OutOfRange):
-        digits(-1, 2, 3)
-    with pytest.raises(OutOfRange):
-        digits(0, 1, 3)
-
-
 # --- compression words ------------------------------------------------------
+
+
+def test_compression_word_range_errors():
+    pres, chain = chain_setup(3)
+    with pytest.raises(OutOfRange):
+        compression_word(pres, chain, 2, 2**3 + 1)
+    with pytest.raises(OutOfRange):
+        compression_word(pres, chain, 2, -1)
+    with pytest.raises(OutOfRange):
+        compression_word(pres, chain, 1, 0)
 
 
 def test_compression_word_c1():
@@ -160,17 +150,29 @@ def test_increment_grid_valid_and_bounded(c, n):
 # --- block transport --------------------------------------------------------
 
 
+def _transport(pres, w, chain, sign, start, target):
+    """Move the block W^sign (W the nested commutator of ``chain``) at
+    ``start`` in w to ``target`` in the split move shape."""
+    mover = BlockMover(pres, chain)
+    b = SequenceBuilder(pres, w)
+    if target <= start:
+        mover.move_left(b, start, target, sign, exact=False)
+    else:
+        mover.move_right(b, start, target, sign, exact=False)
+    return b.finish()
+
+
 def test_transport_block_costs_length():
     pres, chain = chain_setup(2)
     z1 = nested_commutator(chain)
     # move z1 left past x1^3: cost exactly 3 applications
     w = (1, 1, 1) + z1
-    seq = transport_central(pres, w, chain, +1, 3, 0)
+    seq = _transport(pres, w, chain, +1, 3, 0)
     m, final = replay(seq)
     assert final == z1 + (1, 1, 1)
     assert m.area == 3
     # and back to the right
-    seq2 = transport_central(pres, final, chain, +1, 0, 3)
+    seq2 = _transport(pres, final, chain, +1, 0, 3)
     m2, final2 = replay(seq2)
     assert final2 == w
     assert m2.area == 3
@@ -180,7 +182,7 @@ def test_transport_inverse_block():
     pres, chain = chain_setup(2)
     z1inv = inverse_word(nested_commutator(chain))
     w = (-2,) + z1inv
-    seq = transport_central(pres, w, chain, -1, 1, 0)
+    seq = _transport(pres, w, chain, -1, 1, 0)
     m, final = replay(seq)
     assert final == z1inv + (-2,)
     assert m.area == 1
@@ -191,7 +193,7 @@ def test_transport_level2_relator_past_x1():
     pres, chain = chain_setup(3)
     r = nested_commutator((2, 2, 3))  # [x2, x2, x3], central at class 3
     w = (1,) + r
-    seq = transport_central(pres, w, (2, 2, 3), +1, 1, 0)
+    seq = _transport(pres, w, (2, 2, 3), +1, 1, 0)
     m, final = replay(seq)
     assert final == r + (1,)
     assert m.area == 1
@@ -202,7 +204,7 @@ def test_transport_missing_relator():
     with pytest.raises(NoTransportRelator):
         # a chain of c letters needs a (c+1)-entry relator, which P_1 has,
         # but a (c+1)-chain needs (c+2) entries, which it lacks
-        transport_central(pres, (1,) + nested_commutator((1, 2, 2)), (1, 2, 2), +1, 1, 0)
+        _transport(pres, (1,) + nested_commutator((1, 2, 2)), (1, 2, 2), +1, 1, 0)
 
 
 # --- power compression ------------------------------------------------------
@@ -250,36 +252,48 @@ def test_extended_word_conventions():
     assert extended_word(ctx, 2, 6) == compression_word(pres, chain, 2, 2) + block
 
 
-def test_extended_compression_oracle():
-    pres, chain = chain_setup(2)
-    z1 = nested_commutator(chain)
-    for q in (0, 1, 4, 6, 9):
-        word, seq = extended_compression(pres, chain, 2, q)
-        m, final = replay(seq)
-        assert final == word
-        assert seq.initial == z1 * q
-        assert oracle_equal(pres, word, z1 * q), q
-
-
 def test_compressed_power_register():
     pres, chain = chain_setup(2)
-    from nilfill.engine import SequenceBuilder
-
-    reg = CompressedPower(pres, chain, 2)
     z1 = nested_commutator(chain)
-    b = SequenceBuilder(pres, z1 * 6)
-    for s in range(6):
-        reg.emit_increment(b, (6 - s - 1) * len(z1))
-    assert reg.q == 6
-    assert b.word == list(extended_word(reg.ctx, 2, 6))
-    assert reg.length == len(b.word)
+    # from z1^q the register reaches the extended compression word, which
+    # the oracle confirms equals z1^q
+    for q in (0, 1, 4, 6, 9):
+        reg = CompressedPower(pres, chain, 2)
+        b = SequenceBuilder(pres, z1 * q)
+        for s in range(q):
+            reg.emit_increment(b, (q - s - 1) * len(z1))
+        assert reg.q == q
+        word = extended_word(reg.ctx, 2, q)
+        assert b.word == list(word)
+        assert reg.length == len(b.word)
+        seq = b.finish()
+        assert replay(seq)[1] == word and seq.initial == z1 * q
+        assert oracle_equal(pres, word, z1 * q), q
     # mirrored register: (ztilde^q)^-1 built from the right
     regm = CompressedPower(pres, chain, 2)
     bm = SequenceBuilder(pres, inverse_word(z1 * 6))
     for s in range(6):
-        regm.emit_increment_mirror(bm, len(bm.word) - s * 0 - (6 - s - 1) * len(z1))
+        regm.emit_increment_mirror(bm, len(bm.word) - (6 - s - 1) * len(z1))
     assert bm.word == list(inverse_word(extended_word(regm.ctx, 2, 6)))
     assert regm.length == len(bm.word)
+
+
+def test_transport_exact_shape_matches_split_shape():
+    # both move shapes move a block to the same word, at one relator
+    # application per letter passed
+    pres, chain = chain_setup(2)
+    z1 = nested_commutator(chain)
+    for sign, block in ((1, z1), (-1, inverse_word(z1))):
+        w = (1, -2, 2, 1) + block
+        for exact in (False, True):
+            mover = BlockMover(pres, chain)
+            b = SequenceBuilder(pres, w)
+            mover.move_left(b, 4, 0, sign, exact)
+            assert tuple(b.word) == block + (1, -2, 2, 1)
+            mover.move_right(b, 0, 4, sign, exact)
+            m, final = replay(b.finish())
+            assert final == w
+            assert m.area == 8
 
 
 # --- summation and counting checks -------------------------------------------

@@ -1,21 +1,22 @@
 import random
 
 import pytest
-from helpers import random_valid_sequence
+from helpers import apply_move, random_valid_sequence
 
 from nilfill import oracle
 from nilfill.engine import (
     PSequence,
     SequenceBuilder,
-    apply_move,
-    concatenate,
-    find_rotation,
+    apply_moves,
+    block_reduction_moves,
+    inverse_pair_moves,
     invert_sequence,
     normalize_insertions,
+    pair_inverse_moves,
     replay,
     validate_null,
 )
-from nilfill.errors import EndpointMismatch, NotApplicable, NotNull
+from nilfill.errors import NotApplicable, NotNull
 from nilfill.presentations import build_chain_presentation, build_filler_presentation
 from nilfill.words import inverse_word
 
@@ -63,7 +64,6 @@ def test_relator_application_swap_example(filler22):
     # direct rotation enumeration
     rotations = [rinv[i:] + rinv[:i] for i in range(len(rinv))]
     assert rotations.index(target) == 2
-    assert find_rotation(filler22, rid, target) == (2, 1)
     got = apply_move((g, 1), ("ar", 0, rid, 2, 1, 2), filler22)
     assert got == (1, g)
 
@@ -103,8 +103,8 @@ def test_insert_relator_then_remove_is_null(chain22):
     rid = 0
     r = chain22.relators[rid]
     b = SequenceBuilder(chain22, ())
-    b.ar(0, rid, 0, 0, 0)  # inserts r^-1
-    b.ar(0, rid, 0, 1, len(r))  # u = whole of r^-1, v = empty
+    b.extend([("ar", 0, rid, 0, 0, 0),         # inserts r^-1
+              ("ar", 0, rid, 0, 1, len(r))])   # u = whole of r^-1, v = empty
     seq = b.finish()
     m = validate_null(seq)
     assert m.area == 2
@@ -173,16 +173,15 @@ def test_invert_sequence_metrics_and_endpoints(chain22):
 
 
 def test_concatenate(chain22):
+    # sequences concatenate by joining their move lists
     s1 = PSequence(chain22, (), [("fe", 0, 1)])
     s2 = PSequence(chain22, (1, -1), [("fr", 0)])
-    s = concatenate(s1, s2)
-    m = validate_null(s)
+    m = validate_null(PSequence(chain22, s1.initial, s1.moves + s2.moves))
     assert m.height == 2
-    with pytest.raises(EndpointMismatch):
-        concatenate(s2, s2)
-    # s + empty = s
-    empty = PSequence(chain22, (1, -1), [])
-    assert concatenate(s1, empty).moves == s1.moves
+    # a join whose endpoints disagree fails at the first move of the second
+    with pytest.raises(NotApplicable) as exc:
+        replay(PSequence(chain22, s2.initial, s2.moves + s2.moves))
+    assert exc.value.move_index == 1
 
 
 def test_concatenate_metrics_additive(chain22):
@@ -193,7 +192,7 @@ def test_concatenate_metrics_additive(chain22):
         s2 = random_valid_sequence(chain22, rng, start=end1)
         m1, _ = replay(s1)
         m2, _ = replay(s2)
-        m, _ = replay(concatenate(s1, s2))
+        m, _ = replay(PSequence(chain22, s1.initial, s1.moves + s2.moves))
         assert m.area == m1.area + m2.area
         assert m.height == m1.height + m2.height
         assert m.fl == max(m1.fl, m2.fl)
@@ -216,10 +215,8 @@ def test_moves_preserve_group_element(chain22):
         seq = random_valid_sequence(chain22, rng, steps=8)
         word = list(seq.initial)
         base = oracle.eval_word(seq.initial, 2, 2)
-        from nilfill.engine import apply_move_inplace
-
         for mv in seq.moves:
-            apply_move_inplace(word, mv, chain22)
+            apply_moves(word, [mv], chain22)
             assert oracle.eval_word(
                 tuple(word) + inverse_word(seq.initial), 2, 2
             ) == oracle.eval_word((), 2, 2) or oracle.eval_word(
@@ -229,11 +226,32 @@ def test_moves_preserve_group_element(chain22):
 
 def test_builder_helpers(chain22):
     b = SequenceBuilder(chain22, (1, 2))
-    b.insert_inverse_pair(1, (1, 2))  # x1 [ (x1 x2)^-1 x1 x2 ] x2
+    b.extend(inverse_pair_moves(1, (1, 2)))  # x1 [ (x1 x2)^-1 x1 x2 ] x2
     assert b.word == [1, -2, -1, 1, 2, 2]
     b2 = SequenceBuilder(chain22, ())
-    b2.insert_pair_inverse(0, (1, 2))
+    b2.extend(pair_inverse_moves(0, (1, 2)))
     assert b2.word == [1, 2, -2, -1]
-    b2.reduce_adjacent_blocks(0, 2)
+    b2.extend(block_reduction_moves(0, 2))
     assert b2.word == []
     validate_null(b2.finish())
+
+
+def test_kernel_offset_and_emit(chain22):
+    # a batch applied at an offset emits the shifted moves, which replay
+    # from the same start to the same word
+    r = chain22.relators[0]
+    batch = [("fe", 0, 1), ("fr", 0), ("ar", 0, 0, 0, 0, 0)]
+    word = [2, 2]
+    emitted = []
+    area, fl = apply_moves(word, batch, chain22, offset=1, emit=emitted.append)
+    assert emitted == [("fe", 1, 1), ("fr", 1), ("ar", 1, 0, 0, 0, 0)]
+    assert word == [2] + list(inverse_word(r)) + [2]
+    assert (area, fl) == (1, max(4, 2 + len(r)))
+    metrics, final = replay(PSequence(chain22, (2, 2), emitted))
+    assert list(final) == word
+    assert (metrics.area, metrics.fl) == (area, fl)
+    # errors carry the index within the batch, and nothing is emitted for it
+    with pytest.raises(NotApplicable) as exc:
+        apply_moves([2, 2], [("fe", 0, 1), ("fr", 5)], chain22, emit=emitted.append)
+    assert exc.value.move_index == 1
+    assert emitted[-1] == ("fe", 0, 1)

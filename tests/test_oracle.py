@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -142,7 +143,9 @@ def test_weight_exponents_at_class3():
 def test_solve_in_basis():
     assert oracle.solve_in_basis((3, 0), [(1, 0), (0, 1)]) == [3, 0]
     assert oracle.solve_in_basis((0, 0), [(1, 0), (0, 1)]) == [0, 0]
-    assert oracle.solve_in_basis((1, 1), [(2, 0), (0, 1)]) is None  # non-integral
+    # exact rationals: callers decide whether a fraction is acceptable
+    assert oracle.solve_in_basis((1, 1), [(2, 0), (0, 1)]) == [Fraction(1, 2), 1]
+    assert oracle.solve_in_basis((0, 1), [(1, 0)]) is None  # outside the span
     assert oracle.solve_in_basis((0, 0, 0), []) == []
     assert oracle.solve_in_basis((1, 0, 0), []) is None
     # antisymmetry of the degree-2 component, computed not assumed

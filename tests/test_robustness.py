@@ -77,6 +77,7 @@ def test_corrupt_traces_are_rejected():
         [("ar", 0, len(pres.relators), 0, 0, 0)],     # unknown relator
         [("ar", 0, 0, len(r), 0, 0)],                 # shift out of range
         [("ar", 0, 0, 0, 0, len(r) + 1)],             # split out of range
+        [("ar", 0, 0, 0, 2, 0)],                      # inversion flag not 0 or 1
         [("fr", 0)],                                  # nothing to reduce
         [("fe", 5, 1)],                               # expansion beyond end
         [("fe", 0, pres.rank + 1)],                   # unknown letter
@@ -90,8 +91,7 @@ def test_corrupt_traces_are_rejected():
 
 def test_fill_intermediates_oracle_equal_sampled():
     # every sampled intermediate word of a fill represents the input element
-    from nilfill.corpus import corpus_generate
-    from nilfill.engine import apply_move_inplace
+    from nilfill.engine import apply_moves
 
     pres = build_filler_presentation(2, 2)
 
@@ -100,7 +100,7 @@ def test_fill_intermediates_oracle_equal_sampled():
         word = list(seq.initial)
         step = max(1, len(seq.moves) // 23)
         for i, mv in enumerate(seq.moves):
-            apply_move_inplace(word, mv, pres)
+            apply_moves(word, [mv], pres)
             if i % step == 0:
                 assert pres.is_identity(tuple(word) + inverse_word(w))
 
