@@ -252,7 +252,7 @@ def test_extended_word_conventions():
     assert extended_word(ctx, 2, 6) == compression_word(pres, chain, 2, 2) + block
 
 
-def test_compressed_power_register():
+def test_extended_compression_oracle():
     pres, chain = chain_setup(2)
     z1 = nested_commutator(chain)
     # from z1^q the register reaches the extended compression word, which
@@ -269,6 +269,18 @@ def test_compressed_power_register():
         seq = b.finish()
         assert replay(seq)[1] == word and seq.initial == z1 * q
         assert oracle_equal(pres, word, z1 * q), q
+
+
+def test_compressed_power_register():
+    pres, chain = chain_setup(2)
+    z1 = nested_commutator(chain)
+    reg = CompressedPower(pres, chain, 2)
+    b = SequenceBuilder(pres, z1 * 6)
+    for s in range(6):
+        reg.emit_increment(b, (6 - s - 1) * len(z1))
+    assert reg.q == 6
+    assert b.word == list(extended_word(reg.ctx, 2, 6))
+    assert reg.length == len(b.word)
     # mirrored register: (ztilde^q)^-1 built from the right
     regm = CompressedPower(pres, chain, 2)
     bm = SequenceBuilder(pres, inverse_word(z1 * 6))

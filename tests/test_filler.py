@@ -47,6 +47,13 @@ def test_select_basis_c3_rank(p3):
     assert len(basis) == oracle.witt_number(2, 3) == 2
 
 
+def test_project_word(p2):
+    g12 = p2.name_to_index["g12"]
+    assert p2.project_word((g12,) * 5) == ()
+    w = nested_commutator([(1, 1), (2, 2)]) + (-g12,) * 4
+    assert p2.project_word(w) == nested_commutator([(1, 1), (2, 2)])
+
+
 def test_fill_empty_word(p2):
     seq = fill((), p2)
     assert seq.moves == []
