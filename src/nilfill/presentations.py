@@ -57,6 +57,7 @@ class Presentation:
         self._quotient = None
         self._basis = None
         self._max_weight_c = None
+        self._text = None       # the file text, built by the first save
         # filled by compression.chain_context and engine._move_template
         self._chain_ctxs: dict = {}
         self._move_templates: dict = {}
@@ -376,11 +377,15 @@ def build_filler_presentation(c: int, m: int) -> Presentation:
 
 
 def save_presentation(pres: Presentation, path) -> None:
-    lines = [f"class {pres.nclass}"]
-    lines += [f"gen {n} {w}" for n, w in zip(pres.names, pres.weights)]
-    lines += [f"rel {pres.format_word(r)}" for r in pres.relators]
+    """Write the presentation file.  A presentation is immutable, so its
+    text is built on the first save and kept for the next."""
+    if pres._text is None:
+        lines = [f"class {pres.nclass}"]
+        lines += [f"gen {n} {w}" for n, w in zip(pres.names, pres.weights)]
+        lines += [f"rel {pres.format_word(r)}" for r in pres.relators]
+        pres._text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(pres._text)
 
 
 def read_text(path, error) -> str:
@@ -442,9 +447,10 @@ def load_presentation(path) -> Presentation:
     if nclass is None:
         raise NilfillError("presentation file lacks a class line")
     relators = []
+    runs: dict = {}             # word token -> letters, for this file
     for number, rel_text in rel_lines:
         try:
-            relators.append(parse_word(rel_text, table))
+            relators.append(parse_word(rel_text, table, runs))
         except NilfillError as exc:
             raise PresentationSyntaxError(number, str(exc)) from None
     return Presentation(list(table), weights, relators, nclass)

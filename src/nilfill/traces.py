@@ -13,28 +13,40 @@ The validator's one-line verdict is `ok area=.. fl=.. height=..` or
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .engine import Metrics, PSequence, replay, validate_null
 from .errors import NilfillError, NotApplicable, NotNull, TraceSyntaxError
 from .presentations import Presentation, read_text
 from .words import format_letter, parse_word
 
 
+def _move_line(move, names) -> str:
+    op = move[0]
+    if op == "fr":
+        return f"fr {move[1]}"
+    if op == "fe":
+        return f"fe {move[1]} {format_letter(move[2], names)}"
+    return f"ar {move[1]} {move[2]} {move[3]} {move[4]} {move[5]}"
+
+
 def serialize_trace(seq: PSequence, presentation_path: str) -> str:
+    """The trace text of a sequence.  Each distinct move is formatted once
+    per call: a certificate repeats few moves many times."""
     pres = seq.presentation
+    names = pres.names
     lines = [
         f"word: {pres.format_word(seq.initial)}".rstrip(),
         f"presentation: {presentation_path}",
     ]
     append = lines.append
-    names = pres.names
+    text_of = {}        # move -> its line, for this call
+    get = text_of.get
     for move in seq.moves:
-        op = move[0]
-        if op == "fr":
-            append(f"fr {move[1]}")
-        elif op == "fe":
-            append(f"fe {move[1]} {format_letter(move[2], names)}")
-        else:
-            append(f"ar {move[1]} {move[2]} {move[3]} {move[4]} {move[5]}")
+        line = get(move)
+        if line is None:
+            line = text_of[move] = _move_line(move, names)
+        append(line)
     append("qed")
     return "\n".join(lines) + "\n"
 
@@ -44,50 +56,54 @@ def save_trace(seq: PSequence, path, presentation_path: str) -> None:
         fh.write(serialize_trace(seq, presentation_path))
 
 
+def _parse_move(line: str, runs, name_to_index) -> tuple:
+    """The move of one trace body line; ValueError or NilfillError when the
+    line is not in the grammar."""
+    parts = line.split()
+    kind = parts[0] if parts else None
+    if kind == "fr" and len(parts) == 2:
+        return ("fr", int(parts[1]))
+    if kind == "fe" and len(parts) == 3:
+        token = parts[2]
+        letter_word = parse_word(token, name_to_index, runs)
+        if len(letter_word) != 1:
+            raise NilfillError(f"bad fe letter token {token!r}")
+        return ("fe", int(parts[1]), letter_word[0])
+    if kind == "ar" and len(parts) == 6:
+        return ("ar", int(parts[1]), int(parts[2]), int(parts[3]),
+                int(parts[4]), int(parts[5]))
+    raise NilfillError(f"bad trace line {line!r}")
+
+
 def parse_trace(text: str, pres: Presentation):
     """Parse trace text against a presentation; returns (PSequence, pres path).
 
-    Raises TraceSyntaxError with the 1-based line number of the first line
-    that is not in the grammar."""
+    Each distinct line is parsed once per call, and equal lines share one
+    move tuple.  Raises TraceSyntaxError with the 1-based line number of
+    the first line that is not in the grammar."""
     lines = text.splitlines()
     for number, tag in ((1, "word:"), (2, "presentation:")):
         if len(lines) < number or not lines[number - 1].startswith(tag):
             raise TraceSyntaxError(number, f"expected a {tag!r} header line")
+    runs = {}           # word token -> letters, for this parse
     try:
-        initial = parse_word(lines[0][len("word:"):].strip(), pres.name_to_index)
+        initial = parse_word(lines[0][len("word:"):].strip(), pres.name_to_index, runs)
     except NilfillError as exc:
         raise TraceSyntaxError(1, str(exc)) from None
     pres_path = lines[1][len("presentation:"):].strip()
     if len(lines) < 3 or lines[-1] != "qed":
         raise TraceSyntaxError(len(lines) + 1, "missing final qed line")
-    moves = []
-    append = moves.append
-    letters = {}        # fe letter token -> letter, for this parse
+    end = len(lines) - 1
+    move_of = dict.fromkeys(islice(lines, 2, end))  # line -> move, by first use
     name_to_index = pres.name_to_index
-    for number, line in enumerate(lines[2:-1], 3):
-        parts = line.split()
-        kind = parts[0] if parts else None
+    for line in move_of:
         try:
-            if kind == "fr" and len(parts) == 2:
-                append(("fr", int(parts[1])))
-            elif kind == "fe" and len(parts) == 3:
-                token = parts[2]
-                letter = letters.get(token)
-                if letter is None:
-                    letter_word = parse_word(token, name_to_index)
-                    if len(letter_word) != 1:
-                        raise NilfillError(f"bad fe letter token {token!r}")
-                    letter = letters[token] = letter_word[0]
-                append(("fe", int(parts[1]), letter))
-            elif kind == "ar" and len(parts) == 6:
-                append(("ar", int(parts[1]), int(parts[2]), int(parts[3]),
-                        int(parts[4]), int(parts[5])))
-            else:
-                raise NilfillError(f"bad trace line {line!r}")
-        except ValueError:
-            raise TraceSyntaxError(number, f"bad integer in trace line {line!r}") from None
-        except NilfillError as exc:
-            raise TraceSyntaxError(number, str(exc)) from None
+            move_of[line] = _parse_move(line, runs, name_to_index)
+        except (ValueError, NilfillError) as exc:
+            reason = (f"bad integer in trace line {line!r}"
+                      if isinstance(exc, ValueError) else str(exc))
+            raise TraceSyntaxError(lines.index(line, 2) + 1, reason) from None
+    moves = list(map(move_of.__getitem__, islice(lines, 2, end)))
     return PSequence(pres, initial, moves), pres_path
 
 

@@ -64,25 +64,54 @@ def nested_commutator(items) -> Word:
 # --- text grammar ---------------------------------------------------------
 #
 # A word is whitespace-separated tokens NAME or NAME^INT, INT a non-zero
-# signed integer; NAME^-3 denotes three inverse letters.
+# signed integer; NAME^-3 denotes three inverse letters.  A word holds at
+# most MAX_WORD_LENGTH letters: a longer one is refused before its letters
+# are allocated, so no file line can ask for an unbounded word.
+
+MAX_WORD_LENGTH = 10**6
+_MAX_EXPONENT_DIGITS = len(str(MAX_WORD_LENGTH))
+_TOO_LONG = f"word longer than {MAX_WORD_LENGTH} letters"
 
 
-def parse_word(text: str, name_to_index) -> Word:
-    """Parse the text grammar against a name -> 1-based index mapping."""
+def _token_run(tok: str, name_to_index) -> Word:
+    """The letters of one token."""
+    m = _TOKEN_RE.match(tok)
+    if not m:
+        raise NilfillError(f"bad word token {tok!r}")
+    name, exp = m.group(1), m.group(2)
+    if name not in name_to_index:
+        raise NilfillError(f"unknown generator {name!r}")
+    idx = name_to_index[name]
+    if exp is None:
+        return (idx,)
+    if len(exp.lstrip("+-").lstrip("0")) > _MAX_EXPONENT_DIGITS:
+        raise NilfillError(_TOO_LONG)
+    k = int(exp)
+    if k == 0:
+        raise NilfillError(f"zero exponent in token {tok!r}")
+    if abs(k) > MAX_WORD_LENGTH:
+        raise NilfillError(_TOO_LONG)
+    return (idx if k > 0 else -idx,) * abs(k)
+
+
+def parse_word(text: str, name_to_index, runs=None) -> Word:
+    """Parse the text grammar against a name -> 1-based index mapping.
+
+    ``runs`` is an optional caller-owned dict from token to its letters;
+    a caller that parses many words over one alphabet (a presentation
+    file, a trace) passes one, so each distinct token is parsed once."""
+    if runs is None:
+        runs = {}
     out: list[int] = []
+    total = 0
     for tok in text.split():
-        m = _TOKEN_RE.match(tok)
-        if not m:
-            raise NilfillError(f"bad word token {tok!r}")
-        name, exp = m.group(1), m.group(2)
-        if name not in name_to_index:
-            raise NilfillError(f"unknown generator {name!r}")
-        idx = name_to_index[name]
-        k = 1 if exp is None else int(exp)
-        if k == 0:
-            raise NilfillError(f"zero exponent in token {tok!r}")
-        letter = idx if k > 0 else -idx
-        out.extend([letter] * abs(k))
+        run = runs.get(tok)
+        if run is None:
+            run = runs[tok] = _token_run(tok, name_to_index)
+        total += len(run)
+        if total > MAX_WORD_LENGTH:
+            raise NilfillError(_TOO_LONG)
+        out += run
     return tuple(out)
 
 

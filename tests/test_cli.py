@@ -144,6 +144,8 @@ def _compress_trace(tmp_path, capsys):
                  id="no-word-header"),
     pytest.param(lambda lines: lines[:4] + [b"f\xffr 0"] + lines[5:], 5, "not UTF-8 text",
                  id="non-utf8"),
+    pytest.param(lambda lines: [b"word: x1^10000000000000000000"] + lines[1:], 1,
+                 "word longer than 1000000 letters", id="huge-exponent-header"),
 ])
 def test_validate_malformed_trace_gives_verdict(tmp_path, capsys, edit, line, reason):
     trace = _compress_trace(tmp_path, capsys)
@@ -185,6 +187,8 @@ def test_validate_missing_file_is_usage_error(tmp_path, capsys):
                  "duplicate generator 'x1'", id="duplicate-name"),
     pytest.param(lambda lines: lines[:2] + [b"rel x1 \xc3"] + lines[2:], 3,
                  "not UTF-8 text", id="non-utf8"),
+    pytest.param(lambda lines: lines + [b"rel x1^10000000000000000000 x2"], None,
+                 "word longer than 1000000 letters", id="rel-huge-exponent"),
 ])
 def test_validate_malformed_presentation_names_line(tmp_path, capsys, edit, line, reason):
     trace = _compress_trace(tmp_path, capsys)

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 
 from nilfill.bench import BenchRecord, write_csv
+from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, replay
 from nilfill.errors import NotApplicable
@@ -36,6 +37,10 @@ def test_presentation_digests_stable(tmp_path, kind, a, b):
     save_presentation(pres, path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
     assert digest == PRESENTATION_DIGESTS[(kind, a, b)]
+    # a second save writes the text kept from the first
+    again = tmp_path / "again.pres"
+    save_presentation(pres, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 # Frozen digests of the serialized fill traces of seeded corpora, keyed by
@@ -64,6 +69,23 @@ def test_fill_trace_digests_stable(c, n, count, seed):
     digests = [_fill_digest(pres, words), _fill_digest(pres, words),
                _fill_digest(fresh, words)]
     assert digests == [FILL_DIGESTS[(c, n, count, seed)]] * 3
+
+
+# Frozen digests of serialized power compression traces on the chain
+# presentation, keyed by (class, chain ordering, n).
+COMPRESSION_DIGESTS = {
+    (2, (1, 2), 12): "5f4dd2ec5dbd2e36",
+    (3, (1, 2, 3), 6): "0987bc57f6d96958",
+    (3, (3, 2, 1), 6): "4b50f23f4bc704df",
+}
+
+
+@pytest.mark.parametrize("c,chain,n", [k for k in COMPRESSION_DIGESTS])
+def test_compression_trace_digests_stable(c, chain, n):
+    seq = power_compression_sequence(build_chain_presentation(c, 1), chain, n)
+    text = serialize_trace(seq, "p.pres")
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == COMPRESSION_DIGESTS[(c, chain, n)]
 
 
 def test_corrupt_traces_are_rejected():

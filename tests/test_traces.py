@@ -1,7 +1,13 @@
 import random
 
+import pytest
+
+from nilfill.compression import power_compression_sequence
+from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, replay
-from nilfill.presentations import build_chain_presentation
+from nilfill.errors import TraceSyntaxError
+from nilfill.filler import fill
+from nilfill.presentations import build_chain_presentation, build_filler_presentation
 from nilfill.traces import parse_trace, serialize_trace, verdict_line
 
 from helpers import random_valid_sequence
@@ -56,3 +62,53 @@ def test_verdict_ok_and_error():
     nonnull = PSequence(pres, (1,), [])
     code, line = verdict_line(nonnull)
     assert code == 1 and "final word nonempty" in line
+
+
+def _trace_lines(*body):
+    return "\n".join(["word:", "presentation: p", *body, "qed"]) + "\n"
+
+
+def test_repeated_bad_line_reported_at_first_occurrence():
+    pres = build_chain_presentation(2, 1)
+    text = _trace_lines("fe 0 x1", "fr x", "fe 1 x1^-1", "fr x", "fr 0")
+    with pytest.raises(TraceSyntaxError) as err:
+        parse_trace(text, pres)
+    assert err.value.line == 4
+    assert err.value.reason == "bad integer in trace line 'fr x'"
+
+
+def test_bad_line_after_repeated_good_lines_gets_its_own_number():
+    pres = build_chain_presentation(2, 1)
+    body = ["fe 0 x1", "fe 1 x1^-1", "fr 0"] * 500
+    text = _trace_lines(*body, "fe 0 x3", *body)
+    with pytest.raises(TraceSyntaxError) as err:
+        parse_trace(text, pres)
+    assert err.value.line == len(body) + 3
+    assert err.value.reason == "unknown generator 'x3'"
+
+
+def test_equal_lines_share_one_move():
+    pres = build_chain_presentation(2, 1)
+    body = ["fe 0 x1", "fr 0", "fe 0 x2^-1", "fr 0"] * 3
+    seq, _ = parse_trace(_trace_lines(*body), pres)
+    assert seq.moves == [("fe", 0, 1), ("fr", 0), ("fe", 0, -2), ("fr", 0)] * 3
+    assert all(seq.moves[i] is seq.moves[i % 4] for i in range(12))
+    assert seq.moves[3] is seq.moves[1]
+    assert replay(seq)[1] == ()
+
+
+@pytest.mark.parametrize("kind", ["fill-c3", "compress-c3"])
+def test_roundtrip_bit_exact_long_traces(kind):
+    if kind == "fill-c3":
+        pres = build_filler_presentation(3, 2)
+        w = max(corpus_generate(pres, 10, 40, seed=6), key=len)
+        seq = fill(w, pres)
+    else:
+        pres = build_chain_presentation(3, 1)
+        seq = power_compression_sequence(pres, (3, 2, 1), 4)
+    text = serialize_trace(seq, "p.pres")
+    lines = text.splitlines()
+    assert len(set(lines)) < len(lines) * 0.7     # many repeated lines
+    back, path = parse_trace(text, pres)
+    assert back.moves == seq.moves
+    assert serialize_trace(back, path) == text

@@ -13,16 +13,30 @@ from nilfill.filler import fill
 from nilfill.presentations import build_filler_presentation, save_presentation
 from nilfill.traces import serialize_trace
 
+FILES = ("t.trace", "p.pres")
+
+
+def _certificate(work, nclass, budget, count, seed):
+    """A seeded fill trace of the longest corpus word and its presentation
+    file, as bytes."""
+    pres = build_filler_presentation(nclass, 2)
+    w = max(corpus_generate(pres, budget, count, seed=seed), key=len)
+    save_presentation(pres, work / "p.pres")
+    (work / "t.trace").write_text(serialize_trace(fill(w, pres), "p.pres"))
+    return work, {name: (work / name).read_bytes() for name in FILES}
+
 
 @pytest.fixture(scope="module")
 def certificate(tmp_path_factory):
-    """A seeded class-2 fill trace and its presentation file, as bytes."""
-    work = tmp_path_factory.mktemp("fuzz")
-    pres = build_filler_presentation(2, 2)
-    w = max(corpus_generate(pres, 12, 4, seed=5), key=len)
-    save_presentation(pres, work / "p.pres")
-    (work / "t.trace").write_text(serialize_trace(fill(w, pres), "p.pres"))
-    return work, {name: (work / name).read_bytes() for name in ("t.trace", "p.pres")}
+    """Class 2: a short trace."""
+    return _certificate(tmp_path_factory.mktemp("fuzz"), 2, 12, 4, 5)
+
+
+@pytest.fixture(scope="module")
+def certificate_c3(tmp_path_factory):
+    """Class 3: 7,354 trace lines, of which 2,917 are distinct, so most
+    lines are parsed once and reused."""
+    return _certificate(tmp_path_factory.mktemp("fuzz3"), 3, 10, 40, 6)
 
 
 def _validate(work):
@@ -33,17 +47,7 @@ def _validate(work):
     return code, (out.getvalue() + err.getvalue()).splitlines()
 
 
-def test_unmutated_certificate_validates(certificate):
-    work, files = certificate
-    (work / "m.trace").write_bytes(files["t.trace"])
-    (work / "m.pres").write_bytes(files["p.pres"])
-    code, lines = _validate(work)
-    assert code == 0 and len(lines) == 1 and lines[0].startswith("ok area=")
-
-
-@settings(max_examples=200)
-@given(target=st.sampled_from(["t.trace", "p.pres"]), draw=st.data())
-def test_single_byte_mutation_gives_one_verdict(certificate, target, draw):
+def _mutate_and_validate(certificate, target, draw):
     work, files = certificate
     for name, data in files.items():
         if name == target:
@@ -54,3 +58,31 @@ def test_single_byte_mutation_gives_one_verdict(certificate, target, draw):
     assert code in (0, 1)
     assert len(lines) == 1
     assert lines[0].startswith("ok area=" if code == 0 else "error")
+
+
+def _validates_unmutated(certificate):
+    work, files = certificate
+    (work / "m.trace").write_bytes(files["t.trace"])
+    (work / "m.pres").write_bytes(files["p.pres"])
+    code, lines = _validate(work)
+    assert code == 0 and len(lines) == 1 and lines[0].startswith("ok area=")
+
+
+def test_unmutated_certificate_validates(certificate):
+    _validates_unmutated(certificate)
+
+
+def test_unmutated_class3_certificate_validates(certificate_c3):
+    _validates_unmutated(certificate_c3)
+
+
+@settings(max_examples=200)
+@given(target=st.sampled_from(FILES), draw=st.data())
+def test_single_byte_mutation_gives_one_verdict(certificate, target, draw):
+    _mutate_and_validate(certificate, target, draw)
+
+
+@settings(max_examples=100)
+@given(target=st.sampled_from(FILES), draw=st.data())
+def test_single_byte_mutation_of_class3_certificate(certificate_c3, target, draw):
+    _mutate_and_validate(certificate_c3, target, draw)

@@ -125,3 +125,27 @@ def test_format_empty_word():
 
 def test_parse_positive_signed_exponent():
     assert parse_word("x1^+3 x2^+1", TABLE) == (1, 1, 1, 2)
+
+
+def test_parse_refuses_words_over_the_cap():
+    from nilfill.errors import NilfillError
+    from nilfill.words import MAX_WORD_LENGTH
+
+    assert len(parse_word(f"x1^-{MAX_WORD_LENGTH}", TABLE)) == MAX_WORD_LENGTH
+    for bad in [f"x1^{MAX_WORD_LENGTH + 1}",
+                f"x1^{MAX_WORD_LENGTH} x2",
+                "x1^10000000000000000000",
+                "x2^-" + "9" * 5000]:     # past int()'s default digit limit
+        with pytest.raises(NilfillError, match="word longer than"):
+            parse_word(bad, TABLE)
+    assert parse_word("x1^000000000000003", TABLE) == (1, 1, 1)
+
+
+def test_parse_shares_caller_token_runs():
+    runs = {}
+    assert parse_word("x1^2 x2 x1^2", TABLE, runs) == (1, 1, 2, 1, 1)
+    assert runs == {"x1^2": (1, 1), "x2": (2,)}
+    assert parse_word("x2 x1^2", TABLE, runs) == (2, 1, 1)
+    with pytest.raises(Exception):
+        parse_word("x2 x9", TABLE, runs)
+    assert "x9" not in runs
