@@ -14,7 +14,6 @@ from . import bench as bench_mod
 from . import oracle as oracle_mod
 from .compression import power_compression_sequence
 from .corpus import corpus_generate, save_corpus
-from .engine import replay
 from .errors import NilfillError, TraceSyntaxError
 from .filler import fill_with_report
 from .presentations import (
@@ -131,8 +130,7 @@ def cmd_compress(args) -> int:
     seq = power_compression_sequence(pres, chain, args.n)
     pres_path = _save_presentation_for(args.trace, args.presentation_out, pres)
     save_trace(seq, args.trace, pres_path)
-    metrics, _ = replay(seq)
-    print(format_ok(metrics))
+    print(format_ok(seq.metrics))
     return 0
 
 
@@ -142,8 +140,7 @@ def cmd_fill(args) -> int:
     seq, report = fill_with_report(w, pres)
     pres_path = _save_presentation_for(args.trace, args.presentation_out, pres)
     save_trace(seq, args.trace, pres_path)
-    metrics, _ = replay(seq)
-    print(format_ok(metrics)
+    print(format_ok(seq.metrics)
           + f" max_register={report.max_register}"
             f" register_bound={report.register_bound}")
     return 0

@@ -9,7 +9,9 @@ commutator word [a_k, ..., a_c].  The compression word for an exponent
 
 with (s_0, ..., s_{c-1}) the base-n digits of s.  Increment sequences
 transform z_1 ztilde^s into ztilde^{s+1}; concatenating all of them
-compresses z_1^{n^c} with area O(n^{c+1}) and filling length O(n).
+compresses z_1^{n^c} with area O(n^{c+1}) and filling length O(n).  An
+increment runs in place: in the caller's builder, on the subword at an
+offset, so every move it builds passes the kernel once.
 
 Every relator application emitted here is a transport: a central block
 (a nested commutator word or its inverse) swaps with an adjacent letter.
@@ -285,25 +287,34 @@ def increment_sequence(pres: Presentation, chain, n: int, s: int) -> PSequence:
 
 
 def _increment(ctx: ChainContext, level: int, n: int, s: int, exact: bool) -> PSequence:
+    b = SequenceBuilder(ctx.level_presentation(level),
+                        ctx.z_words[level] + _cword(ctx, level, n, s))
+    _run_increment(ctx, b, level, n, s, exact, 0)
+    return b.finish()
+
+
+def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
+                   s: int, exact: bool, off: int) -> None:
+    """Turn the z_level ztilde^s sitting at ``off`` in ``b`` into
+    ztilde^{s+1}, every move going through ``b``'s kernel at ``off``."""
     chain = ctx.chain[level:]
     c = len(chain)
     if not 0 <= s <= n**c - 1:
         raise OutOfRange(f"need 0 <= s <= n^{c} - 1, got {s}")
-    zw = ctx.z_words[level]
-    initial = zw + _cword(ctx, level, n, s)
-    b = SequenceBuilder(ctx.level_presentation(level), initial)
-    s0 = s % n
-    if c > 1 and s0 + 1 == n:
-        _carry(ctx, b, level, n, s, exact)
+    if c > 1 and s % n + 1 == n:
+        _carry(ctx, b, level, n, s, exact, off)
     expected = _cword(ctx, level, n, s + 1)
-    if b.word != list(expected):
+    if b.word[off:off + len(expected)] != list(expected):
         raise AssertionError(
             f"increment endpoint mismatch at level {level}, s={s}"
         )
-    return b.finish()
 
 
-def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact) -> None:
+def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact, off) -> None:
+    """The carry of the increment at s, on the z_level ztilde^s sitting at
+    ``off`` in ``b``.  Positions below are relative to that subword: each
+    batch goes to the kernel at ``off``, and each transport starts and
+    ends ``off`` further right, since the mover reads the word."""
     chain = ctx.chain[level:]
     a = chain[0]
     zw = ctx.z_words[level]
@@ -324,11 +335,11 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact) -> None:
         p = (n - i) * lz + n + lt + lz2 + i
         pending.append(("fe", p, a))
         pending += pair_inverse_moves(p + 1, z2w)
-        b.extend(pending)
+        b.extend(pending, off)
         # new z_level^-1 block starts right of the fresh z2 copy
         start = p + 1 + lz2
         boundary = (n - i) * lz
-        zmover.move_left(b, start, boundary, -1, exact)
+        zmover.move_left(b, off + start, off + boundary, -1, exact)
         pending = block_reduction_moves(boundary - lz, lz)
 
     # word: a^-n tword^-1 z2^-1 a^n z2 tword; run the level-2 increment
@@ -360,12 +371,13 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact) -> None:
             sign = -1 if inv else 1
             here = off_rh + pos
             pending += inverse_pair_moves(here, inserted)
-            b.extend(pending)
+            b.extend(pending, off)
             pending = []
             target = n + lcur - pos
-            ctx.mover(ctx.rid_chain[rid], level).move_left(b, here, target, sign, exact)
+            ctx.mover(ctx.rid_chain[rid], level).move_left(
+                b, off + here, off + target, sign, exact)
             lcur += len(relator)
-    b.extend(pending)
+    b.extend(pending, off)
 
 
 def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
@@ -386,8 +398,7 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     if c > 1:
         insert_trivial_word(b, total * lz, pad)
     for s in range(total):
-        offset = (total - s - 1) * lz
-        b.extend(_increment(ctx, 0, n, s, exact=False).moves, offset)
+        _run_increment(ctx, b, 0, n, s, False, (total - s - 1) * lz)
     if b.word != list(_cword(ctx, 0, n, total)):
         raise AssertionError("power compression endpoint mismatch")
     return b.finish()
@@ -442,7 +453,7 @@ class CompressedPower:
                 b = SequenceBuilder(ctx.pres, initial)
                 if a_part == 0 and ctx.c > 1:
                     insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
-                b.extend(_increment(ctx, 0, n, a_part, exact=False).moves)
+                _run_increment(ctx, b, 0, n, a_part, False, 0)
                 entry[0] = ctx.intern(b.moves)
             if mirrored:
                 mirror = invert_sequence(PSequence(ctx.pres, initial, entry[0]))

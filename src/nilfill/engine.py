@@ -20,7 +20,7 @@ same checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotApplicable, NotNull
 from .presentations import Presentation
@@ -37,9 +37,14 @@ class Metrics:
 
 @dataclass
 class PSequence:
+    """A move sequence from ``initial``.  ``metrics`` is what the builder
+    measured while it checked every move; None for a sequence that was not
+    built (parsed or rewritten), whose metrics ``replay`` gives."""
+
     presentation: Presentation
     initial: Word
     moves: list
+    metrics: "Metrics | None" = field(default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.moves)
@@ -239,21 +244,32 @@ def block_reduction_moves(pos: int, length: int) -> list:
 
 class SequenceBuilder:
     """Mutable word + emitted move list.  Every move goes through the
-    kernel as it is emitted, so a finished builder yields a valid sequence.
-    The builder has no move semantics of its own; compound emissions are
-    move lists built by the functions above."""
+    kernel as it is emitted, so a finished builder yields a valid sequence,
+    and the builder keeps the area and FL the kernel returns, so its
+    ``metrics`` equal those of a replay.  The builder has no move semantics
+    of its own; compound emissions are move lists built by the functions
+    above."""
 
-    __slots__ = ("pres", "initial", "word", "moves")
+    __slots__ = ("pres", "initial", "word", "moves", "area", "fl")
 
     def __init__(self, pres: Presentation, initial: Word):
         self.pres = pres
         self.initial = tuple(initial)
         self.word = list(initial)
         self.moves: list = []
+        self.area = 0
+        self.fl = len(self.initial)
 
     def extend(self, moves, offset: int = 0) -> None:
         """Apply and record ``moves``, each position shifted by ``offset``."""
-        apply_moves(self.word, moves, self.pres, offset, self.moves.append)
+        area, fl = apply_moves(self.word, moves, self.pres, offset, self.moves.append)
+        self.area += area
+        if fl > self.fl:
+            self.fl = fl
+
+    @property
+    def metrics(self) -> Metrics:
+        return Metrics(self.area, self.fl, len(self.moves), len(self.word))
 
     def finish(self) -> PSequence:
-        return PSequence(self.pres, self.initial, self.moves)
+        return PSequence(self.pres, self.initial, self.moves, self.metrics)

@@ -43,11 +43,14 @@ class Presentation:
         self.parents = tuple(parents) if parents else (None,) * len(self.names)
         if len(self.weights) != len(self.names) or len(self.parents) != len(self.names):
             raise NilfillError("generator annotation lengths disagree")
-        for r in self.relators:
-            for a in r:
-                if not 1 <= abs(a) <= len(self.names):
-                    raise NilfillError(f"relator letter {a} names no generator")
-        self.rank = len(self.names)
+        self.rank = rank = len(self.names)
+        letters = set().union(*self.relators)
+        if letters and (0 in letters or min(letters) < -rank or max(letters) > rank):
+            # scan in relator order, so the error names the first bad letter
+            for r in self.relators:
+                for a in r:
+                    if not 1 <= abs(a) <= rank:
+                        raise NilfillError(f"relator letter {a} names no generator")
         self.name_to_index = {n: i + 1 for i, n in enumerate(self.names)}
         if len(self.name_to_index) != len(self.names):
             raise NilfillError("duplicate generator names")

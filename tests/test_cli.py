@@ -33,14 +33,15 @@ def test_present_filler(tmp_path, capsys):
 
 def test_compress_validate_roundtrip(tmp_path, capsys):
     trace = tmp_path / "c.trace"
-    code, out = run(capsys, "compress", "--class", "2", "--n", "3",
-                    "--trace", str(trace))
+    code, built = run(capsys, "compress", "--class", "2", "--n", "3",
+                      "--trace", str(trace))
     assert code == 0
-    assert out.startswith("ok area=")
     code, out = run(capsys, "validate", "--trace", str(trace),
                     "--presentation", str(trace) + ".pres")
     assert code == 0
     assert out.startswith("ok area=72 ")
+    # the builder's metrics, printed without a replay, are the validator's
+    assert built == out
     # a compression trace is not a null-sequence
     code, out = run(capsys, "validate", "--null", "--trace", str(trace),
                     "--presentation", str(trace) + ".pres")
@@ -57,13 +58,14 @@ def test_compress_custom_spec(tmp_path, capsys):
 
 def test_fill_and_validate_null(tmp_path, capsys):
     trace = tmp_path / "f.trace"
-    code, out = run(capsys, "fill", "--class", "2", "--gens", "2",
-                    "--word", "x1^-1 x2^-1 x1 x2 g12^-1", "--trace", str(trace))
+    code, built = run(capsys, "fill", "--class", "2", "--gens", "2",
+                      "--word", "x1^-1 x2^-1 x1 x2 g12^-1", "--trace", str(trace))
     assert code == 0
-    assert "max_register=" in out
+    assert "max_register=" in built
     code, out = run(capsys, "validate", "--null", "--trace", str(trace),
                     "--presentation", str(trace) + ".pres")
     assert code == 0
+    assert built.split(" max_register=")[0] == out.rstrip("\n")
 
 
 def test_fill_word_from_file(tmp_path, capsys):

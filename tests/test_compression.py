@@ -8,11 +8,12 @@ from nilfill.compression import (
     extended_word,
     chain_context,
     increment_sequence,
+    insert_trivial_word,
     power_compression_sequence,
 )
 from nilfill.engine import SequenceBuilder, replay, validate_null
 from nilfill.errors import NoTransportRelator, OutOfRange
-from nilfill.presentations import build_chain_presentation
+from nilfill.presentations import Presentation, build_chain_presentation
 from nilfill.words import free_reduce, inverse_word, nested_commutator
 
 
@@ -238,6 +239,52 @@ def test_power_compression_validates_and_scales(c, n):
     # linear filling-length bound applies to the surplus beyond it
     assert m.fl <= len(seq.initial) + 40 * n
     assert m.area <= 40 * n ** (c + 1)
+
+
+def isolated_increments(pres, chain, n, s_from, s_to):
+    """Reference: increments s_from..s_to-1 each built on its own builder by
+    ``increment_sequence`` and then applied at its offset, from
+    z_1^(s_to - s_from) ztilde^s_from (padded with ztilde^0 when s_from = 0)."""
+    zw = nested_commutator(chain)
+    initial = zw * (s_to - s_from)
+    if s_from:
+        initial += compression_word(pres, chain, n, s_from)
+    b = SequenceBuilder(pres, initial)
+    if s_from == 0 and len(chain) > 1:
+        insert_trivial_word(b, len(initial), compression_word(pres, chain, n, 0))
+    for s in range(s_from, s_to):
+        b.extend(increment_sequence(pres, chain, n, s).moves, (s_to - s - 1) * len(zw))
+    return b
+
+
+@pytest.mark.parametrize("c,chain,n", [
+    *[(2, (1, 2), n) for n in range(2, 6)],
+    *[(3, chain, n) for chain in ((1, 2, 3), (1, 3, 2), (2, 3, 1), (3, 2, 1))
+      for n in range(2, 5)],
+    (4, (1, 2, 3, 4), 2),
+])
+def test_power_compression_equals_isolated_increments(c, chain, n):
+    # increments built in place emit the moves of the isolated construction
+    pres = build_chain_presentation(c, 1)
+    seq = power_compression_sequence(pres, chain, n)
+    ref = isolated_increments(pres, chain, n, 0, n**c)
+    assert seq.moves == ref.moves
+    assert seq.initial == ref.initial
+    assert replay(seq)[1] == tuple(ref.word) == compression_word(pres, chain, n, n**c)
+
+
+@pytest.mark.parametrize("c,n,qs", [(2, 3, (0, 2, 5, 8)), (3, 2, (0, 1, 3, 7))])
+def test_register_increment_equals_isolated_increment(c, n, qs):
+    # a fresh presentation, so each local_moves call misses the memo
+    base = build_chain_presentation(c, 1)
+    pres = Presentation(base.names, base.weights, base.relators, c)
+    chain = tuple(range(1, c + 1))
+    for q in qs:
+        reg = CompressedPower(pres, chain, n)
+        reg.q = q
+        a_part = q % n**c
+        assert list(reg.local_moves()) == isolated_increments(
+            pres, chain, n, a_part, a_part + 1).moves
 
 
 # --- extended compression ----------------------------------------------------

@@ -255,3 +255,18 @@ def test_kernel_offset_and_emit(chain22):
         apply_moves([2, 2], [("fe", 0, 1), ("fr", 5)], chain22, emit=emitted.append)
     assert exc.value.move_index == 1
     assert emitted[-1] == ("fe", 0, 1)
+
+
+def test_builder_metrics_equal_replay():
+    # the builder sums what the kernel returns per batch; a replay of the
+    # finished sequence must measure the same
+    from nilfill.compression import power_compression_sequence
+    from nilfill.corpus import corpus_generate
+    from nilfill.filler import fill
+
+    fpres = build_filler_presentation(3, 2)
+    w = corpus_generate(fpres, 10, 1, seed=5)[0]
+    cpres = build_chain_presentation(3, 1)
+    for seq in (fill(w, fpres), power_compression_sequence(cpres, (1, 2, 3), 3)):
+        assert seq.moves
+        assert seq.metrics == replay(seq)[0]

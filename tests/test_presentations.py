@@ -3,8 +3,9 @@ import itertools
 import pytest
 
 from nilfill import oracle
-from nilfill.errors import OutOfRange
+from nilfill.errors import NilfillError, OutOfRange
 from nilfill.presentations import (
+    Presentation,
     build_chain_presentation,
     build_filler_presentation,
     load_presentation,
@@ -61,6 +62,19 @@ def test_chain_rejects_bad_k():
         build_chain_presentation(2, 3)
     with pytest.raises(OutOfRange):
         build_chain_presentation(2, 0)
+
+
+@pytest.mark.parametrize("relators,bad", [
+    ([(1, -2), (2, 0, 1)], 0),
+    ([(1, 3, -1)], 3),
+    # the error names the first bad letter in relator order
+    ([(1, 3, -1), (-5,)], 3),
+    ([(-3, 1), (2, 5)], -3),
+    ([(2, 1), (0, 3)], 0),
+])
+def test_presentation_rejects_letters_naming_no_generator(relators, bad):
+    with pytest.raises(NilfillError, match=f"relator letter {bad} names no generator"):
+        Presentation(("x1", "x2"), (1, 1), relators, 2)
 
 
 def test_filler_c1_is_free_abelian():

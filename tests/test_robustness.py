@@ -77,6 +77,9 @@ COMPRESSION_DIGESTS = {
     (2, (1, 2), 12): "5f4dd2ec5dbd2e36",
     (3, (1, 2, 3), 6): "0987bc57f6d96958",
     (3, (3, 2, 1), 6): "4b50f23f4bc704df",
+    (3, (1, 3, 2), 6): "c5004a55e3d733e1",
+    (3, (2, 3, 1), 6): "3c83355d547c1c70",
+    (4, (1, 2, 3, 4), 2): "c9f6b545bff27acd",
 }
 
 
