@@ -15,11 +15,14 @@ offset, so every move it builds passes the kernel once.
 
 Every relator application emitted here is a transport: a central block
 (a nested commutator word or its inverse) swaps with an adjacent letter.
-Transports come in two shapes.  The split form replaces the block-letter
-pair in one move.  The exact form inserts a whole unrotated relator (or
-inverse) and reduces; sequences built this way can be lifted one chain
-level down, where each insertion is re-created by free expansions and the
-leftover inverse block is transported to its mirror position.
+The relator pool a transport works on decides its shape.  On the chain
+presentation (level 0) the split form replaces the block-letter pair in
+one move.  On the scratch pool of the inner levels the exact form inserts
+a whole unrotated relator (or inverse) and reduces; sequences built this
+way can be lifted one chain level down, where each insertion is
+re-created by free expansions and the leftover inverse block, whose chain
+the pool recorded with the relator, is transported to its mirror
+position.  Any ordering of the chain letters compresses.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .engine import (
 )
 from .errors import NoTransportRelator, OutOfRange
 from .presentations import Presentation
-from .words import Word, inverse_word, nested_commutator
+from .words import Word, commutator, inverse_word, nested_commutator
 
 
 class _ScratchPresentation:
@@ -45,22 +48,26 @@ class _ScratchPresentation:
     presentation, whose relators are not relators of the ambient group.
     Those inner sequences are scaffolding: each of their applications is
     re-created in the ambient presentation by free expansions plus
-    transports, so the pool only has to name the inserted words."""
+    transports, so the pool only has to name the inserted words.  Relator
+    ``rid`` is the nested commutator of the chain ``chains[rid]``, which
+    the lift reads back to move the leftover block."""
 
     def __init__(self, base: Presentation):
-        self.names = base.names
-        self.weights = base.weights
         self.rank = base.rank
         self.relators: list = []
+        self.chains: list = []
         self._index: dict = {}
         self._move_templates: dict = {}
 
-    def ensure(self, word) -> int:
-        rid = self._index.get(word)
+    def ensure(self, chain) -> int:
+        """Relator id of the nested commutator of ``chain``, added on the
+        first request."""
+        rid = self._index.get(chain)
         if rid is None:
             rid = len(self.relators)
-            self.relators.append(word)
-            self._index[word] = rid
+            self.relators.append(nested_commutator(chain))
+            self.chains.append(chain)
+            self._index[chain] = rid
         return rid
 
 
@@ -94,7 +101,6 @@ class ChainContext:
         self.z_words = [nested_commutator(self.chain[k:]) for k in range(self.c)]
         self.scratch = _ScratchPresentation(pres)
         self._movers = {}
-        self.rid_chain = {}
         self.increments: dict = {}
         self._move_pool: dict = {}
         self._cword_lengths: dict = {}
@@ -112,8 +118,7 @@ class ChainContext:
         key = (block_chain, level == 0)
         m = self._movers.get(key)
         if m is None:
-            m = BlockMover(self.level_presentation(level), block_chain,
-                           registry=self.rid_chain)
+            m = BlockMover(self.level_presentation(level), block_chain)
             self._movers[key] = m
         return m
 
@@ -145,45 +150,44 @@ def chain_context(pres: Presentation, chain) -> ChainContext:
 
 class BlockMover:
     """Transport of the central block W^s (W the nested commutator of
-    ``block_chain``, s = +-1) past single letters, in both move shapes.
+    ``block_chain``, s = +-1) past single letters.
 
-    Needs the presentation to contain the relator [t, chain] for every
-    letter t that the block passes."""
+    The pool decides the move shape: ``exact`` on a scratch pool, which
+    adds the relator [t, chain] for each letter t the block passes, and
+    split on a presentation, which must already contain it.  Only left
+    moves come in the exact shape, as no inner level moves a block right."""
 
-    def __init__(self, pres: Presentation, block_chain, registry=None):
+    def __init__(self, pres, block_chain):
         self.pres = pres
         self.chain = tuple(block_chain)
         self.word = nested_commutator(self.chain)
         self.length = len(self.word)
-        self.registry = registry
+        self.exact = isinstance(pres, _ScratchPresentation)
         self._rids = {}
 
     def _rid(self, t: int) -> int:
         """Relator id of the transport commutator [t, chain]."""
         rid = self._rids.get(t)
         if rid is None:
-            rho = nested_commutator((t,) + self.chain)
-            if isinstance(self.pres, _ScratchPresentation):
-                rid = self.pres.ensure(rho)
+            if self.exact:
+                rid = self.pres.ensure((t,) + self.chain)
             else:
-                rid = self.pres.relator_index.get(rho)
+                rid = self.pres.relator_index.get(nested_commutator((t,) + self.chain))
                 if rid is None:
                     raise NoTransportRelator(
                         f"presentation lacks [{t}, {self.chain}] transport relator"
                     )
             self._rids[t] = rid
-            if self.registry is not None:
-                self.registry[rid] = (t,) + self.chain
         return rid
 
-    def _swap_left(self, p: int, t: int, head: int, sign: int, exact: bool) -> list:
+    def _swap_left(self, p: int, t: int, head: int, sign: int) -> list:
         """Moves swapping the letter t at p with the block at [p+1, p+1+L);
         ``head`` is the block's first letter."""
         L = self.length
         if L == 1 and t == -head:
             # a single-letter block meeting its own inverse swaps freely
             return [("fr", p), ("fe", p, head)]
-        if not exact:
+        if not self.exact:
             if sign > 0:
                 return [("ar", p, self._rid(t), L + 1, 0, L + 1)]
             return [("ar", p, self._rid(-t), 0, 0, L + 1)]
@@ -195,37 +199,30 @@ class BlockMover:
         return ([("ar", p, self._rid(-t), 0, 0, 0), ("fr", p + 2 * L + 1)]
                 + block_reduction_moves(p + L + 1, L))
 
-    def _swap_right(self, p: int, t: int, head: int, sign: int, exact: bool) -> list:
-        """Moves swapping the block at [p, p+L) with the letter t at p+L."""
+    def _swap_right(self, p: int, t: int, head: int, sign: int) -> list:
+        """Moves swapping the block at [p, p+L) with the letter t at p+L,
+        in the split shape."""
         L = self.length
         if L == 1 and t == -head:
             return [("fr", p), ("fe", p, t)]
-        if not exact:
-            if sign > 0:
-                return [("ar", p, self._rid(t), L + 1, 1, L + 1)]
-            return [("ar", p, self._rid(-t), 0, 1, L + 1)]
         if sign > 0:
-            # insert [t,W] after the letter
-            return ([("ar", p + L + 1, self._rid(t), 0, 1, 0), ("fr", p + L)]
-                    + block_reduction_moves(p, L))
-        # insert [t^-1,W] before the block
-        return ([("ar", p, self._rid(-t), 0, 1, 0)]
-                + block_reduction_moves(p + L + 2, L) + [("fr", p + L + 1)])
+            return [("ar", p, self._rid(t), L + 1, 1, L + 1)]
+        return [("ar", p, self._rid(-t), 0, 1, L + 1)]
 
     # The letters a block passes do not change while it moves, so every
     # swap's moves are known up front and go to the builder as one batch.
 
-    def move_left(self, b, start: int, target: int, sign: int, exact: bool) -> None:
+    def move_left(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` left to ``target``, one swap per
         letter passed."""
         w = b.word
         head = w[start]
         moves = []
         for p in range(start - 1, target - 1, -1):
-            moves += self._swap_left(p, w[p], head, sign, exact)
+            moves += self._swap_left(p, w[p], head, sign)
         b.extend(moves)
 
-    def move_right(self, b, start: int, target: int, sign: int, exact: bool) -> None:
+    def move_right(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` right to ``target``, one swap per
         letter passed."""
         w = b.word
@@ -233,7 +230,7 @@ class BlockMover:
         L = self.length
         moves = []
         for p in range(start, target):
-            moves += self._swap_right(p, w[p + L], head, sign, exact)
+            moves += self._swap_right(p, w[p + L], head, sign)
         b.extend(moves)
 
 
@@ -254,14 +251,10 @@ def _cword(ctx: ChainContext, level: int, n: int, s: int) -> Word:
         return (chain[0],) * s
     a = chain[0]
     if s == n**c:
-        return _commutator_block((a,) * n, _cword(ctx, level + 1, n, n ** (c - 1)))
+        return commutator((a,) * n, _cword(ctx, level + 1, n, n ** (c - 1)))
     s0 = s % n
-    tail = _commutator_block((a,) * n, _cword(ctx, level + 1, n, s // n))
+    tail = commutator((a,) * n, _cword(ctx, level + 1, n, s // n))
     return ctx.z_words[level] * s0 + tail
-
-
-def _commutator_block(u: Word, v: Word) -> Word:
-    return inverse_word(u) + inverse_word(v) + u + v
 
 
 def insert_trivial_word(b: SequenceBuilder, pos: int, w: Word) -> None:
@@ -283,18 +276,18 @@ def increment_sequence(pres: Presentation, chain, n: int, s: int) -> PSequence:
     transporting the inverse block to the mirror position.
     """
     ctx = chain_context(pres, chain)
-    return _increment(ctx, 0, n, s, exact=False)
+    return _increment(ctx, 0, n, s)
 
 
-def _increment(ctx: ChainContext, level: int, n: int, s: int, exact: bool) -> PSequence:
+def _increment(ctx: ChainContext, level: int, n: int, s: int) -> PSequence:
     b = SequenceBuilder(ctx.level_presentation(level),
                         ctx.z_words[level] + _cword(ctx, level, n, s))
-    _run_increment(ctx, b, level, n, s, exact, 0)
+    _run_increment(ctx, b, level, n, s, 0)
     return b.finish()
 
 
 def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
-                   s: int, exact: bool, off: int) -> None:
+                   s: int, off: int) -> None:
     """Turn the z_level ztilde^s sitting at ``off`` in ``b`` into
     ztilde^{s+1}, every move going through ``b``'s kernel at ``off``."""
     chain = ctx.chain[level:]
@@ -302,7 +295,7 @@ def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
     if not 0 <= s <= n**c - 1:
         raise OutOfRange(f"need 0 <= s <= n^{c} - 1, got {s}")
     if c > 1 and s % n + 1 == n:
-        _carry(ctx, b, level, n, s, exact, off)
+        _carry(ctx, b, level, n, s, off)
     expected = _cword(ctx, level, n, s + 1)
     if b.word[off:off + len(expected)] != list(expected):
         raise AssertionError(
@@ -310,7 +303,7 @@ def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
         )
 
 
-def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact, off) -> None:
+def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
     """The carry of the increment at s, on the z_level ztilde^s sitting at
     ``off`` in ``b``.  Positions below are relative to that subword: each
     batch goes to the kernel at ``off``, and each transport starts and
@@ -339,15 +332,15 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact, off) -> No
         # new z_level^-1 block starts right of the fresh z2 copy
         start = p + 1 + lz2
         boundary = (n - i) * lz
-        zmover.move_left(b, off + start, off + boundary, -1, exact)
+        zmover.move_left(b, off + start, off + boundary, -1)
         pending = block_reduction_moves(boundary - lz, lz)
 
     # word: a^-n tword^-1 z2^-1 a^n z2 tword; run the level-2 increment
     # and its inverse concurrently on the two halves, the left half
     # starting at n and the right half at n + lcur + n, lcur the length of
     # the inner word before each inner move.
-    inner = _increment(ctx, level + 1, n, t, exact=True)
-    relators = ctx.scratch.relators
+    inner = _increment(ctx, level + 1, n, t)
+    relators, chains = ctx.scratch.relators, ctx.scratch.chains
     lcur = len(inner.initial)
     for mv in inner.moves:
         off_rh = n + lcur + n
@@ -374,8 +367,8 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, exact, off) -> No
             b.extend(pending, off)
             pending = []
             target = n + lcur - pos
-            ctx.mover(ctx.rid_chain[rid], level).move_left(
-                b, off + here, off + target, sign, exact)
+            ctx.mover(chains[rid], level).move_left(
+                b, off + here, off + target, sign)
             lcur += len(relator)
     b.extend(pending, off)
 
@@ -398,7 +391,7 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     if c > 1:
         insert_trivial_word(b, total * lz, pad)
     for s in range(total):
-        _run_increment(ctx, b, 0, n, s, False, (total - s - 1) * lz)
+        _run_increment(ctx, b, 0, n, s, (total - s - 1) * lz)
     if b.word != list(_cword(ctx, 0, n, total)):
         raise AssertionError("power compression endpoint mismatch")
     return b.finish()
@@ -453,7 +446,7 @@ class CompressedPower:
                 b = SequenceBuilder(ctx.pres, initial)
                 if a_part == 0 and ctx.c > 1:
                     insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
-                _run_increment(ctx, b, 0, n, a_part, False, 0)
+                _run_increment(ctx, b, 0, n, a_part, 0)
                 entry[0] = ctx.intern(b.moves)
             if mirrored:
                 mirror = invert_sequence(PSequence(ctx.pres, initial, entry[0]))

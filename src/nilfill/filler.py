@@ -78,7 +78,7 @@ def _abelian_fill(w: Word, pres: Presentation):
                     mover = movers.get(g)
                     if mover is None:
                         mover = movers[g] = BlockMover(pres, (g,))
-                    mover.move_left(b, p, target, 1 if a > 0 else -1, exact=False)
+                    mover.move_left(b, p, target, 1 if a > 0 else -1)
                 target += 1
             p += 1
         _reduce_all(b)
@@ -329,7 +329,7 @@ class _FillRun:
         z = b.word[p]
         j = self.slot_of[z]
         target = self.hi - 1 + sum(self.right[i].length for i in range(j))
-        self._letter_mover(z).move_right(b, p, target, +1, exact=False)
+        self._letter_mover(z).move_right(b, p, target, +1)
         self.region_len -= 1
         self._absorb_right(j, target)
 
@@ -338,7 +338,7 @@ class _FillRun:
         z = -b.word[p]
         j = self.slot_of[z]
         target = self.lo - sum(self.left[i].length for i in range(j))
-        self._letter_mover(z).move_left(b, p, target, -1, exact=False)
+        self._letter_mover(z).move_left(b, p, target, -1)
         self.region_len -= 1
         self._absorb_left(j, target)
 

@@ -56,21 +56,6 @@ class SeriesContext:
         return vec
 
 
-def mul_letter(ctx: SeriesContext, vec: list[int], letter: int) -> None:
-    """In-place right multiplication of vec by the image of one letter.
-
-    Positive letter: multiply by 1 + X.  Negative: multiply by the exact
-    truncated inverse of 1 + X (solve new * (1 + X) = old).
-    """
-    pairs = ctx.append_pairs[abs(letter)]
-    if letter > 0:
-        for p, ch in reversed(pairs):
-            vec[ch] += vec[p]
-    else:
-        for p, ch in pairs:
-            vec[ch] -= vec[p]
-
-
 def eval_word(w: Word, m: int, c: int) -> list[int]:
     """Series of a word over weight-1 symbols 1..m, truncated at degree c."""
     ctx = series_context(m, c)
@@ -88,7 +73,8 @@ def eval_word(w: Word, m: int, c: int) -> list[int]:
 
 
 def series_mul(ctx: SeriesContext, a: list[int], b: list[int]) -> list[int]:
-    """Full truncated product; slower than mul_letter, used by tests and brackets."""
+    """Full truncated product; slower than the letter loop of eval_word,
+    which tests check against it."""
     out = [0] * ctx.size
     idx = ctx.index
     monos = ctx.monomials

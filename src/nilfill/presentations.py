@@ -185,7 +185,6 @@ class Presentation:
             self.parents[: len(keep)],
         )
         quot.lift_table = tuple(lift_table)
-        quot.parent = self
         self._quotient = quot
         return quot
 

@@ -56,6 +56,20 @@ def test_compress_custom_spec(tmp_path, capsys):
     assert code == 0
 
 
+def test_compress_any_chain_ordering_validates(tmp_path, capsys):
+    # any ordering of the chain letters compresses, and the validator
+    # replays the certificate to the builder's metrics
+    trace = tmp_path / "c.trace"
+    code, built = run(capsys, "compress", "--class", "3", "--n", "3",
+                      "--spec", "x2,x1,x3", "--trace", str(trace))
+    assert code == 0
+    code, out = run(capsys, "validate", "--trace", str(trace),
+                    "--presentation", str(trace) + ".pres")
+    assert code == 0
+    assert out.startswith("ok ")
+    assert built == out
+
+
 def test_fill_and_validate_null(tmp_path, capsys):
     trace = tmp_path / "f.trace"
     code, built = run(capsys, "fill", "--class", "2", "--gens", "2",

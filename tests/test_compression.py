@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 
 from nilfill import oracle
@@ -157,9 +160,9 @@ def _transport(pres, w, chain, sign, start, target):
     mover = BlockMover(pres, chain)
     b = SequenceBuilder(pres, w)
     if target <= start:
-        mover.move_left(b, start, target, sign, exact=False)
+        mover.move_left(b, start, target, sign)
     else:
-        mover.move_right(b, start, target, sign, exact=False)
+        mover.move_right(b, start, target, sign)
     return b.finish()
 
 
@@ -273,6 +276,30 @@ def test_power_compression_equals_isolated_increments(c, chain, n):
     assert replay(seq)[1] == tuple(ref.word) == compression_word(pres, chain, n, n**c)
 
 
+@functools.lru_cache(maxsize=None)
+def _natural_order_metrics(c, n):
+    pres = build_chain_presentation(c, 1)
+    return power_compression_sequence(pres, tuple(range(1, c + 1)), n).metrics
+
+
+@pytest.mark.parametrize("c,chain,n", [
+    *[(3, chain, n) for n in range(2, 5) for chain in itertools.permutations((1, 2, 3))],
+    *[(4, chain, 2) for chain in itertools.permutations((1, 2, 3, 4))],
+])
+def test_power_compression_every_chain_ordering(c, chain, n):
+    # the lift reads each inner block's chain from the scratch pool that
+    # holds its relator, so every ordering of the chain letters compresses,
+    # at the cost of x1..xc
+    pres = build_chain_presentation(c, 1)
+    seq = power_compression_sequence(pres, chain, n)
+    assert replay(seq)[1] == compression_word(pres, chain, n, n**c)
+    assert seq.metrics == _natural_order_metrics(c, n)
+    scratch = chain_context(pres, chain).scratch
+    assert scratch.relators
+    for rid, relator in enumerate(scratch.relators):
+        assert nested_commutator(scratch.chains[rid]) == relator
+
+
 @pytest.mark.parametrize("c,n,qs", [(2, 3, (0, 2, 5, 8)), (3, 2, (0, 1, 3, 7))])
 def test_register_increment_equals_isolated_increment(c, n, qs):
     # a fresh presentation, so each local_moves call misses the memo
@@ -338,21 +365,28 @@ def test_compressed_power_register():
 
 
 def test_transport_exact_shape_matches_split_shape():
-    # both move shapes move a block to the same word, at one relator
-    # application per letter passed
+    # the pool decides the shape: split on the presentation (level 0),
+    # exact on the scratch pool; both move a block to the same word, at
+    # one relator application per letter passed
     pres, chain = chain_setup(2)
+    ctx = chain_context(pres, chain)
     z1 = nested_commutator(chain)
     for sign, block in ((1, z1), (-1, inverse_word(z1))):
         w = (1, -2, 2, 1) + block
-        for exact in (False, True):
-            mover = BlockMover(pres, chain)
-            b = SequenceBuilder(pres, w)
-            mover.move_left(b, 4, 0, sign, exact)
+        for level in (0, 1):
+            mover = ctx.mover(chain, level)
+            assert mover.exact == (level == 1)
+            b = SequenceBuilder(mover.pres, w)
+            mover.move_left(b, 4, 0, sign)
+            seq = b.finish()
             assert tuple(b.word) == block + (1, -2, 2, 1)
-            mover.move_right(b, 0, 4, sign, exact)
-            m, final = replay(b.finish())
-            assert final == w
-            assert m.area == 8
+            assert seq.metrics.area == 4
+            splits = [mv[5] for mv in seq.moves if mv[0] == "ar"]
+            assert len(splits) == 4
+            if mover.exact:
+                assert all(split == 0 for split in splits)
+            else:
+                assert all(split != 0 for split in splits)
 
 
 # --- summation and counting checks -------------------------------------------

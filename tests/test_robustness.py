@@ -80,6 +80,8 @@ COMPRESSION_DIGESTS = {
     (3, (1, 3, 2), 6): "c5004a55e3d733e1",
     (3, (2, 3, 1), 6): "3c83355d547c1c70",
     (4, (1, 2, 3, 4), 2): "c9f6b545bff27acd",
+    (3, (2, 1, 3), 6): "5ec918b1f2be69f5",
+    (3, (3, 1, 2), 6): "f685826c90ee92de",
 }
 
 
