@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .compression import compression_word, power_compression_sequence
 from .corpus import corpus_generate
 from .engine import replay
-from .errors import InsufficientData, NilfillError
+from .errors import InsufficientData, NilfillError, OutOfRange
 from .filler import certify_afl_pair, fill_with_report
 from .presentations import (
     build_chain_presentation,
@@ -104,6 +104,8 @@ def _revalidate_from_file(seq, pres, expect_final, trace_dir=None):
 def bench_compression(c: int, n_range, timing=True, trace_dir=None):
     """Power compression over an n grid: build, file-revalidate, measure,
     and fit the area exponent (classes with nonzero area only)."""
+    if not n_range:
+        raise OutOfRange("empty n grid")
     pres = build_chain_presentation(c, 1)
     chain = tuple(range(1, c + 1))
     records = []

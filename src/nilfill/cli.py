@@ -122,6 +122,9 @@ def cmd_compress(args) -> int:
     pres = build_chain_presentation(args.nclass, 1)
     if args.spec:
         names = re.split(r"[,\s]+", args.spec.strip())
+        unknown = [nm for nm in names if nm not in pres.name_to_index]
+        if unknown:
+            raise NilfillError(f"unknown generator {unknown[0]!r} in --spec")
         chain = tuple(pres.name_to_index[nm] for nm in names)
         if len(chain) != args.nclass:
             raise NilfillError(f"spec must name {args.nclass} letters")

@@ -69,11 +69,7 @@ class UnsupportedIndex(NilfillError):
 
 
 class NotInGammaC(NilfillError):
-    """Weight-exponent extraction on a word with nonzero low-degree terms."""
-
-
-class NonIntegralDecomposition(NilfillError):
-    """Internal assertion: a genuine group element produced non-integer coordinates."""
+    """Lie-coordinate extraction on a series with nonzero low-degree terms."""
 
 
 class InsufficientData(NilfillError):

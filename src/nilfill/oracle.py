@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
-from .errors import NonIntegralDecomposition, NotInGammaC
+from .errors import NotInGammaC, OutOfRange
 from .words import Word
 
 
@@ -29,7 +30,7 @@ class SeriesContext:
 
     def __init__(self, m: int, c: int):
         if m < 1 or c < 1:
-            raise ValueError("need m >= 1 and c >= 1")
+            raise OutOfRange(f"need m >= 1 and c >= 1, got m={m}, c={c}")
         self.m = m
         self.c = c
         monomials: list[tuple] = [()]
@@ -49,6 +50,7 @@ class SeriesContext:
             [(idx[mono], idx[mono + (s,)]) for mono in monomials if len(mono) < c]
             for s in range(1, m + 1)
         ]
+        self.lyndon_index = [idx[w] for w in lyndon_words(m, c)]
 
     def unit(self) -> list[int]:
         vec = [0] * self.size
@@ -112,10 +114,6 @@ def degree_slice(ctx: SeriesContext, vec: list[int], d: int) -> list[int]:
 # --- Lyndon words and the degree-c Lie component ---------------------------
 
 
-def is_lyndon(w: tuple) -> bool:
-    return len(w) > 0 and all(w < w[i:] + w[:i] for i in range(1, len(w)))
-
-
 def lyndon_words(m: int, n: int) -> list[tuple]:
     """All Lyndon words of length exactly n over symbols 1..m (Duval)."""
     out = []
@@ -130,42 +128,6 @@ def lyndon_words(m: int, n: int) -> list[tuple]:
         while w and w[-1] == m:
             w.pop()
     return out
-
-
-def standard_factorization(w: tuple) -> tuple:
-    """Split a Lyndon word (length >= 2) as u.v with v the longest proper
-    Lyndon suffix; (u, v) are both Lyndon."""
-    for i in range(1, len(w)):
-        if is_lyndon(w[i:]):
-            return w[:i], w[i:]
-    raise ValueError(f"{w!r} has no Lyndon factorization")
-
-
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            k = ma + mb
-            out[k] = out.get(k, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) - v
-        if not out[k]:
-            del out[k]
-    return out
-
-
-def bracket_polynomial(w: tuple) -> dict:
-    """Standard bracketing of a Lyndon word as a homogeneous polynomial."""
-    if len(w) == 1:
-        return {w: 1}
-    u, v = standard_factorization(w)
-    pu, pv = bracket_polynomial(u), bracket_polynomial(v)
-    return _poly_sub(_poly_mul(pu, pv), _poly_mul(pv, pu))
 
 
 def witt_number(m: int, c: int) -> int:
@@ -188,63 +150,22 @@ def witt_number(m: int, c: int) -> int:
     return total // c
 
 
-class LyndonBasis:
-    """Lyndon bracketings of length c: integer coordinates on the degree-c
-    Lie component.  The monomial matrix is unitriangular in lex order,
-    which is asserted at construction and used for coordinate extraction.
+def lie_coordinates(series: list[int], m: int, c: int) -> tuple:
+    """Integer coordinates of an element of the c-th term of the lower
+    central series, given its series (1 below degree c): the degree-c
+    coefficients on the Lyndon-word monomials.
+
+    The standard bracketing of a Lyndon word w has coefficient 1 on w and 0
+    on every smaller Lyndon word, so these coordinates are a unimodular
+    change of the coordinates on the Lyndon bracket basis.
     """
-
-    def __init__(self, m: int, c: int):
-        self.m = m
-        self.c = c
-        self.words = sorted(lyndon_words(m, c))
-        self.brackets = [bracket_polynomial(w) for w in self.words]
-        for i, (w, poly) in enumerate(zip(self.words, self.brackets)):
-            if poly.get(w) != 1:
-                raise AssertionError(f"bracketing of {w} lacks unit diagonal")
-            for earlier in self.words[:i]:
-                if poly.get(earlier):
-                    raise AssertionError(
-                        f"bracketing of {w} hits smaller Lyndon word {earlier}"
-                    )
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def lyndon_basis(m: int, c: int) -> LyndonBasis:
-    return _cached_basis(m, c)
-
-
-@lru_cache(maxsize=None)
-def _cached_basis(m: int, c: int) -> LyndonBasis:
-    return LyndonBasis(m, c)
-
-
-def weight_exponents(w: Word, basis: LyndonBasis) -> tuple:
-    """Integer Lyndon coordinates of a word lying in the c-th term of the
-    lower central series (series 1 below degree c)."""
-    ctx = series_context(basis.m, basis.c)
-    vec = eval_word(w, basis.m, basis.c)
-    if vec[0] != 1:
+    ctx = series_context(m, c)
+    if series[0] != 1:
         raise NotInGammaC("constant coefficient differs from 1")
-    for d in range(1, basis.c):
-        if any(degree_slice(ctx, vec, d)):
+    for d in range(1, c):
+        if any(degree_slice(ctx, series, d)):
             raise NotInGammaC(f"nonzero coefficient in degree {d}")
-    top = {
-        ctx.monomials[i + ctx.degree_start[basis.c]]: coeff
-        for i, coeff in enumerate(degree_slice(ctx, vec, basis.c))
-        if coeff
-    }
-    coords = []
-    for lw, poly in zip(basis.words, basis.brackets):
-        a = top.get(lw, 0)
-        coords.append(a)
-        if a:
-            top = _poly_sub(top, {k: a * v for k, v in poly.items()})
-    if top:
-        raise NonIntegralDecomposition(f"residue on monomials {sorted(top)[:3]}")
-    return tuple(coords)
+    return tuple(series[i] for i in ctx.lyndon_index)
 
 
 def solve_in_basis(target, basis_vectors):
@@ -253,12 +174,13 @@ def solve_in_basis(target, basis_vectors):
     Returns the coefficients as Fractions, or None when the target lies
     outside the span.  Coefficients of dependent basis vectors that are not
     needed are 0.  The only elimination in the package: callers that need
-    integers check the denominators themselves.
+    integers check the denominators themselves.  Elimination runs over the
+    integers (rows cross-multiplied, each divided by its gcd); Fractions
+    appear only in the returned solution.
     """
     k = len(basis_vectors)
     # augmented rows [basis coordinates..., target coordinate]
-    rows = [[Fraction(v[i]) for v in basis_vectors] + [Fraction(t)]
-            for i, t in enumerate(target)]
+    rows = [[v[i] for v in basis_vectors] + [t] for i, t in enumerate(target)]
     pivots = []
     r = 0
     for col in range(k):
@@ -266,17 +188,19 @@ def solve_in_basis(target, basis_vectors):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
+        prow = rows[r]
+        pv = prow[col]
         for i, row in enumerate(rows):
-            if i != r and row[col]:
-                f = row[col]
-                rows[i] = [a - f * b for a, b in zip(row, rows[r])]
+            f = row[col]
+            if i != r and f:
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+                g = gcd(*row)
+                rows[i] = [a // g for a in row] if g > 1 else row
         pivots.append(col)
         r += 1
     if any(row[k] for row in rows[r:]):
         return None
     sol = [Fraction(0)] * k
     for i, col in enumerate(pivots):
-        sol[col] = rows[i][k]
+        sol[col] = Fraction(rows[i][k], rows[i][col])
     return sol

@@ -6,10 +6,11 @@ weight-1 alphabet for oracle evaluation.
 
 The filler presentation for class c is built on top of the one for class
 c-1: every lower relator is lifted to a true class-c relator by appending
-the inverse of its weight-c value (computed by the oracle on the Lyndon
-basis).  Deleting all weight-c letters from the class-c relator set then
-yields a working presentation of the class-(c-1) quotient, which is what
-lets the filling recursion run on the literal projection.
+the inverse of its weight-c value (its Lie coordinates, read off its
+series by the oracle, solved over the weight-c basis letters).  Deleting
+all weight-c letters from the class-c relator set then yields a working
+presentation of the class-(c-1) quotient, which is what lets the filling
+recursion run on the literal projection.
 """
 
 from __future__ import annotations
@@ -266,16 +267,17 @@ def weight_c_basis(pres: Presentation):
 
     Returns (basis_letters, rewrite, vectors) where rewrite maps each
     non-basis weight-c letter to a word over the basis letters and vectors
-    maps every weight-c letter to its Lyndon coordinate tuple.  A letter
+    maps every weight-c letter to its Lie coordinate tuple (the degree-c
+    coefficients of its series on the Lyndon-word monomials).  A letter
     joins the basis exactly when its vector lies outside the span of the
     letters chosen before it.
     """
     if pres._basis is not None:
         return pres._basis
     c = pres.nclass
-    lbasis = oracle.lyndon_basis(pres.weight1_count, c)
+    m = pres.weight1_count
     letters = pres.letters_of_weight(c)
-    vectors = {i: oracle.weight_exponents(pres.expand_letter(i), lbasis)
+    vectors = {i: oracle.lie_coordinates(pres.eval_series((i,)), m, c)
                for i in letters}
     chosen: list[int] = []
     rewrite = {}
@@ -306,8 +308,7 @@ def _lift_to_class(pres: Presentation, r: Word, basis_letters, basis_vecs) -> Wo
     series = pres.eval_series(r)
     if oracle.is_unit(series):
         return r
-    lbasis = oracle.lyndon_basis(pres.weight1_count, pres.nclass)
-    coords = oracle.weight_exponents(pres.expand_word(r), lbasis)
+    coords = oracle.lie_coordinates(series, pres.weight1_count, pres.nclass)
     sol = oracle.solve_in_basis(coords, basis_vecs)
     detail = f"(lift of relator of length {len(r)})"
     if sol is None:

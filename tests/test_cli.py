@@ -131,6 +131,26 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
     assert csv1.read_bytes() == csv2.read_bytes()
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("compress", "--class", "3", "--n", "3", "--spec", "x1,x9,x3",
+                  "--trace", "OUT"), "unknown generator 'x9'", id="spec-unknown"),
+    pytest.param(("compress", "--class", "3", "--n", "3", "--spec", ",",
+                  "--trace", "OUT"), "unknown generator ''", id="spec-empty-name"),
+    pytest.param(("oracle", "eval", "--class", "0", "x y"),
+                 "need m >= 1 and c >= 1", id="oracle-class-0"),
+    pytest.param(("bench", "compression", "--class", "2", "--n-min", "5",
+                  "--n-max", "3", "--csv", "OUT"), "empty n grid", id="bench-empty-grid"),
+])
+def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
+    out_path = str(tmp_path / "out")
+    code = main([out_path if a == "OUT" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert not os.listdir(tmp_path)  # nothing written
+
+
 def test_bench_fill_csv(tmp_path, capsys):
     csv = tmp_path / "f.csv"
     code, out = run(capsys, "bench", "fill", "--class", "2", "--gens", "2",

@@ -6,6 +6,7 @@ import pytest
 
 from nilfill import oracle
 from nilfill.errors import NotInGammaC
+from nilfill.presentations import build_filler_presentation, weight_c_basis
 from nilfill.words import free_reduce, inverse_word, nested_commutator
 
 
@@ -111,33 +112,43 @@ def test_lyndon_examples():
     assert oracle.witt_number(2, 3) == 2
 
 
-def test_lyndon_basis_triangular():
-    for m, c in [(2, 2), (2, 3), (2, 4), (3, 3)]:
-        basis = oracle.lyndon_basis(m, c)
-        assert len(basis) == oracle.witt_number(m, c)
+def lie(w, m, c):
+    """Weight exponents of a word: the Lie coordinates of its series."""
+    return oracle.lie_coordinates(oracle.eval_word(w, m, c), m, c)
 
 
 def test_weight_exponents_examples():
-    basis = oracle.lyndon_basis(2, 2)
-    assert oracle.weight_exponents((), basis) == (0,)
-    assert oracle.weight_exponents((-1, -2, 1, 2), basis) == (1,)
+    assert lie((), 2, 2) == (0,)
+    assert lie((-1, -2, 1, 2), 2, 2) == (1,)
     # powers of a central commutator scale linearly
     z = (-1, -2, 1, 2)
     for s in range(17):
-        assert oracle.weight_exponents(z * s, basis) == (s,)
+        assert lie(z * s, 2, 2) == (s,)
 
 
 def test_weight_exponents_rejects_low_degree():
-    basis = oracle.lyndon_basis(2, 2)
     with pytest.raises(NotInGammaC):
-        oracle.weight_exponents((1,), basis)
+        lie((1,), 2, 2)
 
 
 def test_weight_exponents_at_class3():
-    basis = oracle.lyndon_basis(2, 3)
-    w = nested_commutator([1, 1, 2])
-    v = oracle.weight_exponents(w, basis)
+    v = lie(nested_commutator([1, 1, 2]), 2, 3)
     assert len(v) == 2 and any(v)
+
+
+@pytest.mark.parametrize("c,m", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_lie_coordinates_faithful_with_index_one(c, m):
+    # Every unit coordinate vector is an integer combination of the chosen
+    # weight-c letters: the coordinates span the whole lattice, and the
+    # basis has index 1 in it.
+    chosen, _, vectors = weight_c_basis(build_filler_presentation(c, m))
+    basis = [vectors[z] for z in chosen]
+    assert len(basis) == oracle.witt_number(m, c)
+    for j in range(len(basis)):
+        unit = [int(i == j) for i in range(len(basis))]
+        sol = oracle.solve_in_basis(unit, basis)
+        assert sol is not None
+        assert all(e.denominator == 1 for e in sol)
 
 
 def test_solve_in_basis():
@@ -149,7 +160,29 @@ def test_solve_in_basis():
     assert oracle.solve_in_basis((0, 0, 0), []) == []
     assert oracle.solve_in_basis((1, 0, 0), []) is None
     # antisymmetry of the degree-2 component, computed not assumed
-    basis2 = oracle.lyndon_basis(2, 2)
-    g12 = oracle.weight_exponents(nested_commutator([1, 2]), basis2)
-    g21 = oracle.weight_exponents(nested_commutator([2, 1]), basis2)
+    g12 = lie(nested_commutator([1, 2]), 2, 2)
+    g21 = lie(nested_commutator([2, 1]), 2, 2)
     assert oracle.solve_in_basis(g21, [g12]) == [-1]
+
+
+def test_solve_in_basis_dense_integer_basis():
+    rng = random.Random(13)
+    # dense rows whose last coordinate is the sum of the others
+    basis = []
+    for _ in range(4):
+        head = [rng.randint(-9, 9) for _ in range(5)]
+        basis.append(tuple(head + [sum(head)]))
+    x = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(4)]
+    target = [int(sum(xi * v[i] for xi, v in zip(x, basis)) * 420) for i in range(6)]
+
+    def combine(sol, vectors):
+        return [sum(e * v[i] for e, v in zip(sol, vectors)) for i in range(6)]
+
+    sol = oracle.solve_in_basis(target, basis)
+    assert all(isinstance(e, Fraction) for e in sol)
+    assert combine(sol, basis) == target
+    # a dependent vector among them: the solve still reproduces the target
+    dependent = basis + [tuple(a - 2 * b for a, b in zip(basis[0], basis[1]))]
+    assert combine(oracle.solve_in_basis(target, dependent), dependent) == target
+    # a vector breaking the sum relation is outside the span
+    assert oracle.solve_in_basis([1, 0, 0, 0, 0, 0], basis) is None

@@ -24,6 +24,8 @@ from nilfill.words import inverse_word
 PRESENTATION_DIGESTS = {
     ("filler", 2, 2): "7a0d219a5aca81e9",
     ("filler", 3, 2): "55384744a958cab8",
+    ("filler", 3, 3): "9f05e32c0c95050d",
+    ("filler", 4, 3): "887aedbcc0cfd8fa",
     ("chain", 2, 1): "ba8f0e04b9ad80b9",
     ("chain", 3, 1): "894271d15d0d5819",
 }
