@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure, 2 usage error or a file that
+cannot be read or written.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .presentations import (
     build_chain_presentation,
     build_filler_presentation,
     load_presentation,
+    read_text,
     save_presentation,
 )
 from .traces import format_ok, load_trace, save_trace, verdict_line
@@ -96,8 +98,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_word_arg(value: str, pres):
     if os.path.exists(value):
-        with open(value) as fh:
-            value = fh.read()
+        value = read_text(value, lambda line, reason: NilfillError(
+            f"word file line {line}: {reason}"))
     return pres.parse_word(value)
 
 
@@ -153,9 +155,6 @@ def cmd_validate(args) -> int:
     try:
         pres = load_presentation(args.presentation)
         seq, _ = load_trace(args.trace, pres)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TraceSyntaxError as exc:
         print(f"error line={exc.line} {exc.reason}")
         return 1
@@ -246,6 +245,9 @@ def main(argv=None) -> int:
     except NilfillError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

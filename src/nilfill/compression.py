@@ -50,7 +50,9 @@ class _ScratchPresentation:
     re-created in the ambient presentation by free expansions plus
     transports, so the pool only has to name the inserted words.  Relator
     ``rid`` is the nested commutator of the chain ``chains[rid]``, which
-    the lift reads back to move the leftover block."""
+    the lift reads back to move the leftover block.  Like a presentation,
+    the pool keeps the kernel's move templates and its own block movers
+    (``block_mover``), which add relators to it in the exact shape."""
 
     def __init__(self, base: Presentation):
         self.rank = base.rank
@@ -58,6 +60,7 @@ class _ScratchPresentation:
         self.chains: list = []
         self._index: dict = {}
         self._move_templates: dict = {}
+        self._movers: dict = {}
 
     def ensure(self, chain) -> int:
         """Relator id of the nested commutator of ``chain``, added on the
@@ -74,6 +77,9 @@ class _ScratchPresentation:
 class ChainContext:
     """A commutator chain bound to a presentation holding its transport
     relators.  Letters are weight-1 generator indices and may repeat.
+    Level 0 works on the presentation and the inner levels on the
+    context's scratch pool (``level_presentation``); each pool keeps the
+    movers of its blocks (``block_mover``).
 
     The context memoizes register increments: ``increments`` maps
     (n, q mod n^c) to the moves of one absorption at that exponent and,
@@ -100,7 +106,6 @@ class ChainContext:
         self.c = len(self.chain)
         self.z_words = [nested_commutator(self.chain[k:]) for k in range(self.c)]
         self.scratch = _ScratchPresentation(pres)
-        self._movers = {}
         self.increments: dict = {}
         self._move_pool: dict = {}
         self._cword_lengths: dict = {}
@@ -112,15 +117,6 @@ class ChainContext:
 
     def level_presentation(self, level: int):
         return self.pres if level == 0 else self.scratch
-
-    def mover(self, block_chain, level: int) -> "BlockMover":
-        block_chain = tuple(block_chain)
-        key = (block_chain, level == 0)
-        m = self._movers.get(key)
-        if m is None:
-            m = BlockMover(self.level_presentation(level), block_chain)
-            self._movers[key] = m
-        return m
 
     def _cword_length(self, n: int, s: int) -> int:
         key = (n, s)
@@ -148,20 +144,33 @@ def chain_context(pres: Presentation, chain) -> ChainContext:
     return ctx
 
 
+def block_mover(pool, block_chain) -> "BlockMover":
+    """The mover of the block with this chain on a relator pool (a
+    presentation or a scratch pool), built on first use and kept by the
+    pool for every fill and compression on it."""
+    key = tuple(block_chain)
+    mover = pool._movers.get(key)
+    if mover is None:
+        mover = pool._movers[key] = BlockMover(pool, key)
+    return mover
+
+
 class BlockMover:
     """Transport of the central block W^s (W the nested commutator of
-    ``block_chain``, s = +-1) past single letters.
+    ``block_chain``, s = +-1) past single letters, one swap per letter.
+    Each pool keeps one mover per block (``block_mover``).
 
     The pool decides the move shape: ``exact`` on a scratch pool, which
     adds the relator [t, chain] for each letter t the block passes, and
     split on a presentation, which must already contain it.  Only left
-    moves come in the exact shape, as no inner level moves a block right."""
+    moves come in the exact shape, as no inner level moves a block right.
+    The letters a block passes do not change while it moves, so every
+    swap's moves are known up front and go to the builder as one batch."""
 
     def __init__(self, pres, block_chain):
         self.pres = pres
         self.chain = tuple(block_chain)
-        self.word = nested_commutator(self.chain)
-        self.length = len(self.word)
+        self.length = len(nested_commutator(self.chain))
         self.exact = isinstance(pres, _ScratchPresentation)
         self._rids = {}
 
@@ -180,57 +189,44 @@ class BlockMover:
             self._rids[t] = rid
         return rid
 
-    def _swap_left(self, p: int, t: int, head: int, sign: int) -> list:
-        """Moves swapping the letter t at p with the block at [p+1, p+1+L);
-        ``head`` is the block's first letter."""
-        L = self.length
-        if L == 1 and t == -head:
-            # a single-letter block meeting its own inverse swaps freely
-            return [("fr", p), ("fe", p, head)]
-        if not self.exact:
-            if sign > 0:
-                return [("ar", p, self._rid(t), L + 1, 0, L + 1)]
-            return [("ar", p, self._rid(-t), 0, 0, L + 1)]
-        if sign > 0:
-            # insert [t,W]^-1 after the block
-            return ([("ar", p + 1 + L, self._rid(t), 0, 0, 0)]
-                    + block_reduction_moves(p + 1, L) + [("fr", p)])
-        # insert [t^-1,W]^-1 before the letter
-        return ([("ar", p, self._rid(-t), 0, 0, 0), ("fr", p + 2 * L + 1)]
-                + block_reduction_moves(p + L + 1, L))
-
-    def _swap_right(self, p: int, t: int, head: int, sign: int) -> list:
-        """Moves swapping the block at [p, p+L) with the letter t at p+L,
-        in the split shape."""
-        L = self.length
-        if L == 1 and t == -head:
-            return [("fr", p), ("fe", p, t)]
-        if sign > 0:
-            return [("ar", p, self._rid(t), L + 1, 1, L + 1)]
-        return [("ar", p, self._rid(-t), 0, 1, L + 1)]
-
-    # The letters a block passes do not change while it moves, so every
-    # swap's moves are known up front and go to the builder as one batch.
-
     def move_left(self, b, start: int, target: int, sign: int) -> None:
-        """Move the block at ``start`` left to ``target``, one swap per
-        letter passed."""
+        """Move the block at ``start`` left to ``target``, swapping it with
+        the letter t at each p it passes."""
         w = b.word
-        head = w[start]
+        head, L, rid, exact = w[start], self.length, self._rid, self.exact
+        shift = L + 1 if sign > 0 else 0
         moves = []
         for p in range(start - 1, target - 1, -1):
-            moves += self._swap_left(p, w[p], head, sign)
+            t = w[p]
+            if L == 1 and t == -head:
+                # a single-letter block meeting its own inverse swaps freely
+                moves += (("fr", p), ("fe", p, head))
+            elif not exact:
+                moves.append(("ar", p, rid(sign * t), shift, 0, L + 1))
+            elif sign > 0:
+                # insert [t,W]^-1 after the block
+                moves.append(("ar", p + 1 + L, rid(t), 0, 0, 0))
+                moves += block_reduction_moves(p + 1, L)
+                moves.append(("fr", p))
+            else:
+                # insert [t^-1,W]^-1 before the letter
+                moves += (("ar", p, rid(-t), 0, 0, 0), ("fr", p + 2 * L + 1))
+                moves += block_reduction_moves(p + L + 1, L)
         b.extend(moves)
 
     def move_right(self, b, start: int, target: int, sign: int) -> None:
-        """Move the block at ``start`` right to ``target``, one swap per
-        letter passed."""
+        """Move the block at ``start`` right to ``target``, swapping it with
+        the letter t at each p + L it passes, in the split shape."""
         w = b.word
-        head = w[start]
-        L = self.length
+        head, L, rid = w[start], self.length, self._rid
+        shift = L + 1 if sign > 0 else 0
         moves = []
         for p in range(start, target):
-            moves += self._swap_right(p, w[p + L], head, sign)
+            t = w[p + L]
+            if L == 1 and t == -head:
+                moves += (("fr", p), ("fe", p, t))
+            else:
+                moves.append(("ar", p, rid(sign * t), shift, 1, L + 1))
         b.extend(moves)
 
 
@@ -316,7 +312,8 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
     t = s // n
     tword = _cword(ctx, level + 1, n, t)
     lt = len(tword)
-    zmover = ctx.mover(chain, level)
+    pool = ctx.level_presentation(level)
+    zmover = block_mover(pool, chain)
 
     # Moves are buffered in ``pending`` and flushed before each transport,
     # which reads the word.
@@ -367,7 +364,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
             b.extend(pending, off)
             pending = []
             target = n + lcur - pos
-            ctx.mover(chains[rid], level).move_left(
+            block_mover(pool, chains[rid]).move_left(
                 b, off + here, off + target, sign)
             lcur += len(relator)
     b.extend(pending, off)
@@ -413,7 +410,7 @@ class CompressedPower:
     ``emit_increment`` turns z_1 ztilde^q (the z_1 word sitting at
     ``offset`` in the builder, the register word right after it) into
     ztilde^{q+1}; the mirrored variant works on the inverse word, with the
-    z_1^-1 word arriving on the right.  Crossing into a new block happens
+    z_1^-1 word at ``offset`` arriving on the right.  Crossing into a new block happens
     exactly when n^c divides q+1.  ``length`` is len(ztilde^q).
     """
 
@@ -424,10 +421,6 @@ class CompressedPower:
         self.n = n
         self.q = 0
         self.length = 0
-
-    @property
-    def z_word(self) -> Word:
-        return self.ctx.z_words[0]
 
     def local_moves(self, mirrored: bool = False) -> tuple:
         """Moves of the absorption at the current q, at offset 0, on the
@@ -458,10 +451,11 @@ class CompressedPower:
         b.extend(self.local_moves(), offset)
         self._advance()
 
-    def emit_increment_mirror(self, b: SequenceBuilder, end: int) -> None:
-        """Mirrored absorption: ... (ztilde^q)^-1 z_1^-1 ... ending at ``end``."""
+    def emit_increment_mirror(self, b: SequenceBuilder, offset: int) -> None:
+        """Mirrored absorption: ... (ztilde^q)^-1 z_1^-1 ... with the z_1^-1
+        word at ``offset``."""
         ctx, n = self.ctx, self.n
-        start = end - len(ctx.z_words[0]) - ctx.register_length(n, self.q % n**ctx.c)
+        start = offset - ctx.register_length(n, self.q % n**ctx.c)
         b.extend(self.local_moves(mirrored=True), start)
         self._advance()
 

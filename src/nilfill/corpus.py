@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from .errors import OutOfRange
-from .presentations import Presentation, weight_c_basis
+from .presentations import Presentation
 from .words import Word, free_reduce, inverse_word, nested_commutator
 
 
@@ -21,7 +21,7 @@ def structured_words(pres: Presentation, budget: int) -> list:
     out = []
     if pres.nclass < 2:
         return out
-    chosen, _, _ = weight_c_basis(pres)
+    chosen, _, _ = pres.basis
     for z in chosen:
         chain = pres.defining_chain(z)
         j = 1

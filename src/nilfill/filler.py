@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .compression import BlockMover, CompressedPower
+from .compression import CompressedPower, block_mover
 from .engine import PSequence, SequenceBuilder, normalize_insertions, reduction_steps
 from .errors import NotNullHomotopic
-from .presentations import Presentation, weight_c_basis
+from .presentations import Presentation
 from .words import Word, inverse_word
 
 
@@ -67,7 +67,6 @@ def _abelian_fill(w: Word, pres: Presentation):
     """Collect each generator's letters at the front and cancel the block."""
     b = SequenceBuilder(pres, w)
     report = FillReport(nclass=1, length=len(w))
-    movers = {}
     for g in range(1, pres.rank + 1):
         target = 0
         p = 0
@@ -75,10 +74,7 @@ def _abelian_fill(w: Word, pres: Presentation):
             a = b.word[p]
             if abs(a) == g:
                 if p > target:
-                    mover = movers.get(g)
-                    if mover is None:
-                        mover = movers[g] = BlockMover(pres, (g,))
-                    mover.move_left(b, p, target, 1 if a > 0 else -1)
+                    block_mover(pres, (g,)).move_left(b, p, target, 1 if a > 0 else -1)
                 target += 1
             p += 1
         _reduce_all(b)
@@ -109,11 +105,9 @@ class _FillRun:
         self.pres = pres
         self.w = tuple(w)
         self.c = pres.nclass
-        chosen, rewrite, _ = weight_c_basis(pres)
+        chosen, self.rewrite, _ = pres.basis
         self.basis = list(chosen)
-        self.slot_of = {z: j for j, z in enumerate(chosen)}
-        self.rewrite = rewrite
-        self.quot = pres.project()
+        self.quot = pres.quotient
 
     def execute(self):
         pres, w, c = self.pres, self.w, self.c
@@ -157,7 +151,6 @@ class _FillRun:
         self.left = [CompressedPower(pres, pres.defining_chain(z), n_base)
                      for z in self.basis]
         self.region_len = len(w)
-        self._letter_movers: dict = {}
         self._rewrite_params: dict = {}
         self._expansions: dict = {}
         self._counts = counts
@@ -256,12 +249,6 @@ class _FillRun:
     def hi(self) -> int:
         return self.lo + self.region_len
 
-    def _letter_mover(self, z: int) -> BlockMover:
-        m = self._letter_movers.get(z)
-        if m is None:
-            m = self._letter_movers[z] = BlockMover(self.pres, (z,))
-        return m
-
     # -- collection ------------------------------------------------------------
 
     def collect(self, scan_lo: int, scan_hi: int) -> None:
@@ -286,22 +273,21 @@ class _FillRun:
                 self.region_len += delta
             else:
                 p += 1
-        while True:
-            lo = self.lo
-            p = next((q for q in range(lo + off_hi - 1, lo + off_lo - 1, -1)
-                      if word[q] > 0 and word[q] in slots), None)
-            if p is None:
-                break
-            self._send_right(p)
-            off_hi -= 1
-        while True:
-            lo = self.lo
-            p = next((q for q in range(lo + off_lo, lo + off_hi)
-                      if word[q] < 0 and -word[q] in slots), None)
-            if p is None:
-                break
-            self._send_left(p)
-            off_hi -= 1
+        # a send right leaves the letters left of it in place
+        for p in range(hi_abs - 1, scan_lo - 1, -1):
+            if word[p] in slots:
+                self._send_right(p)
+                off_hi -= 1
+        # a send left leaves the letters after it at the same offset from
+        # the region start, the next one at the offset of the letter sent
+        k = off_lo
+        while k < off_hi:
+            p = self.lo + k
+            if -word[p] in slots:
+                self._send_left(p)
+                off_hi -= 1
+            else:
+                k += 1
         # shape invariant: registers, a weight-c-free region, registers
         if len(word) != self.hi + sum(r.length for r in self.right):
             raise AssertionError("collected word lost its register shape")
@@ -329,7 +315,7 @@ class _FillRun:
         z = b.word[p]
         j = self.slot_of[z]
         target = self.hi - 1 + sum(self.right[i].length for i in range(j))
-        self._letter_mover(z).move_right(b, p, target, +1)
+        block_mover(self.pres, (z,)).move_right(b, p, target, +1)
         self.region_len -= 1
         self._absorb_right(j, target)
 
@@ -338,7 +324,7 @@ class _FillRun:
         z = -b.word[p]
         j = self.slot_of[z]
         target = self.lo - sum(self.left[i].length for i in range(j))
-        self._letter_mover(z).move_left(b, p, target, -1)
+        block_mover(self.pres, (z,)).move_left(b, p, target, -1)
         self.region_len -= 1
         self._absorb_left(j, target)
 
@@ -351,7 +337,7 @@ class _FillRun:
     def _absorb_left(self, j: int, p: int) -> None:
         reg = self.left[j]
         self._expand_letter(p)
-        reg.emit_increment_mirror(self.b, p + len(reg.z_word))
+        reg.emit_increment_mirror(self.b, p)
         self.report.max_register = max(self.report.max_register, reg.q)
 
     def _expand_letter(self, p: int) -> None:

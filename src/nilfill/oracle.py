@@ -100,11 +100,6 @@ def is_unit(vec: list[int]) -> bool:
     return vec[0] == 1 and not any(vec[1:])
 
 
-def is_identity(w: Word, m: int, c: int) -> bool:
-    """True iff w = 1 in the free nilpotent group of class c on m generators."""
-    return is_unit(eval_word(w, m, c))
-
-
 def degree_slice(ctx: SeriesContext, vec: list[int], d: int) -> list[int]:
     lo = ctx.degree_start[d]
     hi = ctx.degree_start[d + 1] if d < ctx.c else ctx.size

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import oracle
 from .errors import NilfillError, OutOfRange, PresentationSyntaxError, UnsupportedIndex
@@ -34,7 +34,10 @@ from .words import (
 
 
 class Presentation:
-    """Immutable generators + relators + class, with derived lookups."""
+    """Immutable generators + relators + class, with derived lookups.
+
+    The derived tables (``relator_index``, ``basis``, ``quotient``,
+    ``text`` and the counts) are built on first use and kept."""
 
     def __init__(self, names, weights, relators, nclass, parents=None):
         self.names = tuple(names)
@@ -56,19 +59,17 @@ class Presentation:
         if len(self.name_to_index) != len(self.names):
             raise NilfillError("duplicate generator names")
         self.C = max((len(r) for r in self.relators), default=0)
-        self._relator_index = None
         self._expansion = {}
-        self._quotient = None
-        self._basis = None
-        self._max_weight_c = None
-        self._text = None       # the file text, built by the first save
-        # filled by compression.chain_context and engine._move_template
+        self.lift_table = ()    # set on a quotient by its parent's ``quotient``
+        # filled by compression.chain_context, compression.block_mover and
+        # engine._template
         self._chain_ctxs: dict = {}
+        self._movers: dict = {}
         self._move_templates: dict = {}
 
     # -- basic views --------------------------------------------------------
 
-    @property
+    @cached_property
     def weight1_count(self) -> int:
         return sum(1 for w in self.weights if w == 1)
 
@@ -78,26 +79,27 @@ class Presentation:
     def letters_of_weight(self, w: int) -> list:
         return [i + 1 for i, wt in enumerate(self.weights) if wt == w]
 
-    @property
+    @cached_property
     def relator_index(self) -> dict:
         """Exact relator word -> relator id."""
-        if self._relator_index is None:
-            idx = {}
-            for rid, r in enumerate(self.relators):
-                idx.setdefault(r, rid)
-            self._relator_index = idx
-        return self._relator_index
+        idx = {}
+        for rid, r in enumerate(self.relators):
+            idx.setdefault(r, rid)
+        return idx
 
-    @property
+    @cached_property
     def max_weight_c_per_relator(self) -> int:
         """M: most weight-c letters (either sign) in any single relator."""
-        if self._max_weight_c is None:
-            c = self.nclass
-            self._max_weight_c = max(
-                (sum(1 for a in r if self.weight_of(a) == c) for r in self.relators),
-                default=0,
-            )
-        return self._max_weight_c
+        c = self.nclass
+        return max(
+            (sum(1 for a in r if self.weight_of(a) == c) for r in self.relators),
+            default=0,
+        )
+
+    @cached_property
+    def basis(self):
+        """``weight_c_basis(self)``: (basis letters, rewrite, vectors)."""
+        return weight_c_basis(self)
 
     def parse_word(self, text: str) -> Word:
         return parse_word(text, self.name_to_index)
@@ -137,9 +139,8 @@ class Presentation:
         """Weight-1 letters whose nested commutator defines this letter."""
         return _defining_chain(self.parents, abs(letter))
 
-    def eval_series(self, w: Word, degree=None):
-        return oracle.eval_word(self.expand_word(w), self.weight1_count,
-                                degree if degree is not None else self.nclass)
+    def eval_series(self, w: Word):
+        return oracle.eval_word(self.expand_word(w), self.weight1_count, self.nclass)
 
     def is_identity(self, w: Word) -> bool:
         return oracle.is_unit(self.eval_series(w))
@@ -151,7 +152,8 @@ class Presentation:
         wt = self.weights
         return tuple(a for a in w if wt[abs(a) - 1] < c)
 
-    def project(self) -> "Presentation":
+    @cached_property
+    def quotient(self) -> "Presentation":
         """Presentation of the class-(c-1) quotient: drop weight-c generators,
         delete their letters from every relator, prune and dedupe.
 
@@ -159,8 +161,6 @@ class Presentation:
         and the positions of the surviving letters (``lift_table``), which is
         what the filling recursion uses to re-expand quotient moves.
         """
-        if self._quotient is not None:
-            return self._quotient
         c = self.nclass
         if c < 2:
             raise NilfillError("cannot project a class-1 presentation")
@@ -186,8 +186,15 @@ class Presentation:
             self.parents[: len(keep)],
         )
         quot.lift_table = tuple(lift_table)
-        self._quotient = quot
         return quot
+
+    @cached_property
+    def text(self) -> str:
+        """The presentation file text (see ``save_presentation``)."""
+        lines = [f"class {self.nclass}"]
+        lines += [f"gen {n} {w}" for n, w in zip(self.names, self.weights)]
+        lines += [f"rel {self.format_word(r)}" for r in self.relators]
+        return "\n".join(lines) + "\n"
 
 
 # --- chain presentations ---------------------------------------------------
@@ -272,8 +279,6 @@ def weight_c_basis(pres: Presentation):
     joins the basis exactly when its vector lies outside the span of the
     letters chosen before it.
     """
-    if pres._basis is not None:
-        return pres._basis
     c = pres.nclass
     m = pres.weight1_count
     letters = pres.letters_of_weight(c)
@@ -287,8 +292,7 @@ def weight_c_basis(pres: Presentation):
             chosen.append(i)
         else:
             rewrite[i] = _basis_word(chosen, sol, f"(letter {pres.names[i - 1]})")
-    pres._basis = (chosen, rewrite, vectors)
-    return pres._basis
+    return chosen, rewrite, vectors
 
 
 def _basis_word(basis_letters, sol, detail: str) -> Word:
@@ -369,9 +373,7 @@ def build_filler_presentation(c: int, m: int) -> Presentation:
         for r in prev.relators:
             add(_lift_to_class(skeleton, r, basis_letters, basis_vecs))
 
-    pres = Presentation(names, weights, relators, c, parents)
-    pres._basis = skeleton._basis
-    return pres
+    return Presentation(names, weights, relators, c, parents)
 
 
 # --- file format -----------------------------------------------------------
@@ -381,14 +383,9 @@ def build_filler_presentation(c: int, m: int) -> Presentation:
 
 def save_presentation(pres: Presentation, path) -> None:
     """Write the presentation file.  A presentation is immutable, so its
-    text is built on the first save and kept for the next."""
-    if pres._text is None:
-        lines = [f"class {pres.nclass}"]
-        lines += [f"gen {n} {w}" for n, w in zip(pres.names, pres.weights)]
-        lines += [f"rel {pres.format_word(r)}" for r in pres.relators]
-        pres._text = "\n".join(lines) + "\n"
+    text (``pres.text``) is built on the first save and kept for the next."""
     with open(path, "w") as fh:
-        fh.write(pres._text)
+        fh.write(pres.text)
 
 
 def read_text(path, error) -> str:

@@ -151,6 +151,33 @@ def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
     assert not os.listdir(tmp_path)  # nothing written
 
 
+@pytest.mark.parametrize("argv,expected", [
+    pytest.param(("present", "--class", "2", "--gens", "2", "--out", "MISSING"), 2,
+                 id="present-out"),
+    pytest.param(("compress", "--class", "2", "--n", "2", "--trace", "MISSING"), 2,
+                 id="compress-trace"),
+    pytest.param(("fill", "--class", "2", "--gens", "2", "--word", "DIR",
+                  "--trace", "OUT"), 2, id="fill-word-directory"),
+    pytest.param(("corpus", "--class", "2", "--gens", "2", "--n", "8", "--count", "3",
+                  "--seed", "1", "--out", "MISSING"), 2, id="corpus-out"),
+    pytest.param(("bench", "compression", "--class", "2", "--n-max", "3",
+                  "--csv", "MISSING"), 2, id="bench-csv"),
+    pytest.param(("fill", "--class", "2", "--gens", "2", "--word", "NOT_UTF8",
+                  "--trace", "OUT"), 1, id="fill-word-not-utf8"),
+])
+def test_unusable_files_give_one_error_line(tmp_path, capsys, argv, expected):
+    # a file that cannot be read or written is an error line, not a traceback
+    not_utf8 = tmp_path / "word.txt"
+    not_utf8.write_bytes(b"x1 x1^-1 \xff\n")
+    paths = {"MISSING": tmp_path / "missing" / "f", "DIR": tmp_path,
+             "OUT": tmp_path / "out", "NOT_UTF8": not_utf8}
+    code = main([str(paths.get(a, a)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == expected and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_bench_fill_csv(tmp_path, capsys):
     csv = tmp_path / "f.csv"
     code, out = run(capsys, "bench", "fill", "--class", "2", "--gens", "2",

@@ -7,6 +7,7 @@ from nilfill import oracle
 from nilfill.compression import (
     BlockMover,
     CompressedPower,
+    block_mover,
     compression_word,
     extended_word,
     chain_context,
@@ -359,7 +360,7 @@ def test_compressed_power_register():
     regm = CompressedPower(pres, chain, 2)
     bm = SequenceBuilder(pres, inverse_word(z1 * 6))
     for s in range(6):
-        regm.emit_increment_mirror(bm, len(bm.word) - (6 - s - 1) * len(z1))
+        regm.emit_increment_mirror(bm, len(bm.word) - (6 - s) * len(z1))
     assert bm.word == list(inverse_word(extended_word(regm.ctx, 2, 6)))
     assert regm.length == len(bm.word)
 
@@ -374,7 +375,7 @@ def test_transport_exact_shape_matches_split_shape():
     for sign, block in ((1, z1), (-1, inverse_word(z1))):
         w = (1, -2, 2, 1) + block
         for level in (0, 1):
-            mover = ctx.mover(chain, level)
+            mover = block_mover(ctx.level_presentation(level), chain)
             assert mover.exact == (level == 1)
             b = SequenceBuilder(mover.pres, w)
             mover.move_left(b, 4, 0, sign)

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from nilfill import oracle
+from nilfill import compression, oracle
+from nilfill.compression import block_mover, chain_context
 from nilfill.engine import replay, validate_null
 from nilfill.errors import NotNullHomotopic
 from nilfill.engine import apply_moves
 from nilfill.filler import certify_afl_pair, fill, fill_with_report
-from nilfill.presentations import build_filler_presentation, weight_c_basis
+from nilfill.presentations import Presentation, build_filler_presentation, weight_c_basis
 from nilfill.words import inverse_word, nested_commutator
 
 
@@ -128,6 +129,33 @@ def test_fill_intermediate_words_stay_trivial(p2):
         apply_moves(word, [mv], p2)
         if i % checkpoints == 0:
             assert p2.is_identity(tuple(word) + inverse_word(w))
+
+
+def test_each_pool_keeps_one_mover_per_block(p3, monkeypatch):
+    # a fresh copy, so that no earlier test has built its movers
+    pres = Presentation(p3.names, p3.weights, p3.relators, 3, p3.parents)
+    built = []
+    init = compression.BlockMover.__init__
+
+    def counting_init(self, pool, chain):
+        built.append((pool, chain))
+        init(self, pool, chain)
+
+    monkeypatch.setattr(compression.BlockMover, "__init__", counting_init)
+    w = pres.parse_word("x2^-1 g12^-1 g112^-1 x2^-1 x1 x2 x1^-1 x2^-1 "
+                        "x1^-1 x2 x1 g12 x2")
+    fill(w, pres)
+    fill(inverse_word(w), pres)
+    assert pres._movers and len(built) > len(pres._movers)
+    # every (pool, block) mover is built once and kept by its pool
+    assert len({(id(pool), chain) for pool, chain in built}) == len(built)
+    assert all(pool._movers[chain].chain == chain for pool, chain in built)
+    z = pres.basis[0][0]
+    assert block_mover(pres, (z,)) is block_mover(pres, (z,))
+    # the pool decides the shape: exact on a scratch pool, split on pres
+    chain = pres.defining_chain(z)
+    assert block_mover(chain_context(pres, chain).scratch, chain).exact
+    assert not block_mover(pres, chain).exact
 
 
 def test_fill_report_structure(p3):

@@ -144,7 +144,7 @@ def test_weight_c_basis_c3_m2_rank():
 
 def test_projection_of_filler_supports_recursion():
     p = build_filler_presentation(2, 2)
-    q = p.project()
+    q = p.quotient
     assert q.nclass == 1
     assert q.names == ("x1", "x2")
     prev = build_filler_presentation(1, 2)
@@ -161,7 +161,7 @@ def test_projection_of_filler_supports_recursion():
 
 def test_projection_of_filler_c3():
     p = build_filler_presentation(3, 2)
-    q = p.project()
+    q = p.quotient
     prev = build_filler_presentation(2, 2)
     for r in prev.relators:
         assert r in q.relator_index
