@@ -7,6 +7,7 @@ cannot be read or written.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -28,6 +29,8 @@ from .traces import format_ok, load_trace, save_trace, verdict_line
 from .words import parse_word
 
 
+# built once per process: parsing reads the parser and never changes it
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="nilfill")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -28,9 +28,11 @@ position.  Any ordering of the chain letters compresses.
 from __future__ import annotations
 
 from .engine import (
+    CheckedMoves,
     PSequence,
     SequenceBuilder,
     block_reduction_moves,
+    check_moves,
     invert_sequence,
     inverse_pair_moves,
     pair_inverse_moves,
@@ -82,17 +84,18 @@ class ChainContext:
     movers of its blocks (``block_mover``).
 
     The context memoizes register increments: ``increments`` maps
-    (n, q mod n^c) to the moves of one absorption at that exponent and,
-    once asked for, of its mirror, both as built and checked on the first
-    miss (see ``CompressedPower.local_moves``).  Entries are tuples of move
-    tuples at offset 0, and each distinct move is stored once, in
-    ``_move_pool``: across its entries a context holds some 25 moves for
-    every distinct one.  The memo lives as long as the
-    presentation and holds at most n^c entries for each base n; together
-    they are about one power-compression certificate.  It pays off over
-    many fills on one presentation in one process, as in ``bench fill`` or
-    a corpus: within a single fill almost every entry is used only once,
-    so one ``nilfill fill`` gains nothing from it.
+    (n, q mod n^c) to the ``CheckedMoves`` of one absorption at that
+    exponent and, once asked for, of its mirror (see
+    ``CompressedPower.local_moves``).  Each record passes the kernel once,
+    when it is made, and later absorptions splice in its effect
+    (``SequenceBuilder.splice``).  Moves are tuples at offset 0, and each
+    distinct move is stored once, in ``_move_pool``: across its entries a
+    context holds some 25 moves for every distinct one.  The memo lives as
+    long as the presentation and holds at most n^c entries for each base
+    n; together they are about one power-compression certificate.  It pays
+    off over many fills on one presentation in one process, as in ``bench
+    fill`` or a corpus: within a single fill almost every entry is used
+    only once, so one ``nilfill fill`` gains nothing from it.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -165,7 +168,8 @@ class BlockMover:
     split on a presentation, which must already contain it.  Only left
     moves come in the exact shape, as no inner level moves a block right.
     The letters a block passes do not change while it moves, so every
-    swap's moves are known up front and go to the builder as one batch."""
+    swap's moves are known up front and go to the builder as one batch; in
+    the split shape the batch is one comprehension over those letters."""
 
     def __init__(self, pres, block_chain):
         self.pres = pres
@@ -189,20 +193,45 @@ class BlockMover:
             self._rids[t] = rid
         return rid
 
+    def _split_run(self, positions, letters, sign: int, inv: int, head: int) -> list:
+        """Split-shape swaps of the block (first letter ``head``) past
+        ``letters``, the k-th at ``positions[k]``, built by one
+        comprehension: rids come from the mover's table, ``_rid`` resolving
+        each letter it lacks once."""
+        rids, L = self._rids, self.length
+        shift = L + 1 if sign > 0 else 0
+        # a single-letter block meeting its own inverse swaps freely
+        stop = -head if L == 1 else None
+        for t in set(letters):
+            if t != stop and sign * t not in rids:
+                self._rid(sign * t)
+        if stop not in letters:
+            return [("ar", p, rids[sign * t], shift, inv, L + 1)
+                    for p, t in zip(positions, letters)]
+        # the free expansion puts back the letter that ends up at p
+        freed = stop if inv else head
+        moves = []
+        for p, t in zip(positions, letters):
+            if t == stop:
+                moves += (("fr", p), ("fe", p, freed))
+            else:
+                moves.append(("ar", p, rids[sign * t], shift, inv, L + 1))
+        return moves
+
     def move_left(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` left to ``target``, swapping it with
         the letter t at each p it passes."""
         w = b.word
-        head, L, rid, exact = w[start], self.length, self._rid, self.exact
-        shift = L + 1 if sign > 0 else 0
+        if not self.exact:
+            b.extend(self._split_run(range(start - 1, target - 1, -1),
+                                     w[target:start][::-1], sign, 0, w[start]))
+            return
+        head, L, rid = w[start], self.length, self._rid
         moves = []
         for p in range(start - 1, target - 1, -1):
             t = w[p]
             if L == 1 and t == -head:
-                # a single-letter block meeting its own inverse swaps freely
                 moves += (("fr", p), ("fe", p, head))
-            elif not exact:
-                moves.append(("ar", p, rid(sign * t), shift, 0, L + 1))
             elif sign > 0:
                 # insert [t,W]^-1 after the block
                 moves.append(("ar", p + 1 + L, rid(t), 0, 0, 0))
@@ -217,17 +246,9 @@ class BlockMover:
     def move_right(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` right to ``target``, swapping it with
         the letter t at each p + L it passes, in the split shape."""
-        w = b.word
-        head, L, rid = w[start], self.length, self._rid
-        shift = L + 1 if sign > 0 else 0
-        moves = []
-        for p in range(start, target):
-            t = w[p + L]
-            if L == 1 and t == -head:
-                moves += (("fr", p), ("fe", p, t))
-            else:
-                moves.append(("ar", p, rid(sign * t), shift, 1, L + 1))
-        b.extend(moves)
+        w, L = b.word, self.length
+        b.extend(self._split_run(range(start, target), w[start + L:target + L],
+                                 sign, 1, w[start]))
 
 
 def compression_word(pres: Presentation, chain, n: int, s: int) -> Word:
@@ -410,8 +431,10 @@ class CompressedPower:
     ``emit_increment`` turns z_1 ztilde^q (the z_1 word sitting at
     ``offset`` in the builder, the register word right after it) into
     ztilde^{q+1}; the mirrored variant works on the inverse word, with the
-    z_1^-1 word at ``offset`` arriving on the right.  Crossing into a new block happens
-    exactly when n^c divides q+1.  ``length`` is len(ztilde^q).
+    z_1^-1 word at ``offset`` arriving on the right.  Both splice in the
+    checked effect of the memoized absorption (``local_moves``).  Crossing
+    into a new block happens exactly when n^c divides q+1.  ``length`` is
+    len(ztilde^q).
     """
 
     def __init__(self, pres: Presentation, chain, n: int):
@@ -422,17 +445,19 @@ class CompressedPower:
         self.q = 0
         self.length = 0
 
-    def local_moves(self, mirrored: bool = False) -> tuple:
-        """Moves of the absorption at the current q, at offset 0, on the
-        subword z_1 ztilde^{A-part} (mirrored: on its inverse); blocks to
-        the right are never touched.  Memoized on the chain context."""
+    def local_moves(self, mirrored: bool = False) -> CheckedMoves:
+        """The absorption at the current q on the subword z_1 ztilde^{A-part}
+        (mirrored: on its inverse), at offset 0; blocks to the right are
+        never touched.  Memoized on the chain context: the forward record
+        comes from the run that builds it, the mirror from one kernel pass
+        of ``invert_sequence``'s output on the inverse subword."""
         ctx, n = self.ctx, self.n
         a_part = self.q % n**ctx.c
         entry = ctx.increments.get((n, a_part))
         if entry is None:
             entry = ctx.increments[(n, a_part)] = [None, None]
-        moves = entry[mirrored]
-        if moves is None:
+        record = entry[mirrored]
+        if record is None:
             zw = ctx.z_words[0]
             initial = zw + (_cword(ctx, 0, n, a_part) if a_part else ())
             if entry[0] is None:
@@ -440,15 +465,21 @@ class CompressedPower:
                 if a_part == 0 and ctx.c > 1:
                     insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
                 _run_increment(ctx, b, 0, n, a_part, 0)
-                entry[0] = ctx.intern(b.moves)
+                entry[0] = CheckedMoves(ctx.intern(b.moves), list(initial), b.word,
+                                        b.area, b.fl - len(initial))
             if mirrored:
-                mirror = invert_sequence(PSequence(ctx.pres, initial, entry[0]))
-                entry[1] = ctx.intern(mirror.moves)
-            moves = entry[mirrored]
-        return moves
+                forward = entry[0]
+                mirror = invert_sequence(PSequence(ctx.pres, initial, forward.moves))
+                record = check_moves(ctx.pres, mirror.initial, ctx.intern(mirror.moves))
+                if record.after != list(inverse_word(forward.after)):
+                    raise AssertionError(
+                        f"mirrored increment endpoint mismatch, s={a_part}")
+                entry[1] = record
+            record = entry[mirrored]
+        return record
 
     def emit_increment(self, b: SequenceBuilder, offset: int) -> None:
-        b.extend(self.local_moves(), offset)
+        b.splice(self.local_moves(), offset)
         self._advance()
 
     def emit_increment_mirror(self, b: SequenceBuilder, offset: int) -> None:
@@ -456,7 +487,7 @@ class CompressedPower:
         word at ``offset``."""
         ctx, n = self.ctx, self.n
         start = offset - ctx.register_length(n, self.q % n**ctx.c)
-        b.extend(self.local_moves(mirrored=True), start)
+        b.splice(self.local_moves(mirrored=True), start)
         self._advance()
 
     def _advance(self) -> None:

@@ -13,9 +13,10 @@ so that u v^-1 is a cyclic conjugate of the relator or its inverse.
 Positions are 0-based letter indices into the current word; a stale
 position makes the trace invalid, it is never repaired.
 
-``apply_moves`` is the only code that changes a word by a move: the
-validator's replay and every builder emission go through it, with the
-same checks.
+``apply_moves`` is the only code that checks a move: the validator's
+replay and every builder emission go through it.  ``SequenceBuilder.splice``
+applies a batch the kernel has already checked (a ``CheckedMoves``) by its
+recorded effect wherever the subword it was checked on sits.
 """
 
 from __future__ import annotations
@@ -142,6 +143,37 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0, emit=Non
     return area, fl
 
 
+@dataclass(frozen=True)
+class CheckedMoves:
+    """A move batch at offset 0 and its effect, as the kernel found it on
+    ``before`` alone: the batch turns ``before`` into ``after`` with
+    ``area`` relator applications, and its peak word length is
+    ``len(before) + grow``.  ``before`` and ``after`` are lists, which
+    ``splice`` compares with a word slice and writes into one; they are
+    never mutated."""
+
+    moves: tuple
+    before: list
+    after: list
+    area: int
+    grow: int
+
+
+def check_moves(pres: Presentation, before, moves) -> CheckedMoves:
+    """Run ``moves`` through the kernel on ``before`` and record the effect."""
+    word = list(before)
+    area, fl = apply_moves(word, moves, pres)
+    return CheckedMoves(moves, list(before), word, area, fl - len(before))
+
+
+def _shifted(moves, offset: int) -> list:
+    """``moves`` with every position shifted by ``offset``."""
+    return [("ar", m[1] + offset, m[2], m[3], m[4], m[5]) if m[0] == "ar"
+            else ("fr", m[1] + offset) if m[0] == "fr"
+            else ("fe", m[1] + offset, m[2])
+            for m in moves]
+
+
 def replay(seq: PSequence):
     """Apply all moves; return (Metrics, final word).  Deterministic."""
     word = list(seq.initial)
@@ -244,11 +276,12 @@ def block_reduction_moves(pos: int, length: int) -> list:
 
 class SequenceBuilder:
     """Mutable word + emitted move list.  Every move goes through the
-    kernel as it is emitted, so a finished builder yields a valid sequence,
-    and the builder keeps the area and FL the kernel returns, so its
-    ``metrics`` equal those of a replay.  The builder has no move semantics
-    of its own; compound emissions are move lists built by the functions
-    above."""
+    kernel as it is emitted (``extend``), or is part of a batch the kernel
+    checked on the very subword it lands on (``splice``), so a finished
+    builder yields a valid sequence; the builder keeps the area and FL the
+    kernel returns, so its ``metrics`` equal those of a replay.  The
+    builder has no move semantics of its own; compound emissions are move
+    lists built by the functions above."""
 
     __slots__ = ("pres", "initial", "word", "moves", "area", "fl")
 
@@ -266,6 +299,26 @@ class SequenceBuilder:
         self.area += area
         if fl > self.fl:
             self.fl = fl
+
+    def splice(self, record: CheckedMoves, offset: int = 0) -> None:
+        """Apply and record ``record.moves`` at ``offset`` by their effect.
+
+        A batch the kernel checked on ``before`` alone reads only letters of
+        ``before``, so wherever ``before`` sits every move passes the same
+        checks and the batch leaves ``after``: the word takes ``after`` in
+        one splice.  Anywhere else the moves go through ``extend``, which
+        refuses them as it would refuse any batch."""
+        word, before = self.word, record.before
+        end = offset + len(before)
+        if offset < 0 or word[offset:end] != before:
+            self.extend(record.moves, offset)
+            return
+        fl = len(word) + record.grow
+        word[offset:end] = record.after
+        self.area += record.area
+        if fl > self.fl:
+            self.fl = fl
+        self.moves += _shifted(record.moves, offset) if offset else record.moves
 
     @property
     def metrics(self) -> Metrics:

@@ -150,7 +150,14 @@ class _FillRun:
                       for z in self.basis]
         self.left = [CompressedPower(pres, pres.defining_chain(z), n_base)
                      for z in self.basis]
+        # running geometry: the region starts at ``lo`` (the length of the
+        # left bank) and is ``region_len`` long; register j of a bank sits
+        # ``left_at[j]`` before the region start or ``right_at[j]`` after
+        # its end, updated when an absorption grows a register
+        self.lo = 0
         self.region_len = len(w)
+        self.left_at = [0] * len(self.basis)
+        self.right_at = [0] * len(self.basis)
         self._rewrite_params: dict = {}
         self._expansions: dict = {}
         self._counts = counts
@@ -242,10 +249,6 @@ class _FillRun:
     # -- geometry -------------------------------------------------------------
 
     @property
-    def lo(self) -> int:
-        return sum(reg.length for reg in self.left)
-
-    @property
     def hi(self) -> int:
         return self.lo + self.region_len
 
@@ -314,7 +317,7 @@ class _FillRun:
         b = self.b
         z = b.word[p]
         j = self.slot_of[z]
-        target = self.hi - 1 + sum(self.right[i].length for i in range(j))
+        target = self.hi - 1 + self.right_at[j]
         block_mover(self.pres, (z,)).move_right(b, p, target, +1)
         self.region_len -= 1
         self._absorb_right(j, target)
@@ -323,21 +326,32 @@ class _FillRun:
         b = self.b
         z = -b.word[p]
         j = self.slot_of[z]
-        target = self.lo - sum(self.left[i].length for i in range(j))
+        target = self.lo - self.left_at[j]
         block_mover(self.pres, (z,)).move_left(b, p, target, -1)
         self.region_len -= 1
         self._absorb_left(j, target)
 
     def _absorb_right(self, j: int, p: int) -> None:
         reg = self.right[j]
+        grown = -reg.length
         self._expand_letter(p)
         reg.emit_increment(self.b, p)
+        grown += reg.length
+        at = self.right_at
+        for i in range(j + 1, len(at)):
+            at[i] += grown
         self.report.max_register = max(self.report.max_register, reg.q)
 
     def _absorb_left(self, j: int, p: int) -> None:
         reg = self.left[j]
+        grown = -reg.length
         self._expand_letter(p)
         reg.emit_increment_mirror(self.b, p)
+        grown += reg.length
+        at = self.left_at
+        for i in range(j + 1, len(at)):
+            at[i] += grown
+        self.lo += grown
         self.report.max_register = max(self.report.max_register, reg.q)
 
     def _expand_letter(self, p: int) -> None:

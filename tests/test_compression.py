@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from nilfill import oracle
+from nilfill import compression, oracle
 from nilfill.compression import (
     BlockMover,
     CompressedPower,
@@ -15,8 +15,8 @@ from nilfill.compression import (
     insert_trivial_word,
     power_compression_sequence,
 )
-from nilfill.engine import SequenceBuilder, replay, validate_null
-from nilfill.errors import NoTransportRelator, OutOfRange
+from nilfill.engine import PSequence, SequenceBuilder, apply_moves, replay, validate_null
+from nilfill.errors import NoTransportRelator, NotApplicable, OutOfRange
 from nilfill.presentations import Presentation, build_chain_presentation
 from nilfill.words import free_reduce, inverse_word, nested_commutator
 
@@ -311,8 +311,96 @@ def test_register_increment_equals_isolated_increment(c, n, qs):
         reg = CompressedPower(pres, chain, n)
         reg.q = q
         a_part = q % n**c
-        assert list(reg.local_moves()) == isolated_increments(
+        assert list(reg.local_moves().moves) == isolated_increments(
             pres, chain, n, a_part, a_part + 1).moves
+
+
+def _fresh_chain_presentation(c):
+    """A chain presentation of its own, so its register memo starts empty."""
+    base = build_chain_presentation(c, 1)
+    return Presentation(base.names, base.weights, base.relators, c), tuple(range(1, c + 1))
+
+
+def _register_site(ctx, n, q, mirrored, prefix, suffix):
+    """A word carrying the absorption subword at q between two pads, and
+    the offset of the record's ``before`` in it."""
+    z1 = ctx.z_words[0]
+    reg_word = extended_word(ctx, n, q)
+    if mirrored:
+        # the mirror works on (ztilde^{A-part})^-1 z1^-1, at the right end
+        head = len(reg_word) - ctx.register_length(n, q % n**ctx.c)
+        return (prefix + inverse_word(reg_word) + inverse_word(z1) + suffix,
+                len(prefix) + head)
+    return prefix + z1 + reg_word + suffix, len(prefix)
+
+
+@pytest.mark.parametrize("c,n,qs", [(2, 2, (0, 1, 3, 4, 6)), (2, 3, (2, 5, 8, 9)),
+                                    (3, 2, (0, 1, 3, 7, 8, 11))])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_splice_matches_kernel_extend(c, n, qs, mirrored):
+    # a record's checked effect, spliced in, gives the word, moves, area and
+    # FL that running its moves through the kernel gives
+    pres, chain = _fresh_chain_presentation(c)
+    for q in qs:
+        for prefix, suffix in (((), ()), ((2, 1, -2), (1, 1))):
+            reg = CompressedPower(pres, chain, n)
+            reg.q = q
+            record = reg.local_moves(mirrored)
+            word, offset = _register_site(reg.ctx, n, q, mirrored, prefix, suffix)
+            assert list(word[offset:offset + len(record.before)]) == record.before
+            spliced, twin = SequenceBuilder(pres, word), SequenceBuilder(pres, word)
+            spliced.splice(record, offset)
+            twin.extend(record.moves, offset)
+            assert spliced.word == twin.word
+            assert spliced.moves == twin.moves
+            assert spliced.metrics == twin.metrics == replay(spliced.finish())[0]
+
+
+def test_splice_where_before_does_not_sit_is_refused_by_the_kernel():
+    pres, chain = _fresh_chain_presentation(2)
+    reg = CompressedPower(pres, chain, 2)
+    reg.q = 3
+    record = reg.local_moves()
+    word, offset = _register_site(reg.ctx, 2, 3, False, (2, 1), ())
+    with pytest.raises(NotApplicable) as kernel:
+        apply_moves(list(word), record.moves, pres, offset + 1)
+    b = SequenceBuilder(pres, word)
+    with pytest.raises(NotApplicable) as spliced:
+        b.splice(record, offset + 1)
+    assert spliced.value.move_index == kernel.value.move_index is not None
+    assert spliced.value.reason == kernel.value.reason
+
+
+def _drop_last_move(seq):
+    return PSequence(seq.presentation, seq.initial, seq.moves[:-1])
+
+
+def _flip_first_relator(seq):
+    moves = list(seq.moves)
+    k = next(i for i, mv in enumerate(moves) if mv[0] == "ar")
+    _, p, rid, shift, inv, split = moves[k]
+    moves[k] = ("ar", p, rid, shift, 1 - inv, split)
+    return PSequence(seq.presentation, seq.initial, moves)
+
+
+@pytest.mark.parametrize("corrupt,error", [(_flip_first_relator, NotApplicable),
+                                           (_drop_last_move, AssertionError)])
+def test_corrupt_mirror_caught_on_first_mirrored_absorption(monkeypatch, corrupt, error):
+    # the mirror record passes the kernel once when it is made, so a bad
+    # inversion stops the first absorption that asks for it and is not kept
+    pres, chain = _fresh_chain_presentation(2)
+    invert = compression.invert_sequence
+    monkeypatch.setattr(compression, "invert_sequence", lambda seq: corrupt(invert(seq)))
+    z1 = nested_commutator(chain)
+    n, q = 2, 1        # s + 1 = n: the increment carries, so it has relators
+    reg = CompressedPower(pres, chain, n)
+    reg.q = q
+    word, _ = _register_site(reg.ctx, n, q, True, (), ())
+    b = SequenceBuilder(pres, word)
+    with pytest.raises(error):
+        reg.emit_increment_mirror(b, len(word) - len(z1))
+    assert b.word == list(word) and not b.moves
+    assert reg.q == q and reg.ctx.increments[(n, q)][1] is None
 
 
 # --- extended compression ----------------------------------------------------
