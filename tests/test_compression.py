@@ -301,24 +301,22 @@ def test_power_compression_every_chain_ordering(c, chain, n):
         assert nested_commutator(scratch.chains[rid]) == relator
 
 
+def _fresh_chain_presentation(c):
+    """A chain presentation of its own, so its register memo starts empty."""
+    base = build_chain_presentation(c, 1)
+    return Presentation(base.names, base.weights, base.relators, c), tuple(range(1, c + 1))
+
+
 @pytest.mark.parametrize("c,n,qs", [(2, 3, (0, 2, 5, 8)), (3, 2, (0, 1, 3, 7))])
 def test_register_increment_equals_isolated_increment(c, n, qs):
     # a fresh presentation, so each local_moves call misses the memo
-    base = build_chain_presentation(c, 1)
-    pres = Presentation(base.names, base.weights, base.relators, c)
-    chain = tuple(range(1, c + 1))
+    pres, chain = _fresh_chain_presentation(c)
     for q in qs:
         reg = CompressedPower(pres, chain, n)
         reg.q = q
         a_part = q % n**c
         assert list(reg.local_moves().moves) == isolated_increments(
             pres, chain, n, a_part, a_part + 1).moves
-
-
-def _fresh_chain_presentation(c):
-    """A chain presentation of its own, so its register memo starts empty."""
-    base = build_chain_presentation(c, 1)
-    return Presentation(base.names, base.weights, base.relators, c), tuple(range(1, c + 1))
 
 
 def _register_site(ctx, n, q, mirrored, prefix, suffix):
