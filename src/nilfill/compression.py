@@ -88,14 +88,16 @@ class ChainContext:
     exponent and, once asked for, of its mirror (see
     ``CompressedPower.local_moves``).  Each record passes the kernel once,
     when it is made, and later absorptions splice in its effect
-    (``SequenceBuilder.splice``).  Moves are tuples at offset 0, and each
-    distinct move is stored once, in ``_move_pool``: across its entries a
-    context holds some 25 moves for every distinct one.  The memo lives as
-    long as the presentation and holds at most n^c entries for each base
-    n; together they are about one power-compression certificate.  It pays
-    off over many fills on one presentation in one process, as in ``bench
-    fill`` or a corpus: within a single fill almost every entry is used
-    only once, so one ``nilfill fill`` gains nothing from it.
+    (``SequenceBuilder.splice``); a register reads its length and the
+    mirror's splice offset off the record, so the context keeps no word
+    lengths.  Moves are tuples at offset 0, and each distinct move is
+    stored once, in ``_move_pool``: across its entries a context holds
+    some 25 moves for every distinct one.  The memo lives as long as the
+    presentation and holds at most n^c entries for each base n; together
+    they are about one power-compression certificate.  It pays off over
+    many fills on one presentation in one process, as in ``bench fill`` or
+    a corpus: within a single fill almost every entry is used only once,
+    so one ``nilfill fill`` gains nothing from it.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -111,7 +113,6 @@ class ChainContext:
         self.scratch = _ScratchPresentation(pres)
         self.increments: dict = {}
         self._move_pool: dict = {}
-        self._cword_lengths: dict = {}
 
     def intern(self, moves) -> tuple:
         """``moves`` as a tuple whose equal moves are one shared object."""
@@ -120,21 +121,6 @@ class ChainContext:
 
     def level_presentation(self, level: int):
         return self.pres if level == 0 else self.scratch
-
-    def _cword_length(self, n: int, s: int) -> int:
-        key = (n, s)
-        length = self._cword_lengths.get(key)
-        if length is None:
-            length = self._cword_lengths[key] = len(_cword(self, 0, n, s))
-        return length
-
-    def register_length(self, n: int, q: int) -> int:
-        """len(extended_word(self, n, q)) from cached compression word
-        lengths: len(ztilde^A) + B len(ztilde^{n^c}) for q = A + B n^c."""
-        cap = n**self.c
-        a_part, blocks = q % cap, q // cap
-        head = self._cword_length(n, a_part) if a_part else 0
-        return head + blocks * self._cword_length(n, cap) if blocks else head
 
 
 def chain_context(pres: Presentation, chain) -> ChainContext:
@@ -415,16 +401,6 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     return b.finish()
 
 
-def extended_word(ctx: ChainContext, n: int, q: int) -> Word:
-    """ztilde^A (ztilde^{n^c})^B for q = A + B n^c; no padding when A = 0."""
-    c = ctx.c
-    cap = n**c
-    a_part, blocks = q % cap, q // cap
-    block = _cword(ctx, 0, n, cap)
-    head = _cword(ctx, 0, n, a_part) if a_part else ()
-    return head + block * blocks
-
-
 class CompressedPower:
     """A register holding ztilde^q for a growing exponent q.
 
@@ -434,7 +410,9 @@ class CompressedPower:
     z_1^-1 word at ``offset`` arriving on the right.  Both splice in the
     checked effect of the memoized absorption (``local_moves``).  Crossing
     into a new block happens exactly when n^c divides q+1.  ``length`` is
-    len(ztilde^q).
+    len(ztilde^q), and like the mirror's splice offset it is read off the
+    record: an absorption turns z_1 and the register's head (``before``)
+    into the new head (``after``) and leaves the blocks beyond it alone.
     """
 
     def __init__(self, pres: Presentation, chain, n: int):
@@ -479,17 +457,17 @@ class CompressedPower:
         return record
 
     def emit_increment(self, b: SequenceBuilder, offset: int) -> None:
-        b.splice(self.local_moves(), offset)
-        self._advance()
+        record = self.local_moves()
+        b.splice(record, offset)
+        self._advance(record)
 
     def emit_increment_mirror(self, b: SequenceBuilder, offset: int) -> None:
         """Mirrored absorption: ... (ztilde^q)^-1 z_1^-1 ... with the z_1^-1
-        word at ``offset``."""
-        ctx, n = self.ctx, self.n
-        start = offset - ctx.register_length(n, self.q % n**ctx.c)
-        b.splice(self.local_moves(mirrored=True), start)
-        self._advance()
+        word at ``offset``; the record's ``before`` ends with that word."""
+        record = self.local_moves(mirrored=True)
+        b.splice(record, offset + len(self.ctx.z_words[0]) - len(record.before))
+        self._advance(record)
 
-    def _advance(self) -> None:
+    def _advance(self, record: CheckedMoves) -> None:
         self.q += 1
-        self.length = self.ctx.register_length(self.n, self.q)
+        self.length += len(self.ctx.z_words[0]) + len(record.after) - len(record.before)

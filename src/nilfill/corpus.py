@@ -40,6 +40,8 @@ def corpus_generate(pres: Presentation, n: int, count: int, seed: int) -> list:
     family), reproducible for a fixed seed."""
     if n < 1:
         raise OutOfRange(f"need n >= 1, got {n}")
+    if count < 0:
+        raise OutOfRange(f"need count >= 0, got {count}")
     rng = random.Random(seed)
     words = [w for w in structured_words(pres, n)]
     letters = [s for i in range(1, pres.rank + 1) for s in (i, -i)]
@@ -75,13 +77,3 @@ def save_corpus(words, pres: Presentation, path) -> None:
     with open(path, "w") as fh:
         for w in words:
             fh.write(pres.format_word(w) + "\n")
-
-
-def load_corpus(path, pres: Presentation) -> list:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(pres.parse_word(line))
-    return out

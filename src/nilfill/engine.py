@@ -14,9 +14,10 @@ Positions are 0-based letter indices into the current word; a stale
 position makes the trace invalid, it is never repaired.
 
 ``apply_moves`` is the only code that checks a move: the validator's
-replay and every builder emission go through it.  ``SequenceBuilder.splice``
-applies a batch the kernel has already checked (a ``CheckedMoves``) by its
-recorded effect wherever the subword it was checked on sits.
+replay and every builder emission go through it, and ``SequenceBuilder``
+records the batches it accepts.  ``SequenceBuilder.splice`` applies a
+batch the kernel has already checked (a ``CheckedMoves``) by its recorded
+effect wherever the subword it was checked on sits.
 """
 
 from __future__ import annotations
@@ -92,13 +93,12 @@ def _refusal(index: int, move, p: int, word) -> NotApplicable:
     return NotApplicable(reason, index)
 
 
-def apply_moves(word: list, moves, pres: Presentation, offset: int = 0, emit=None):
+def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
     """Apply ``moves``, each position shifted by ``offset``, to ``word`` in
     place; returns (area, fl) of the batch, fl counting the starting word.
 
     Every move is checked before it changes the word; a failed check raises
-    NotApplicable carrying the move's index within ``moves``.  Each applied
-    move is passed to ``emit`` (shifted), when given."""
+    NotApplicable carrying the move's index within ``moves``."""
     templates = pres._move_templates
     rank = pres.rank
     n = fl = len(word)
@@ -119,15 +119,11 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0, emit=Non
             n += grow
             if n > fl:
                 fl = n
-            if emit is not None:
-                emit(("ar", p, move[2], move[3], move[4], move[5]) if offset else move)
         elif op == "fr":
             if p < 0 or p + 1 >= n or word[p] != -word[p + 1]:
                 raise _refusal(i, move, p, word)
             del word[p : p + 2]
             n -= 2
-            if emit is not None:
-                emit(("fr", p) if offset else move)
         elif op == "fe":
             a = move[2]
             if p < 0 or p > n or not 0 < abs(a) <= rank:
@@ -136,8 +132,6 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0, emit=Non
             n += 2
             if n > fl:
                 fl = n
-            if emit is not None:
-                emit(("fe", p, a) if offset else move)
         else:
             raise _refusal(i, move, p, word)
     return area, fl
@@ -166,8 +160,11 @@ def check_moves(pres: Presentation, before, moves) -> CheckedMoves:
     return CheckedMoves(moves, list(before), word, area, fl - len(before))
 
 
-def _shifted(moves, offset: int) -> list:
-    """``moves`` with every position shifted by ``offset``."""
+def _shifted(moves, offset: int):
+    """``moves`` with every position shifted by ``offset``; ``moves`` itself
+    when ``offset`` is 0."""
+    if not offset:
+        return moves
     return [("ar", m[1] + offset, m[2], m[3], m[4], m[5]) if m[0] == "ar"
             else ("fr", m[1] + offset) if m[0] == "fr"
             else ("fe", m[1] + offset, m[2])
@@ -279,7 +276,8 @@ class SequenceBuilder:
     kernel as it is emitted (``extend``), or is part of a batch the kernel
     checked on the very subword it lands on (``splice``), so a finished
     builder yields a valid sequence; the builder keeps the area and FL the
-    kernel returns, so its ``metrics`` equal those of a replay.  The
+    kernel returns, so its ``metrics`` equal those of a replay.  Both
+    record a batch once it is accepted, shifted by ``_shifted``.  The
     builder has no move semantics of its own; compound emissions are move
     lists built by the functions above."""
 
@@ -294,11 +292,14 @@ class SequenceBuilder:
         self.fl = len(self.initial)
 
     def extend(self, moves, offset: int = 0) -> None:
-        """Apply and record ``moves``, each position shifted by ``offset``."""
-        area, fl = apply_moves(self.word, moves, self.pres, offset, self.moves.append)
+        """Apply and record ``moves``, each position shifted by ``offset``.
+        A batch the kernel refuses is not recorded, while the word keeps
+        the moves before the refused one, so a refused builder is spent."""
+        area, fl = apply_moves(self.word, moves, self.pres, offset)
         self.area += area
         if fl > self.fl:
             self.fl = fl
+        self.moves += _shifted(moves, offset)
 
     def splice(self, record: CheckedMoves, offset: int = 0) -> None:
         """Apply and record ``record.moves`` at ``offset`` by their effect.
@@ -318,7 +319,7 @@ class SequenceBuilder:
         self.area += record.area
         if fl > self.fl:
             self.fl = fl
-        self.moves += _shifted(record.moves, offset) if offset else record.moves
+        self.moves += _shifted(record.moves, offset)
 
     @property
     def metrics(self) -> Metrics:

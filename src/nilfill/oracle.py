@@ -125,26 +125,6 @@ def lyndon_words(m: int, n: int) -> list[tuple]:
     return out
 
 
-def witt_number(m: int, c: int) -> int:
-    """Rank of the degree-c component of the free Lie ring on m symbols."""
-
-    def mobius(n: int) -> int:
-        mu, k = 1, 2
-        while k * k <= n:
-            if n % k == 0:
-                n //= k
-                if n % k == 0:
-                    return 0
-                mu = -mu
-            k += 1
-        if n > 1:
-            mu = -mu
-        return mu
-
-    total = sum(mobius(d) * m ** (c // d) for d in range(1, c + 1) if c % d == 0)
-    return total // c
-
-
 def lie_coordinates(series: list[int], m: int, c: int) -> tuple:
     """Integer coordinates of an element of the c-th term of the lower
     central series, given its series (1 below degree c): the degree-c

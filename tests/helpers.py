@@ -42,3 +42,34 @@ def apply_move(w, move, pres):
     word = list(w)
     apply_moves(word, [move], pres)
     return tuple(word)
+
+
+def witt_number(m: int, c: int) -> int:
+    """Rank of the degree-c component of the free Lie ring on m symbols."""
+
+    def mobius(n: int) -> int:
+        mu, k = 1, 2
+        while k * k <= n:
+            if n % k == 0:
+                n //= k
+                if n % k == 0:
+                    return 0
+                mu = -mu
+            k += 1
+        if n > 1:
+            mu = -mu
+        return mu
+
+    total = sum(mobius(d) * m ** (c // d) for d in range(1, c + 1) if c % d == 0)
+    return total // c
+
+
+def load_corpus(path, pres) -> list:
+    """The words of a corpus file written by ``corpus.save_corpus``."""
+    out = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                out.append(pres.parse_word(line))
+    return out

@@ -140,6 +140,11 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
                  "need m >= 1 and c >= 1", id="oracle-class-0"),
     pytest.param(("bench", "compression", "--class", "2", "--n-min", "5",
                   "--n-max", "3", "--csv", "OUT"), "empty n grid", id="bench-empty-grid"),
+    pytest.param(("corpus", "--class", "2", "--gens", "2", "--n", "20", "--count", "-1",
+                  "--seed", "7"), "need count >= 0", id="corpus-negative-count"),
+    pytest.param(("bench", "fill", "--class", "2", "--gens", "2", "--n", "12", "--count",
+                  "-2", "--seed", "3", "--csv", "OUT"), "need count >= 0",
+                 id="bench-fill-negative-count"),
 ])
 def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
     out_path = str(tmp_path / "out")

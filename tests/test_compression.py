@@ -9,7 +9,6 @@ from nilfill.compression import (
     CompressedPower,
     block_mover,
     compression_word,
-    extended_word,
     chain_context,
     increment_sequence,
     insert_trivial_word,
@@ -319,6 +318,14 @@ def test_register_increment_equals_isolated_increment(c, n, qs):
             pres, chain, n, a_part, a_part + 1).moves
 
 
+def extended_word(ctx, n, q):
+    """ztilde^A (ztilde^{n^c})^B for q = A + B n^c, no padding when A = 0:
+    the word a register holds at q, built from compression words."""
+    cap = n**ctx.c
+    head = compression_word(ctx.pres, ctx.chain, n, q % cap) if q % cap else ()
+    return head + compression_word(ctx.pres, ctx.chain, n, cap) * (q // cap)
+
+
 def _register_site(ctx, n, q, mirrored, prefix, suffix):
     """A word carrying the absorption subword at q between two pads, and
     the offset of the record's ``before`` in it."""
@@ -326,7 +333,7 @@ def _register_site(ctx, n, q, mirrored, prefix, suffix):
     reg_word = extended_word(ctx, n, q)
     if mirrored:
         # the mirror works on (ztilde^{A-part})^-1 z1^-1, at the right end
-        head = len(reg_word) - ctx.register_length(n, q % n**ctx.c)
+        head = len(reg_word) - len(extended_word(ctx, n, q % n**ctx.c))
         return (prefix + inverse_word(reg_word) + inverse_word(z1) + suffix,
                 len(prefix) + head)
     return prefix + z1 + reg_word + suffix, len(prefix)
@@ -405,6 +412,7 @@ def test_corrupt_mirror_caught_on_first_mirrored_absorption(monkeypatch, corrupt
 
 
 def test_extended_word_conventions():
+    # the conventions of the extended word the register tests compare against
     pres, chain = chain_setup(2)
     ctx = chain_context(pres, chain)
     assert extended_word(ctx, 2, 0) == ()
@@ -432,23 +440,28 @@ def test_extended_compression_oracle():
         assert oracle_equal(pres, word, z1 * q), q
 
 
-def test_compressed_power_register():
-    pres, chain = chain_setup(2)
-    z1 = nested_commutator(chain)
-    reg = CompressedPower(pres, chain, 2)
-    b = SequenceBuilder(pres, z1 * 6)
-    for s in range(6):
-        reg.emit_increment(b, (6 - s - 1) * len(z1))
-    assert reg.q == 6
-    assert b.word == list(extended_word(reg.ctx, 2, 6))
-    assert reg.length == len(b.word)
-    # mirrored register: (ztilde^q)^-1 built from the right
-    regm = CompressedPower(pres, chain, 2)
-    bm = SequenceBuilder(pres, inverse_word(z1 * 6))
-    for s in range(6):
-        regm.emit_increment_mirror(bm, len(bm.word) - (6 - s) * len(z1))
-    assert bm.word == list(inverse_word(extended_word(regm.ctx, 2, 6)))
-    assert regm.length == len(bm.word)
+@pytest.mark.parametrize("c,n", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_compressed_power_register(c, n, mirrored):
+    # the register reads its length and the mirror's splice offset off each
+    # record: past two block crossings, every absorption leaves the
+    # extended word (mirrored: its inverse), as long as the register says
+    pres, chain = _fresh_chain_presentation(c)
+    reg = CompressedPower(pres, chain, n)
+    z1 = reg.ctx.z_words[0]
+    for q in range(2 * n**c + 2):
+        word = extended_word(reg.ctx, n, q)
+        if mirrored:
+            # ... (ztilde^q)^-1 z1^-1, the z1^-1 word right of the register
+            b = SequenceBuilder(pres, inverse_word(word) + inverse_word(z1))
+            reg.emit_increment_mirror(b, reg.length)
+        else:
+            b = SequenceBuilder(pres, z1 + word)
+            reg.emit_increment(b, 0)
+        want = extended_word(reg.ctx, n, q + 1)
+        assert reg.q == q + 1
+        assert b.word == list(inverse_word(want) if mirrored else want)
+        assert reg.length == len(b.word)
 
 
 def test_transport_exact_shape_matches_split_shape():

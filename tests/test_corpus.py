@@ -1,6 +1,8 @@
 import pytest
+from helpers import load_corpus
 
-from nilfill.corpus import corpus_generate, load_corpus, save_corpus, structured_words
+from nilfill.corpus import corpus_generate, save_corpus, structured_words
+from nilfill.errors import OutOfRange
 from nilfill.presentations import build_filler_presentation
 
 
@@ -11,6 +13,8 @@ def p2():
 
 def test_count_zero(p2):
     assert corpus_generate(p2, 10, 0, 1) == []
+    with pytest.raises(OutOfRange, match="count >= 0"):
+        corpus_generate(p2, 20, -1, 1)
 
 
 def test_every_word_is_trivial_and_bounded(p2):

@@ -237,24 +237,25 @@ def test_builder_helpers(chain22):
 
 
 def test_kernel_offset_and_emit(chain22):
-    # a batch applied at an offset emits the shifted moves, which replay
-    # from the same start to the same word
+    # a batch the builder extends at an offset is recorded shifted, and the
+    # recorded moves replay from the same start to the same word
     r = chain22.relators[0]
     batch = [("fe", 0, 1), ("fr", 0), ("ar", 0, 0, 0, 0, 0)]
-    word = [2, 2]
-    emitted = []
-    area, fl = apply_moves(word, batch, chain22, offset=1, emit=emitted.append)
-    assert emitted == [("fe", 1, 1), ("fr", 1), ("ar", 1, 0, 0, 0, 0)]
-    assert word == [2] + list(inverse_word(r)) + [2]
-    assert (area, fl) == (1, max(4, 2 + len(r)))
-    metrics, final = replay(PSequence(chain22, (2, 2), emitted))
-    assert list(final) == word
-    assert (metrics.area, metrics.fl) == (area, fl)
-    # errors carry the index within the batch, and nothing is emitted for it
+    b = SequenceBuilder(chain22, (2, 2))
+    b.extend(batch, 1)
+    assert b.moves == [("fe", 1, 1), ("fr", 1), ("ar", 1, 0, 0, 0, 0)]
+    assert b.word == [2] + list(inverse_word(r)) + [2]
+    assert (b.area, b.fl) == (1, max(4, 2 + len(r)))
+    metrics, final = replay(PSequence(chain22, (2, 2), b.moves))
+    assert list(final) == b.word
+    assert (metrics.area, metrics.fl) == (b.area, b.fl)
+    # errors carry the index within the batch, and a refused batch is not
+    # recorded
+    b = SequenceBuilder(chain22, (2, 2))
     with pytest.raises(NotApplicable) as exc:
-        apply_moves([2, 2], [("fe", 0, 1), ("fr", 5)], chain22, emit=emitted.append)
+        b.extend([("fe", 0, 1), ("fr", 5)], 1)
     assert exc.value.move_index == 1
-    assert emitted[-1] == ("fe", 0, 1)
+    assert b.moves == []
 
 
 def test_builder_metrics_equal_replay():
