@@ -131,6 +131,8 @@ def bench_fill(c: int, m: int, n: int, count: int, seed: int,
     the (Area, FL) constants."""
     pres = build_filler_presentation(c, m)
     words = corpus_generate(pres, n, count, seed)
+    if not words:
+        raise OutOfRange("empty corpus")
     records = []
     results = []
     reports = []

@@ -13,12 +13,14 @@ The validator's one-line verdict is `ok area=.. fl=.. height=..` or
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import chain, islice
 
 from .engine import Metrics, PSequence, replay, validate_null
 from .errors import NilfillError, NotApplicable, NotNull, TraceSyntaxError
 from .presentations import Presentation, read_text
 from .words import format_letter, parse_word
+
+_PIECE = 1 << 18    # characters of trace text before a piece's cut
 
 
 def _move_line(move, names) -> str:
@@ -56,23 +58,48 @@ def save_trace(seq: PSequence, path, presentation_path: str) -> None:
         fh.write(serialize_trace(seq, presentation_path))
 
 
-def _parse_move(line: str, runs, name_to_index) -> tuple:
-    """The move of one trace body line; ValueError or NilfillError when the
-    line is not in the grammar."""
-    parts = line.split()
-    kind = parts[0] if parts else None
-    if kind == "fr" and len(parts) == 2:
-        return ("fr", int(parts[1]))
-    if kind == "fe" and len(parts) == 3:
-        token = parts[2]
-        letter_word = parse_word(token, name_to_index, runs)
-        if len(letter_word) != 1:
-            raise NilfillError(f"bad fe letter token {token!r}")
-        return ("fe", int(parts[1]), letter_word[0])
-    if kind == "ar" and len(parts) == 6:
-        return ("ar", int(parts[1]), int(parts[2]), int(parts[3]),
-                int(parts[4]), int(parts[5]))
-    raise NilfillError(f"bad trace line {line!r}")
+class _MoveMemo(dict):
+    """Trace body line -> its move, for one parse.  A line is parsed at its
+    first lookup, so each distinct line is parsed once and equal lines
+    share one move tuple.  A line that is not in the grammar raises
+    ValueError or NilfillError and is not stored."""
+
+    __slots__ = ("runs", "name_to_index")
+
+    def __init__(self, runs, name_to_index):
+        super().__init__()
+        self.runs = runs
+        self.name_to_index = name_to_index
+
+    def __missing__(self, line):
+        parts = line.split()
+        kind = parts[0] if parts else None
+        if kind == "fr" and len(parts) == 2:
+            move = ("fr", int(parts[1]))
+        elif kind == "fe" and len(parts) == 3:
+            token = parts[2]
+            letter_word = parse_word(token, self.name_to_index, self.runs)
+            if len(letter_word) != 1:
+                raise NilfillError(f"bad fe letter token {token!r}")
+            move = ("fe", int(parts[1]), letter_word[0])
+        elif kind == "ar" and len(parts) == 6:
+            move = ("ar", int(parts[1]), int(parts[2]), int(parts[3]),
+                    int(parts[4]), int(parts[5]))
+        else:
+            raise NilfillError(f"bad trace line {line!r}")
+        self[line] = move
+        return move
+
+
+def _pieces(text: str):
+    """``text.splitlines()`` one bounded piece at a time, as (lines, last)
+    pairs.  Each cut follows a "\\n", so the pieces' lists join to
+    ``text.splitlines()`` and every line boundary stays where it was."""
+    start, size = 0, len(text)
+    while start < size:
+        cut = text.find("\n", start + _PIECE) + 1 or size
+        yield text[start:cut].splitlines(), cut == size
+        start = cut
 
 
 def parse_trace(text: str, pres: Presentation):
@@ -80,8 +107,13 @@ def parse_trace(text: str, pres: Presentation):
 
     Each distinct line is parsed once per call, and equal lines share one
     move tuple.  Raises TraceSyntaxError with the 1-based line number of
-    the first line that is not in the grammar."""
-    lines = text.splitlines()
+    the first line that is not in the grammar.  The text is split in
+    pieces, so only one piece's lines are held at a time."""
+    pieces = _pieces(text)
+    lines, last = next(pieces, ([], True))
+    while len(lines) < 2 and not last:      # a long first line fills a piece
+        more, last = next(pieces)
+        lines += more
     for number, tag in ((1, "word:"), (2, "presentation:")):
         if len(lines) < number or not lines[number - 1].startswith(tag):
             raise TraceSyntaxError(number, f"expected a {tag!r} header line")
@@ -91,19 +123,27 @@ def parse_trace(text: str, pres: Presentation):
     except NilfillError as exc:
         raise TraceSyntaxError(1, str(exc)) from None
     pres_path = lines[1][len("presentation:"):].strip()
-    if len(lines) < 3 or lines[-1] != "qed":
-        raise TraceSyntaxError(len(lines) + 1, "missing final qed line")
-    end = len(lines) - 1
-    move_of = dict.fromkeys(islice(lines, 2, end))  # line -> move, by first use
-    name_to_index = pres.name_to_index
-    for line in move_of:
-        try:
-            move_of[line] = _parse_move(line, runs, name_to_index)
-        except (ValueError, NilfillError) as exc:
-            reason = (f"bad integer in trace line {line!r}"
-                      if isinstance(exc, ValueError) else str(exc))
-            raise TraceSyntaxError(lines.index(line, 2) + 1, reason) from None
-    moves = list(map(move_of.__getitem__, islice(lines, 2, end)))
+    move_of = _MoveMemo(runs, pres.name_to_index)
+    moves = []
+    bad = None          # (line number, reason) of the first bad body line
+    before, start = 0, 2    # file lines ahead of `lines`; its first body line
+    for lines, last in chain([(lines, last)], pieces):
+        end = len(lines)
+        if last:        # a header line is never "qed", so a "qed" here ends the body
+            if lines[-1] != "qed":
+                raise TraceSyntaxError(before + end + 1, "missing final qed line")
+            end -= 1
+        if bad is None:
+            try:
+                moves += map(move_of.__getitem__, islice(lines, start, end))
+            except (ValueError, NilfillError) as exc:
+                # every line ahead of the bad one is in the memo by now
+                index = next(i for i in range(start, end) if lines[i] not in move_of)
+                bad = before + index + 1, (f"bad integer in trace line {lines[index]!r}"
+                                           if isinstance(exc, ValueError) else str(exc))
+        before, start = before + len(lines), 0
+    if bad is not None:
+        raise TraceSyntaxError(*bad)
     return PSequence(pres, initial, moves), pres_path
 
 

@@ -145,6 +145,9 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
     pytest.param(("bench", "fill", "--class", "2", "--gens", "2", "--n", "12", "--count",
                   "-2", "--seed", "3", "--csv", "OUT"), "need count >= 0",
                  id="bench-fill-negative-count"),
+    pytest.param(("bench", "fill", "--class", "2", "--gens", "2", "--n", "12", "--count",
+                  "0", "--seed", "3", "--csv", "OUT"), "empty corpus",
+                 id="bench-fill-empty-corpus"),
 ])
 def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
     out_path = str(tmp_path / "out")

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from nilfill import traces
 from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, replay
@@ -112,3 +114,142 @@ def test_roundtrip_bit_exact_long_traces(kind):
     back, path = parse_trace(text, pres)
     assert back.moves == seq.moves
     assert serialize_trace(back, path) == text
+
+
+# -- line pieces -------------------------------------------------------------
+#
+# parse_trace splits its text in pieces of traces._PIECE characters, each
+# cut just after a "\n".  The tests below shrink the piece so that short
+# texts span many pieces, and compare with the whole text parsed as one
+# piece, which is text.splitlines() in one call.
+
+SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.fixture(scope="module")
+def c3_trace():
+    """The class-3 fill trace of the round-trip test and its presentation."""
+    pres = build_filler_presentation(3, 2)
+    w = max(corpus_generate(pres, 10, 40, seed=6), key=len)
+    return serialize_trace(fill(w, pres), "p.pres"), pres
+
+
+def _outcome(text, pres):
+    """What parse_trace makes of ``text``: the initial word, the moves, for
+    each move the first index holding the same tuple, and the path; or the
+    error line and reason."""
+    try:
+        seq, path = parse_trace(text, pres)
+    except TraceSyntaxError as exc:
+        return "error", exc.line, exc.reason
+    first = {}
+    shared = [first.setdefault(id(move), i) for i, move in enumerate(seq.moves)]
+    return seq.initial, seq.moves, shared, path
+
+
+def _parses_alike_in_pieces(monkeypatch, text, pres, piece):
+    """The outcome of ``text`` in pieces of ``piece`` characters, checked
+    against the whole text as one piece."""
+    monkeypatch.setattr(traces, "_PIECE", len(text) + 1)
+    whole = _outcome(text, pres)
+    monkeypatch.setattr(traces, "_PIECE", piece)
+    pieces = list(traces._pieces(text))
+    assert [line for lines, _ in pieces for line in lines] == text.splitlines()
+    assert [last for _, last in pieces] == [False] * (len(pieces) - 1) + [True] * bool(text)
+    assert _outcome(text, pres) == whole
+    return whole
+
+
+def _chain_trace(body, tail=("qed",), sep="\n"):
+    return sep.join(["word:", "presentation: p", *body, *tail]) + sep
+
+
+CHAIN_BODY = ["fe 0 x1", "fe 1 x1^-1", "fr 0"] * 200
+
+
+@pytest.mark.parametrize("piece", [1, 7, 300])
+def test_class3_trace_parses_alike_in_pieces(monkeypatch, c3_trace, piece):
+    text, pres = c3_trace
+    initial, moves, shared, path = _parses_alike_in_pieces(monkeypatch, text, pres, piece)
+    assert serialize_trace(PSequence(pres, initial, moves), path) == text
+    assert len(set(shared)) < len(moves) * 0.7   # equal lines share a tuple
+
+
+@pytest.mark.parametrize("at", [0, 1], ids=["search-from-cr", "search-from-lf"])
+def test_crlf_trace_cut_right_after_a_crlf(monkeypatch, c3_trace, at):
+    text, pres = c3_trace
+    crlf = text.replace("\n", "\r\n")
+    piece = crlf.index("\r\n", 300) + at    # the first cut's search starts inside a CRLF
+    assert crlf.find("\n", piece) == piece + 1 - at
+    assert (_parses_alike_in_pieces(monkeypatch, crlf, pres, piece)
+            == _outcome(text, pres))
+
+
+@pytest.mark.parametrize("sep", ["\r", *SEPARATORS],
+                         ids=lambda sep: f"U+{ord(sep):04X}")
+@pytest.mark.parametrize("newline_every", [0, 3], ids=["only", "with-newlines"])
+def test_every_splitlines_boundary_parses_alike_in_pieces(monkeypatch, c3_trace,
+                                                          sep, newline_every):
+    text, pres = c3_trace
+    lines = text.splitlines()
+    seps = [("\n" if newline_every and i % newline_every == 0 else sep)
+            for i in range(len(lines))]
+    other = "".join(line + s for line, s in zip(lines, seps))
+    assert (_parses_alike_in_pieces(monkeypatch, other, pres, 300)
+            == _outcome(text, pres))
+
+
+@pytest.mark.parametrize("piece", [1, 16, 300])
+@pytest.mark.parametrize("text,line,reason", [
+    pytest.param(_chain_trace(CHAIN_BODY[:400] + [""] + CHAIN_BODY[400:]),
+                 403, "bad trace line ''", id="blank-line"),
+    pytest.param(_chain_trace(CHAIN_BODY, tail=()),
+                 len(CHAIN_BODY) + 3, "missing final qed line", id="missing-qed"),
+    pytest.param(_chain_trace(CHAIN_BODY[:20] + ["fr x"] + CHAIN_BODY[20:], tail=()),
+                 len(CHAIN_BODY) + 4, "missing final qed line",
+                 id="missing-qed-after-bad-line"),
+    pytest.param(_chain_trace(CHAIN_BODY + ["qed"], tail=("fr 0",)),
+                 len(CHAIN_BODY) + 5, "missing final qed line", id="qed-before-the-last-line"),
+    pytest.param(_chain_trace(CHAIN_BODY[:300] + ["qed"] + CHAIN_BODY[300:]),
+                 303, "bad trace line 'qed'", id="qed-in-the-middle"),
+    pytest.param(_chain_trace(CHAIN_BODY[:500] + ["fr x", "fe 0 x3", "fr x"]
+                              + CHAIN_BODY[500:]),
+                 503, "bad integer in trace line 'fr x'", id="bad-line-in-a-later-piece"),
+    pytest.param(_chain_trace(CHAIN_BODY[:20] + ["fe 0 x3"] + CHAIN_BODY[20:500]
+                              + ["fe 0 x3"] + CHAIN_BODY[500:]),
+                 23, "unknown generator 'x3'", id="bad-line-again-in-a-later-piece"),
+    pytest.param(_chain_trace(CHAIN_BODY[:450] + ["fr x"] + CHAIN_BODY[450:], sep="\r"),
+                 453, "bad integer in trace line 'fr x'", id="no-newline"),
+    pytest.param("word: " + "x1 x1^-1 " * 100 + "\nfr 0\nqed\n",
+                 2, "expected a 'presentation:' header line", id="long-first-header"),
+    pytest.param("word: x1\n", 2, "expected a 'presentation:' header line",
+                 id="one-line"),
+    pytest.param("", 1, "expected a 'word:' header line", id="empty"),
+])
+def test_bad_traces_give_the_same_error_in_pieces(monkeypatch, piece, text, line, reason):
+    pres = build_chain_presentation(2, 1)
+    assert _parses_alike_in_pieces(monkeypatch, text, pres, piece) == ("error", line, reason)
+
+
+@pytest.mark.parametrize("piece", [1, 300])
+def test_header_longer_than_a_piece(monkeypatch, piece):
+    pres = build_chain_presentation(2, 1)
+    text = _chain_trace(CHAIN_BODY).replace("word:", "word: " + "x1 x1^-1 " * 100, 1)
+    initial, moves, _, path = _parses_alike_in_pieces(monkeypatch, text, pres, piece)
+    assert len(initial) == 200 and len(moves) == len(CHAIN_BODY) and path == "p"
+
+
+def test_parse_peak_memory_is_bounded_by_the_text():
+    """The lines of the whole text are never held at once: the parse's
+    transient memory stays within a small multiple of the text."""
+    pres = build_chain_presentation(3, 1)
+    text = serialize_trace(power_compression_sequence(pres, (1, 2, 3), 8), "p.pres")
+    assert len(text) > 8 * traces._PIECE
+    tracemalloc.start()
+    try:
+        result = parse_trace(text, pres)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result[0].moves) == len(text.splitlines()) - 3
+    assert peak - retained <= 3.5 * len(text)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilfill import traces
 from nilfill.cli import main
 from nilfill.corpus import corpus_generate
 from nilfill.filler import fill
@@ -86,3 +87,16 @@ def test_single_byte_mutation_gives_one_verdict(certificate, target, draw):
 @given(target=st.sampled_from(FILES), draw=st.data())
 def test_single_byte_mutation_of_class3_certificate(certificate_c3, target, draw):
     _mutate_and_validate(certificate_c3, target, draw)
+
+
+@settings(max_examples=100)
+@given(target=st.sampled_from(FILES), draw=st.data())
+def test_single_byte_mutation_of_class3_certificate_in_small_pieces(certificate_c3, target, draw):
+    # the class-3 trace is one piece at the real piece size; cut every few
+    # hundred characters, it must give the same one verdict
+    work = certificate_c3[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traces, "_PIECE", 300)
+        _mutate_and_validate(certificate_c3, target, draw)
+        in_pieces = _validate(work)
+    assert _validate(work) == in_pieces
