@@ -3,12 +3,15 @@
 To fill a trivial word w in a filler presentation of class c: project away
 the weight-c letters, fill the projection recursively in the materialized
 quotient presentation, then replay that sequence upstairs.  Free moves
-replay verbatim; every relator application is expanded to the lifted
-relator, whose released weight-c letters are swept outward - positive
-basis letters to compression registers on the right, their inverses to
-mirrored registers on the left, dependent letters rewritten through the
-basis on the spot.  When the projected word is gone the two register
-banks mirror each other exactly and cancel freely.
+replay verbatim, in one batch with the next relator application, which is
+expanded to the lifted relator.  Its released weight-c letters are swept
+outward - positive basis letters to compression registers on the right,
+their inverses to mirrored registers on the left, dependent letters
+rewritten through the basis on the spot.  One absorption emits the
+letter's expansion into its defining chain word, then the register's
+splice.  When the projected word is gone the two register banks mirror
+each other exactly and cancel freely.  A fill keeps only its own state;
+the tables it reuses live on the presentation and the chain contexts.
 
 The class-1 base case sorts letters generator by generator and cancels
 each block: an (n^2, n) filling.
@@ -16,7 +19,9 @@ each block: an (n^2, n) filling.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .compression import CompressedPower, block_mover
 from .engine import PSequence, SequenceBuilder, normalize_insertions, reduction_steps
@@ -101,6 +106,9 @@ def _iroot(value: int, k: int) -> int:
 
 
 class _FillRun:
+    """One fill's state: its builder, its two register banks and their
+    geometry.  The moves it emits are built where they land."""
+
     def __init__(self, pres: Presentation, w: Word):
         self.pres = pres
         self.w = tuple(w)
@@ -111,13 +119,8 @@ class _FillRun:
 
     def execute(self):
         pres, w, c = self.pres, self.w, self.c
-        wbar = pres.project_word(w)
-        inner_seq, inner_report = _fill_checked(wbar, self.quot)
+        inner_seq, inner_report = _fill_checked(pres.project_word(w), self.quot)
         inner_norm = normalize_insertions(inner_seq)
-        inner_area = sum(1 for mv in inner_norm.moves if mv[0] == "ar")
-
-        m_factor = pres.max_weight_c_per_relator
-        initial_top = sum(1 for a in w if pres.weight_of(a) == c)
 
         # Registers only ever increment, so the exact final exponent of each
         # register is the number of basis letters of that sign released by
@@ -126,22 +129,21 @@ class _FillRun:
         # register sits next to the working region.
         counts = self._count_releases(w, inner_norm)
         for z in self.basis:
-            if counts[1][z] != counts[-1][z]:
+            if counts[z] != counts[-z]:
                 raise AssertionError(
                     f"unbalanced releases for basis letter {z}: "
-                    f"{counts[1][z]} vs {counts[-1][z]}"
+                    f"{counts[z]} vs {counts[-z]}"
                 )
-        self.basis.sort(key=lambda z: (-counts[1][z] - counts[-1][z], z))
+        self.basis.sort(key=lambda z: (-counts[z] - counts[-z], z))
         self.slot_of = {z: j for j, z in enumerate(self.basis)}
-        peak = max((counts[s][z] for s in (1, -1) for z in self.basis), default=0)
-        n_base = max(2, _iroot(max(peak, 1), c))
+        n_base = max(2, _iroot(max(max(counts.values(), default=0), 1), c))
 
         self.report = FillReport(
             nclass=c,
             length=len(w),
-            inner_area=inner_area,
-            initial_top=initial_top,
-            relator_bound_factor=m_factor,
+            inner_area=inner_seq.metrics.area,  # normalization keeps the area
+            initial_top=sum(1 for a in w if pres.weight_of(a) == c),
+            relator_bound_factor=pres.max_weight_c_per_relator,
             register_base=n_base,
             inner=inner_report,
         )
@@ -158,36 +160,29 @@ class _FillRun:
         self.region_len = len(w)
         self.left_at = [0] * len(self.basis)
         self.right_at = [0] * len(self.basis)
-        self._rewrite_params: dict = {}
-        self._expansions: dict = {}
-        self._counts = counts
 
         self.collect(0, len(w))
 
         lift_table = self.quot.lift_table
-        free = []       # free moves since the last relator application
+        moves = []      # free moves since the last relator application
         for mv in inner_norm.moves:
             if mv[0] != "ar":
-                free.append(mv)
+                moves.append(mv)
                 continue
-            lo = self.lo
-            if free:
-                self._lift_free(free, lo)
-                free = []
             _, pos, rid, shift, inv, split = mv
             assert split == 0, "inner sequence must be normalized"
             src_rid, surviving = lift_table[rid]
-            src = pres.relators[src_rid]
+            span = len(pres.relators[src_rid])
             if inv:
-                mirror = sorted(len(src) - 1 - s for s in surviving)
-                shift_src = mirror[shift]
+                shift = sorted(span - 1 - s for s in surviving)[shift]
             else:
-                shift_src = surviving[shift]
-            b.extend([("ar", lo + pos, src_rid, shift_src, inv, 0)])
-            span = len(src)
-            self.region_len += span
+                shift = surviving[shift]
+            moves.append(("ar", pos, src_rid, shift, inv, 0))
+            lo = self.lo
+            self._lift(moves)
+            moves = []
             self.collect(lo + pos, lo + pos + span)
-        self._lift_free(free, self.lo)
+        self._lift(moves)
         if self.region_len:
             raise AssertionError("projected word did not empty")
         for j, (lreg, rreg) in enumerate(zip(self.left, self.right)):
@@ -195,7 +190,7 @@ class _FillRun:
                 raise AssertionError(
                     f"register asymmetry at basis slot {j}: {lreg.q} != {rreg.q}"
                 )
-            if rreg.q != self._counts[1][self.basis[j]]:
+            if rreg.q != counts[self.basis[j]]:
                 raise AssertionError("register count disagrees with precount")
         _reduce_all(b)
         if b.word:
@@ -207,52 +202,43 @@ class _FillRun:
             )
         return b.finish(), self.report
 
-    def _lift_free(self, moves, lo: int) -> None:
-        """Replay free moves of the projected word verbatim at the region
-        start ``lo``."""
+    def _lift(self, moves) -> None:
+        """Replay moves of the projected word, free moves verbatim and the
+        last one a lifted relator, as one batch at the region start."""
         b = self.b
         before = len(b.word)
-        b.extend(moves, lo)
+        b.extend(moves, self.lo)
         self.region_len += len(b.word) - before
 
-    def _count_releases(self, w, inner_norm):
-        """Exact number of absorptions per basis letter and side."""
-        pres = self.pres
+    def _count_releases(self, w, inner_norm) -> Counter:
+        """Released basis letters of w and of every lifted relator, keyed by
+        signed letter: ``counts[z]`` absorptions by the right register of z,
+        ``counts[-z]`` by the left one."""
+        pres, c, rewrite = self.pres, self.c, self.rewrite
         weight_of = pres.weight_of
-        c = self.c
-        counts = {1: {z: 0 for z in self.basis}, -1: {z: 0 for z in self.basis}}
-
-        def tally(word):
+        lift_table = self.quot.lift_table
+        # a whole-word application inserts the inverse of the rotated
+        # relator, so inv=0 releases the inverse letters
+        lifted = ((pres.relators[lift_table[mv[2]][0]], mv[4])
+                  for mv in inner_norm.moves if mv[0] == "ar")
+        counts = Counter()
+        for word in chain((w,), (r if inv else inverse_word(r) for r, inv in lifted)):
             for a in word:
                 i = abs(a)
                 if weight_of(i) != c:
                     continue
-                v = self.rewrite.get(i)
+                v = rewrite.get(i)
                 if v is None:
-                    counts[1 if a > 0 else -1][i] += 1
+                    counts[a] += 1
                 else:
-                    vv = v if a > 0 else inverse_word(v)
-                    for bl in vv:
-                        counts[1 if bl > 0 else -1][abs(bl)] += 1
-
-        tally(w)
-        lift_table = self.quot.lift_table
-        for mv in inner_norm.moves:
-            if mv[0] == "ar":
-                # a whole-word application inserts the inverse of the rotated
-                # relator, so inv=0 releases the inverse letters
-                src_rid, _ = lift_table[mv[2]]
-                src = pres.relators[src_rid]
-                tally(src if mv[4] else inverse_word(src))
+                    counts.update(v if a > 0 else inverse_word(v))
         return counts
 
-    # -- geometry -------------------------------------------------------------
+    # -- collection ------------------------------------------------------------
 
     @property
     def hi(self) -> int:
         return self.lo + self.region_len
-
-    # -- collection ------------------------------------------------------------
 
     def collect(self, scan_lo: int, scan_hi: int) -> None:
         """Sweep weight-c letters out of [scan_lo, scan_hi): rewrite dependent
@@ -298,71 +284,47 @@ class _FillRun:
     def _apply_rewrite(self, p: int, a: int) -> int:
         """Replace a dependent weight-c letter by its basis word; returns the
         length change."""
-        params = self._rewrite_params.get(a)
-        if params is None:
-            i = abs(a)
-            v = self.rewrite[i]
-            relator = (i,) + inverse_word(v)
-            rid = self.pres.relator_index[relator]
-            if a > 0:
-                move = ("ar", 0, rid, 0, 0, 1)
-            else:
-                move = ("ar", 0, rid, len(v), 1, 1)
-            params = self._rewrite_params[a] = ((move,), len(v) - 1)
-        moves, delta = params
-        self.b.extend(moves, p)
-        return delta
+        i = abs(a)
+        v = self.rewrite[i]
+        rid = self.pres.relator_index[(i,) + inverse_word(v)]
+        self.b.extend([("ar", p, rid, 0, 0, 1) if a > 0
+                       else ("ar", p, rid, len(v), 1, 1)])
+        return len(v) - 1
 
     def _send_right(self, p: int) -> None:
-        b = self.b
-        z = b.word[p]
+        z = self.b.word[p]
         j = self.slot_of[z]
         target = self.hi - 1 + self.right_at[j]
-        block_mover(self.pres, (z,)).move_right(b, p, target, +1)
+        block_mover(self.pres, (z,)).move_right(self.b, p, target, +1)
         self.region_len -= 1
-        self._absorb_right(j, target)
+        reg = self.right[j]
+        self._absorb(reg, reg.emit_increment, self.right_at, j, target)
 
     def _send_left(self, p: int) -> None:
-        b = self.b
-        z = -b.word[p]
+        z = -self.b.word[p]
         j = self.slot_of[z]
         target = self.lo - self.left_at[j]
-        block_mover(self.pres, (z,)).move_left(b, p, target, -1)
+        block_mover(self.pres, (z,)).move_left(self.b, p, target, -1)
         self.region_len -= 1
-        self._absorb_left(j, target)
-
-    def _absorb_right(self, j: int, p: int) -> None:
-        reg = self.right[j]
-        grown = -reg.length
-        self._expand_letter(p)
-        reg.emit_increment(self.b, p)
-        grown += reg.length
-        at = self.right_at
-        for i in range(j + 1, len(at)):
-            at[i] += grown
-        self.report.max_register = max(self.report.max_register, reg.q)
-
-    def _absorb_left(self, j: int, p: int) -> None:
         reg = self.left[j]
+        self.lo += self._absorb(reg, reg.emit_increment_mirror, self.left_at, j, target)
+
+    def _absorb(self, reg: CompressedPower, emit, at: list, j: int, p: int) -> int:
+        """Absorb the weight-c letter at p into register j of a bank: expand
+        it into its defining chain word, one definition relator per
+        unfolding, then splice it into the register with ``emit``.  Shifts
+        the bank's later offsets ``at`` by the register's growth and returns
+        it."""
         grown = -reg.length
-        self._expand_letter(p)
-        reg.emit_increment_mirror(self.b, p)
+        moves = []
+        _expansion_moves(self.pres, self.b.word[p], p, moves)
+        self.b.extend(moves)
+        emit(self.b, p)
         grown += reg.length
-        at = self.left_at
         for i in range(j + 1, len(at)):
             at[i] += grown
-        self.lo += grown
         self.report.max_register = max(self.report.max_register, reg.q)
-
-    def _expand_letter(self, p: int) -> None:
-        """Expand the compound letter at p into its defining chain word,
-        one definition relator per unfolding."""
-        a = self.b.word[p]
-        moves = self._expansions.get(a)
-        if moves is None:
-            moves = self._expansions[a] = []
-            _expansion_moves(self.pres, a, 0, moves)
-        self.b.extend(moves, p)
+        return grown
 
 
 def _expansion_moves(pres: Presentation, a: int, p: int, out: list) -> None:

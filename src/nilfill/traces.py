@@ -50,7 +50,8 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
             line = text_of[move] = _move_line(move, names)
         append(line)
     append("qed")
-    return "\n".join(lines) + "\n"
+    append("")          # the final newline, without a copy of the text
+    return "\n".join(lines)
 
 
 def save_trace(seq: PSequence, path, presentation_path: str) -> None:

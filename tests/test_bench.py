@@ -1,16 +1,22 @@
 import math
 import random
+import tempfile
 
 import pytest
 
 from nilfill.bench import (
     CSV_HEADER,
+    _revalidate_from_file,
     bench_compression,
     bench_fill,
     fit_exponent,
     write_csv,
 )
-from nilfill.errors import InsufficientData
+from nilfill.corpus import corpus_generate
+from nilfill.engine import PSequence
+from nilfill.errors import InsufficientData, NilfillError
+from nilfill.filler import fill
+from nilfill.presentations import build_filler_presentation
 
 
 def test_fit_exact_cubic():
@@ -75,3 +81,17 @@ def test_bench_keeps_traces(tmp_path):
     kept = sorted(p.name for p in trace_dir.iterdir())
     assert len(kept) == 3  # two traces plus the shared presentation file
     assert "presentation.pres" in kept
+
+
+def test_revalidation_refuses_a_different_endpoint(tmp_path, monkeypatch):
+    # a fill with its last move dropped replays to a nonempty word; the
+    # refusal still removes the temporary trace file
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    pres = build_filler_presentation(2, 2)
+    w = max(corpus_generate(pres, 14, 6, 5), key=len)
+    seq = fill(w, pres)
+    assert _revalidate_from_file(seq, pres, ()).final_length == 0
+    cut = PSequence(pres, seq.initial, seq.moves[:-1])
+    with pytest.raises(NilfillError, match="replayed to a different endpoint"):
+        _revalidate_from_file(cut, pres, ())
+    assert list(tmp_path.iterdir()) == []
