@@ -92,7 +92,10 @@ class ChainContext:
     mirror's splice offset off the record, so the context keeps no word
     lengths.  Moves are tuples at offset 0, and each distinct move is
     stored once, in ``_move_pool``: across its entries a context holds
-    some 25 moves for every distinct one.  The memo lives as long as the
+    some 25 moves for every distinct one.  A splice records the record
+    and its offset, not shifted copies of its moves, so a finished
+    sequence shares the pooled moves too, and the trace writer keeps each
+    record's line template on the record.  The memo lives as long as the
     presentation and holds at most n^c entries for each base n; together
     they are about one power-compression certificate.  It pays off over
     many fills on one presentation in one process, as in ``bench fill`` or

@@ -17,12 +17,16 @@ position makes the trace invalid, it is never repaired.
 replay and every builder emission go through it, and ``SequenceBuilder``
 records the batches it accepts.  ``SequenceBuilder.splice`` applies a
 batch the kernel has already checked (a ``CheckedMoves``) by its recorded
-effect wherever the subword it was checked on sits.
+effect wherever the subword it was checked on sits, and records it as a
+segment: the record and its offset, with no copy of its moves.  A
+``PSequence`` keeps those segments; its ``moves`` list is built only
+when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import NotApplicable, NotNull
 from .presentations import Presentation
@@ -37,19 +41,45 @@ class Metrics:
     final_length: int
 
 
-@dataclass
 class PSequence:
-    """A move sequence from ``initial``.  ``metrics`` is what the builder
-    measured while it checked every move; None for a sequence that was not
-    built (parsed or rewritten), whose metrics ``replay`` gives."""
+    """A move sequence from ``initial``, kept as segments.  A segment is a
+    triple (record, moves, offset): the moves of a spliced ``CheckedMoves``
+    record, which sit at ``offset`` in the word (``moves`` is the record's
+    own tuple), or a flat batch with record None and offset 0.
+    ``PSequence(pres, initial, moves)`` is one flat segment.  ``metrics``
+    is what the builder measured while it checked every move; None for a
+    sequence that was not built (parsed or rewritten), whose metrics
+    ``replay`` gives."""
 
-    presentation: Presentation
-    initial: Word
-    moves: list
-    metrics: "Metrics | None" = field(default=None, compare=False, repr=False)
+    __slots__ = ("presentation", "initial", "segments", "metrics")
+
+    def __init__(self, presentation: Presentation, initial: Word, moves=(),
+                 metrics: "Metrics | None" = None, segments=None):
+        self.presentation = presentation
+        self.initial = initial
+        self.segments = [(None, moves, 0)] if segments is None else segments
+        self.metrics = metrics
 
     def __len__(self):
-        return len(self.moves)
+        return _height(self.segments)
+
+    @property
+    def moves(self) -> list:
+        """Every move at its place in the whole sequence.  Built anew on
+        each read, except for a single flat segment, which is returned as
+        it is."""
+        return _flatten(self.segments)
+
+
+def _height(segments) -> int:
+    return sum(len(moves) for _, moves, _ in segments)
+
+
+def _flatten(segments):
+    if len(segments) == 1 and segments[0][0] is None:
+        return segments[0][1]
+    return list(chain.from_iterable(_shifted(moves, offset)
+                                    for _, moves, offset in segments))
 
 
 def _template(pres, key, index: int):
@@ -144,13 +174,16 @@ class CheckedMoves:
     ``area`` relator applications, and its peak word length is
     ``len(before) + grow``.  ``before`` and ``after`` are lists, which
     ``splice`` compares with a word slice and writes into one; they are
-    never mutated."""
+    never mutated.  ``trace_lines`` belongs to the trace writer: it maps
+    a presentation's letter names to the record's trace lines as one
+    format string, built the first time the record is written with them."""
 
     moves: tuple
     before: list
     after: list
     area: int
     grow: int
+    trace_lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def check_moves(pres: Presentation, before, moves) -> CheckedMoves:
@@ -172,11 +205,24 @@ def _shifted(moves, offset: int):
 
 
 def replay(seq: PSequence):
-    """Apply all moves; return (Metrics, final word).  Deterministic."""
+    """Apply all moves; return (Metrics, final word).  Deterministic.
+
+    A refused move raises NotApplicable carrying its index in the whole
+    sequence."""
     word = list(seq.initial)
-    area, fl = apply_moves(word, seq.moves, seq.presentation)
+    pres = seq.presentation
+    area, fl, done = 0, len(word), 0
+    for _, moves, offset in seq.segments:
+        try:
+            batch_area, batch_fl = apply_moves(word, moves, pres, offset)
+        except NotApplicable as exc:
+            raise NotApplicable(exc.reason, done + exc.move_index) from None
+        area += batch_area
+        if batch_fl > fl:
+            fl = batch_fl
+        done += len(moves)
     final = tuple(word)
-    return Metrics(area, fl, len(seq.moves), len(final)), final
+    return Metrics(area, fl, done, len(final)), final
 
 
 def validate_null(seq: PSequence) -> Metrics:
@@ -272,22 +318,25 @@ def block_reduction_moves(pos: int, length: int) -> list:
 
 
 class SequenceBuilder:
-    """Mutable word + emitted move list.  Every move goes through the
+    """Mutable word + emitted move segments.  Every move goes through the
     kernel as it is emitted (``extend``), or is part of a batch the kernel
     checked on the very subword it lands on (``splice``), so a finished
     builder yields a valid sequence; the builder keeps the area and FL the
-    kernel returns, so its ``metrics`` equal those of a replay.  Both
-    record a batch once it is accepted, shifted by ``_shifted``.  The
-    builder has no move semantics of its own; compound emissions are move
-    lists built by the functions above."""
+    kernel returns, so its ``metrics`` equal those of a replay.  ``extend``
+    records a batch it accepts, shifted by ``_shifted``, in the open flat
+    segment; ``splice`` records the record and its offset as a segment of
+    their own and opens a fresh flat one.  The builder has no move
+    semantics of its own; compound emissions are move lists built by the
+    functions above."""
 
-    __slots__ = ("pres", "initial", "word", "moves", "area", "fl")
+    __slots__ = ("pres", "initial", "word", "segments", "flat", "area", "fl")
 
     def __init__(self, pres: Presentation, initial: Word):
         self.pres = pres
         self.initial = tuple(initial)
         self.word = list(initial)
-        self.moves: list = []
+        self.flat: list = []
+        self.segments: list = [(None, self.flat, 0)]
         self.area = 0
         self.fl = len(self.initial)
 
@@ -299,16 +348,20 @@ class SequenceBuilder:
         self.area += area
         if fl > self.fl:
             self.fl = fl
-        self.moves += _shifted(moves, offset)
+        self.flat += _shifted(moves, offset)
 
     def splice(self, record: CheckedMoves, offset: int = 0) -> None:
-        """Apply and record ``record.moves`` at ``offset`` by their effect.
+        """Apply ``record.moves`` at ``offset`` by their effect, and record
+        the segment (record, offset).
 
         A batch the kernel checked on ``before`` alone reads only letters of
         ``before``, so wherever ``before`` sits every move passes the same
         checks and the batch leaves ``after``: the word takes ``after`` in
         one splice.  Anywhere else the moves go through ``extend``, which
-        refuses them as it would refuse any batch."""
+        refuses them as it would refuse any batch.  A record with no moves
+        leaves any word as it is, and records nothing."""
+        if not record.moves:
+            return
         word, before = self.word, record.before
         end = offset + len(before)
         if offset < 0 or word[offset:end] != before:
@@ -319,11 +372,18 @@ class SequenceBuilder:
         self.area += record.area
         if fl > self.fl:
             self.fl = fl
-        self.moves += _shifted(record.moves, offset)
+        self.flat = []
+        self.segments += ((record, record.moves, offset), (None, self.flat, 0))
+
+    @property
+    def moves(self) -> list:
+        """Every recorded move at its place, as ``PSequence.moves``."""
+        return _flatten(self.segments)
 
     @property
     def metrics(self) -> Metrics:
-        return Metrics(self.area, self.fl, len(self.moves), len(self.word))
+        return Metrics(self.area, self.fl, _height(self.segments), len(self.word))
 
     def finish(self) -> PSequence:
-        return PSequence(self.pres, self.initial, self.moves, self.metrics)
+        return PSequence(self.pres, self.initial, metrics=self.metrics,
+                         segments=self.segments)

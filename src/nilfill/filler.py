@@ -328,22 +328,27 @@ class _FillRun:
 
 
 def _expansion_moves(pres: Presentation, a: int, p: int, out: list) -> None:
-    """Append the moves expanding the letter a sitting at p."""
-    pair = pres.parents[abs(a) - 1]
+    """Append the moves expanding the letter a sitting at p; a letter with
+    no parents needs none."""
+    parents = pres.parents
+    pair = parents[abs(a) - 1]
     if pair is None:
         return
     x, y = pair
     rid = pres.relator_index[(-abs(a), -x, -y, x, y)]
+    compound = parents[abs(y) - 1] is not None
     if a > 0:
         out.append(("ar", p, rid, 4, 1, 1))
         # word at p: x^-1 y^-1 x y; expand the two y occurrences
-        _expansion_moves(pres, y, p + 3, out)
-        _expansion_moves(pres, -y, p + 1, out)
+        if compound:
+            _expansion_moves(pres, y, p + 3, out)
+            _expansion_moves(pres, -y, p + 1, out)
     else:
         out.append(("ar", p, rid, 0, 0, 1))
         # word at p: y^-1 x^-1 y x
-        _expansion_moves(pres, y, p + 2, out)
-        _expansion_moves(pres, -y, p, out)
+        if compound:
+            _expansion_moves(pres, y, p + 2, out)
+            _expansion_moves(pres, -y, p, out)
 
 
 # --- certification -----------------------------------------------------------

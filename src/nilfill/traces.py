@@ -32,9 +32,25 @@ def _move_line(move, names) -> str:
     return f"ar {move[1]} {move[2]} {move[3]} {move[4]} {move[5]}"
 
 
+def _record_lines(record, names) -> str:
+    """The trace lines of a record's moves as one format string with a
+    ``{}`` for each position, kept by the record for these names."""
+    template = record.trace_lines.get(names)
+    if template is None:
+        # each line written at position 0, which is its fourth character
+        lines = (_move_line((mv[0], 0) + mv[2:], names).replace("{", "{{").replace("}", "}}")
+                 for mv in record.moves)
+        template = record.trace_lines[names] = "\n".join(
+            line[:3] + "{}" + line[4:] for line in lines)
+    return template
+
+
 def serialize_trace(seq: PSequence, presentation_path: str) -> str:
-    """The trace text of a sequence.  Each distinct move is formatted once
-    per call: a certificate repeats few moves many times."""
+    """The trace text of a sequence.  Each distinct move of a flat segment
+    is formatted once per call: a certificate repeats few moves many
+    times.  A spliced record's lines are written in one ``str.format`` of
+    its line template, with the positions shifted by the segment's
+    offset."""
     pres = seq.presentation
     names = pres.names
     lines = [
@@ -44,11 +60,15 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
     append = lines.append
     text_of = {}        # move -> its line, for this call
     get = text_of.get
-    for move in seq.moves:
-        line = get(move)
-        if line is None:
-            line = text_of[move] = _move_line(move, names)
-        append(line)
+    for record, moves, offset in seq.segments:
+        if record is None:
+            for move in moves:
+                line = get(move)
+                if line is None:
+                    line = text_of[move] = _move_line(move, names)
+                append(line)
+        elif moves:
+            append(_record_lines(record, names).format(*[mv[1] + offset for mv in moves]))
     append("qed")
     append("")          # the final newline, without a copy of the text
     return "\n".join(lines)
@@ -167,7 +187,7 @@ def verdict_line(seq: PSequence, require_null: bool = True) -> tuple:
     except NotApplicable as exc:
         return 1, f"error line={exc.move_index + 3} {exc.reason}"
     except NotNull as exc:
-        return 1, f"error line={len(seq.moves) + 3} final word nonempty ({exc.final_length} letters)"
+        return 1, f"error line={len(seq) + 3} final word nonempty ({exc.final_length} letters)"
     return 0, format_ok(metrics)
 
 

@@ -3,12 +3,14 @@ import random
 import pytest
 from helpers import apply_move, random_valid_sequence
 
-from nilfill import oracle
+from nilfill import engine, oracle
 from nilfill.engine import (
+    CheckedMoves,
     PSequence,
     SequenceBuilder,
     apply_moves,
     block_reduction_moves,
+    check_moves,
     inverse_pair_moves,
     invert_sequence,
     normalize_insertions,
@@ -271,3 +273,77 @@ def test_builder_metrics_equal_replay():
     for seq in (fill(w, fpres), power_compression_sequence(cpres, (1, 2, 3), 3)):
         assert seq.moves
         assert seq.metrics == replay(seq)[0]
+
+
+# -- segments -------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def spliced_fills():
+    """Class-3 fills whose registers splice several memoized increments."""
+    from nilfill.corpus import corpus_generate
+    from nilfill.filler import fill
+
+    fpres = build_filler_presentation(3, 2)
+    seqs = [fill(w, fpres) for w in corpus_generate(fpres, 12, 4, seed=5)]
+    return [seq for seq in seqs if sum(r is not None for r, _, _ in seq.segments) >= 2]
+
+
+def test_segmented_sequence_replays_as_its_flattened_copy(spliced_fills):
+    assert spliced_fills
+    for seq in spliced_fills:
+        flat = PSequence(seq.presentation, seq.initial, seq.moves)
+        assert len(flat.segments) == 1
+        assert replay(seq) == replay(flat)
+        assert replay(seq)[0] == seq.metrics
+
+
+def test_segmented_length_needs_no_flattening(spliced_fills, monkeypatch):
+    def refuse(segments):
+        raise AssertionError("flattened")
+
+    monkeypatch.setattr(engine, "_flatten", refuse)
+    for seq in spliced_fills:
+        assert len(seq) == seq.metrics.height
+        assert replay(seq)[0] == seq.metrics
+
+
+def test_spliced_segment_holds_the_records_own_moves(spliced_fills):
+    for seq in spliced_fills:
+        spliced = [(r, moves) for r, moves, _ in seq.segments if r is not None]
+        assert len(spliced) >= 2
+        for record, moves in spliced:
+            assert isinstance(record, CheckedMoves)
+            assert moves is record.moves
+
+
+def test_flattened_moves_sit_at_their_offsets(chain22):
+    record = check_moves(chain22, [1, -1], [("fr", 0), ("fe", 0, 2)])
+    b = SequenceBuilder(chain22, (2, 1, -1))
+    b.extend([("fe", 0, 1)])
+    b.splice(record, 3)
+    b.extend([("fr", 0)])
+    assert b.word == [2, 2, -2]
+    assert b.moves == [("fe", 0, 1), ("fr", 3), ("fe", 3, 2), ("fr", 0)]
+    seq = b.finish()
+    assert [r for r, _, _ in seq.segments] == [None, record, None]
+    assert len(seq) == 4 and seq.moves == b.moves
+
+
+def test_replay_reports_index_in_the_whole_sequence(chain22):
+    # a bad move in a later segment, flat or spliced, is reported by its
+    # index in the whole sequence
+    record = check_moves(chain22, [1, -1], [("fe", 2, 2), ("fr", 0)])
+    head = (None, [("fe", 0, 1), ("fe", 0, 2)], 0)      # word 2 -2 1 -1
+    spliced = (record, record.moves, 2)                  # word 2 -2 2 -2
+    for segments, index in (([head, spliced, (None, [("fr", 0), ("fr", 3)], 0)], 5),
+                            ([head, (record, record.moves, 1)], 3),
+                            ([head, spliced, (record, record.moves, 3)], 4)):
+        seq = PSequence(chain22, (), segments=segments)
+        with pytest.raises(NotApplicable) as exc:
+            replay(seq)
+        assert exc.value.move_index == index
+        with pytest.raises(NotApplicable) as flat:
+            replay(PSequence(chain22, (), seq.moves))
+        assert (flat.value.move_index, flat.value.reason) == (index, exc.value.reason)
+

@@ -6,7 +6,7 @@ import pytest
 from nilfill import traces
 from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
-from nilfill.engine import PSequence, replay
+from nilfill.engine import PSequence, check_moves, replay
 from nilfill.errors import TraceSyntaxError
 from nilfill.filler import fill
 from nilfill.presentations import build_chain_presentation, build_filler_presentation
@@ -114,6 +114,55 @@ def test_roundtrip_bit_exact_long_traces(kind):
     back, path = parse_trace(text, pres)
     assert back.moves == seq.moves
     assert serialize_trace(back, path) == text
+
+
+# -- segments ----------------------------------------------------------------
+
+
+def test_segmented_trace_writes_as_its_flattened_copy():
+    # fills splice memoized register increments; each spliced record is
+    # written from its line template, at the segment's offset
+    pres = build_filler_presentation(3, 2)
+    seqs = [fill(w, pres) for w in corpus_generate(pres, 12, 4, seed=5)]
+    seqs = [seq for seq in seqs if sum(r is not None for r, _, _ in seq.segments) >= 2]
+    assert seqs
+    for seq in seqs:
+        flat = PSequence(pres, seq.initial, seq.moves)
+        text = serialize_trace(seq, "p.pres")
+        assert text == serialize_trace(flat, "p.pres")
+        assert replay(seq)[0] == replay(flat)[0] == seq.metrics
+        back, _ = parse_trace(text, pres)
+        assert replay(back)[0] == seq.metrics
+    records = {id(r): r for seq in seqs for r, _, _ in seq.segments if r is not None}
+    assert all(pres.names in r.trace_lines for r in records.values() if r.moves)
+
+
+def test_record_with_no_moves_writes_no_line():
+    pres = build_chain_presentation(2, 1)
+    empty = check_moves(pres, [1], [])
+    pair = check_moves(pres, [], [("fe", 0, 2), ("fr", 0)])
+    head = (None, [("fe", 0, 1)], 0)
+    seq = PSequence(pres, (), segments=[head, (empty, (), 1), (pair, pair.moves, 1),
+                                        (empty, (), 0), (None, [("fr", 0)], 0)])
+    flat = PSequence(pres, (), seq.moves)
+    assert flat.moves == [("fe", 0, 1), ("fe", 1, 2), ("fr", 1), ("fr", 0)]
+    text = serialize_trace(seq, "p")
+    assert text == serialize_trace(flat, "p") == _trace_lines(
+        "fe 0 x1", "fe 1 x2", "fr 1", "fr 0")
+    assert verdict_line(seq) == verdict_line(flat) == (0, "ok area=0 fl=4 height=4")
+
+
+def test_verdict_names_the_line_of_a_bad_move_in_a_later_segment():
+    pres = build_chain_presentation(2, 1)
+    pair = check_moves(pres, [], [("fe", 0, 2), ("fr", 0)])
+    head = (None, [("fe", 0, 1)], 0)
+    late = PSequence(pres, (), segments=[head, (pair, pair.moves, 1),
+                                         (None, [("fr", 1)], 0)])
+    assert verdict_line(late) == (1, "error line=6 free reduction at 1 out of range")
+    spliced = PSequence(pres, (), segments=[head, (pair, pair.moves, 3)])
+    assert verdict_line(spliced) == (1, "error line=4 free expansion at 3 out of range")
+    short = PSequence(pres, (), segments=[head, (pair, pair.moves, 1)])
+    assert verdict_line(short) == (1, "error line=6 final word nonempty (2 letters)")
 
 
 # -- line pieces -------------------------------------------------------------
