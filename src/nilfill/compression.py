@@ -18,11 +18,14 @@ Every relator application emitted here is a transport: a central block
 The relator pool a transport works on decides its shape.  On the chain
 presentation (level 0) the split form replaces the block-letter pair in
 one move.  On the scratch pool of the inner levels the exact form inserts
-a whole unrotated relator (or inverse) and reduces; sequences built this
-way can be lifted one chain level down, where each insertion is
-re-created by free expansions and the leftover inverse block, whose chain
-the pool recorded with the relator, is transported to its mirror
-position.  Any ordering of the chain letters compresses.
+the inverse of a whole unrotated relator and reduces; sequences built
+this way can be lifted one chain level down.  There the two halves of a
+commutator run the inner sequence and its mirror side by side, each move
+mirrored by ``engine.mirror_move``, the rule of ``invert_sequence``.  An
+inner insertion of r^-1 is re-created by expanding r r^-1 and
+transporting the r block, whose chain the pool recorded with the
+relator, to where the mirrored application inserts r.  Any ordering of
+the chain letters compresses.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .engine import (
     block_reduction_moves,
     check_moves,
     invert_sequence,
-    inverse_pair_moves,
+    mirror_move,
     pair_inverse_moves,
     reduction_steps,
 )
@@ -155,7 +158,8 @@ class BlockMover:
     The pool decides the move shape: ``exact`` on a scratch pool, which
     adds the relator [t, chain] for each letter t the block passes, and
     split on a presentation, which must already contain it.  Only left
-    moves come in the exact shape, as no inner level moves a block right.
+    moves come in the exact shape, as no inner level moves a block right,
+    and only for a carry's or a lift's block, of two or more chain letters.
     The letters a block passes do not change while it moves, so every
     swap's moves are known up front and go to the builder as one batch; in
     the split shape the batch is one comprehension over those letters."""
@@ -215,13 +219,11 @@ class BlockMover:
             b.extend(self._split_run(range(start - 1, target - 1, -1),
                                      w[target:start][::-1], sign, 0, w[start]))
             return
-        head, L, rid = w[start], self.length, self._rid
+        L, rid = self.length, self._rid
         moves = []
         for p in range(start - 1, target - 1, -1):
             t = w[p]
-            if L == 1 and t == -head:
-                moves += (("fr", p), ("fe", p, head))
-            elif sign > 0:
+            if sign > 0:
                 # insert [t,W]^-1 after the block
                 moves.append(("ar", p + 1 + L, rid(t), 0, 0, 0))
                 moves += block_reduction_moves(p + 1, L)
@@ -328,7 +330,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
     # Moves are buffered in ``pending`` and flushed before each transport,
     # which reads the word.
     # word: zw^n a^-n tword^-1 a^n tword.  Insert z2^-1 z2 before a^n.
-    pending = inverse_pair_moves(n * lz + n + lt, z2w)
+    pending = pair_inverse_moves(n * lz + n + lt, inverse_word(z2w))
 
     for i in range(n):
         # z2 block before its i-th swap with the letter a
@@ -343,40 +345,29 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
         pending = block_reduction_moves(boundary - lz, lz)
 
     # word: a^-n tword^-1 z2^-1 a^n z2 tword; run the level-2 increment
-    # and its inverse concurrently on the two halves, the left half
-    # starting at n and the right half at n + lcur + n, lcur the length of
-    # the inner word before each inner move.
+    # and its inverse concurrently on the two halves: each inner move goes
+    # to the right half, which starts at n + lcur + n (lcur the length of
+    # the inner word before the move), and its mirror (``mirror_move``) to
+    # the left half, which starts at n.
     inner = _increment(ctx, level + 1, n, t)
     relators, chains = ctx.scratch.relators, ctx.scratch.chains
     lcur = len(inner.initial)
     for mv in inner.moves:
-        off_rh = n + lcur + n
-        op = mv[0]
-        if op == "fr":
-            pending.append(("fr", off_rh + mv[1]))
-            pending.append(("fr", n + lcur - mv[1] - 2))
-            lcur -= 2
-        elif op == "fe":
-            pending.append(("fe", off_rh + mv[1], mv[2]))
-            pending.append(("fe", n + lcur - mv[1], mv[2]))
-            lcur += 2
-        else:
-            _, pos, rid, shift, inv, split = mv
-            if shift or split:
+        here = n + lcur + n + mv[1]
+        mirrored, lcur = mirror_move(mv, lcur, relators)
+        there = n + mirrored[1]
+        if mv[0] == "ar":
+            # an inner application inserts a whole relator r^-1: expand
+            # r r^-1 instead and move the r block to where the mirrored
+            # application inserts r
+            if mv[3:] != (0, 0, 0):
                 raise AssertionError("liftable sequences must insert whole relators")
-            relator = relators[rid]
-            # inserted word is r^-1 (inv=0) or r (inv=1); the leftover
-            # block transported to the mirror is its inverse
-            inserted = relator if inv else inverse_word(relator)
-            sign = -1 if inv else 1
-            here = off_rh + pos
-            pending += inverse_pair_moves(here, inserted)
+            pending += pair_inverse_moves(here, relators[mv[2]])
             b.extend(pending, off)
             pending = []
-            target = n + lcur - pos
-            block_mover(pool, chains[rid]).move_left(
-                b, off + here, off + target, sign)
-            lcur += len(relator)
+            block_mover(pool, chains[mv[2]]).move_left(b, off + here, off + there, 1)
+        else:
+            pending += ((mv[0], here) + mv[2:], (mirrored[0], there) + mirrored[2:])
     b.extend(pending, off)
 
 
@@ -389,14 +380,11 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     if n < 2:
         raise OutOfRange(f"base must be at least 2, got {n}")
     ctx = chain_context(pres, chain)
-    c = ctx.c
     zw = ctx.z_words[0]
     lz = len(zw)
-    total = n**c
+    total = n**ctx.c
     b = SequenceBuilder(pres, zw * total)
-    pad = _cword(ctx, 0, n, 0)
-    if c > 1:
-        insert_trivial_word(b, total * lz, pad)
+    insert_trivial_word(b, total * lz, _cword(ctx, 0, n, 0))
     for s in range(total):
         _run_increment(ctx, b, 0, n, s, (total - s - 1) * lz)
     if b.word != list(_cword(ctx, 0, n, total)):
@@ -439,18 +427,18 @@ class CompressedPower:
             entry = ctx.increments[(n, a_part)] = [None, None]
         record = entry[mirrored]
         if record is None:
-            zw = ctx.z_words[0]
-            initial = zw + (_cword(ctx, 0, n, a_part) if a_part else ())
             if entry[0] is None:
+                zw = ctx.z_words[0]
+                initial = zw + (_cword(ctx, 0, n, a_part) if a_part else ())
                 b = SequenceBuilder(ctx.pres, initial)
-                if a_part == 0 and ctx.c > 1:
+                if a_part == 0:
                     insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
                 _run_increment(ctx, b, 0, n, a_part, 0)
                 entry[0] = CheckedMoves(ctx.intern(b.moves), list(initial), b.word,
                                         b.area, b.fl - len(initial))
             if mirrored:
                 forward = entry[0]
-                mirror = invert_sequence(PSequence(ctx.pres, initial, forward.moves))
+                mirror = invert_sequence(PSequence(ctx.pres, forward.before, forward.moves))
                 record = check_moves(ctx.pres, mirror.initial, ctx.intern(mirror.moves))
                 if record.after != list(inverse_word(forward.after)):
                     raise AssertionError(

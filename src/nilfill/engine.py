@@ -105,30 +105,13 @@ def _template(pres, key, index: int):
     return template
 
 
-def _refusal(index: int, move, p: int, word) -> NotApplicable:
-    """The reason a move failed the kernel's check."""
-    op, n = move[0], len(word)
-    if op == "fr":
-        reason = (f"free reduction at {p} out of range" if not 0 <= p < n - 1
-                  else f"letters at {p},{p + 1} are not an inverse pair")
-    elif op == "fe":
-        reason = (f"free expansion at {p} out of range" if not 0 <= p <= n
-                  else f"free expansion letter {move[2]} names no generator")
-    elif op == "ar":
-        reason = (f"relator application at {p} out of range"
-                  if not 0 <= p <= n - move[5]
-                  else f"word does not carry relator prefix at {p}")
-    else:
-        reason = f"unknown move kind {op!r}"
-    return NotApplicable(reason, index)
-
-
 def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
     """Apply ``moves``, each position shifted by ``offset``, to ``word`` in
     place; returns (area, fl) of the batch, fl counting the starting word.
 
-    Every move is checked before it changes the word; a failed check raises
-    NotApplicable carrying the move's index within ``moves``."""
+    Every move is checked before it changes the word, its range first and
+    then its content; the check that fails raises NotApplicable with its
+    own reason and the move's index within ``moves``."""
     templates = pres._move_templates
     rank = pres.rank
     n = fl = len(word)
@@ -142,28 +125,34 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
                 t = _template(pres, move[2:], i)
             u, v, grow = t
             q = p + move[5]
-            if p < 0 or q > n or word[p:q] != u:
-                raise _refusal(i, move, p, word)
+            if p < 0 or q > n:
+                raise NotApplicable(f"relator application at {p} out of range", i)
+            if word[p:q] != u:
+                raise NotApplicable(f"word does not carry relator prefix at {p}", i)
             word[p:q] = v
             area += 1
             n += grow
             if n > fl:
                 fl = n
         elif op == "fr":
-            if p < 0 or p + 1 >= n or word[p] != -word[p + 1]:
-                raise _refusal(i, move, p, word)
+            if p < 0 or p + 1 >= n:
+                raise NotApplicable(f"free reduction at {p} out of range", i)
+            if word[p] != -word[p + 1]:
+                raise NotApplicable(f"letters at {p},{p + 1} are not an inverse pair", i)
             del word[p : p + 2]
             n -= 2
         elif op == "fe":
             a = move[2]
-            if p < 0 or p > n or not 0 < abs(a) <= rank:
-                raise _refusal(i, move, p, word)
+            if p < 0 or p > n:
+                raise NotApplicable(f"free expansion at {p} out of range", i)
+            if not 0 < abs(a) <= rank:
+                raise NotApplicable(f"free expansion letter {a} names no generator", i)
             word[p:p] = (a, -a)
             n += 2
             if n > fl:
                 fl = n
         else:
-            raise _refusal(i, move, p, word)
+            raise NotApplicable(f"unknown move kind {op!r}", i)
     return area, fl
 
 
@@ -255,32 +244,35 @@ def normalize_insertions(seq: PSequence) -> PSequence:
     return PSequence(seq.presentation, seq.initial, out)
 
 
+def mirror_move(move, n: int, relators):
+    """(mirrored move, length after) for ``move`` on a word of length ``n``:
+    the mirrored move does to the inverse word what ``move`` does to the
+    word, so it leaves the inverse of the word ``move`` leaves."""
+    op = move[0]
+    if op == "fr":
+        return ("fr", n - move[1] - 2), n - 2
+    if op == "fe":
+        return ("fe", n - move[1], move[2]), n + 2
+    _, p, rid, shift, inv, split = move
+    lr = len(relators[rid])
+    return (("ar", n - p - split, rid, (lr - shift - split) % lr, 1 - inv, split),
+            n + lr - 2 * split)
+
+
 def invert_sequence(seq: PSequence) -> PSequence:
     """The sequence obtained by inverting every word of ``seq``.
 
     Replays from inverse(initial) to inverse(final) with identical area,
-    filling length and height; positions are mirrored.  A pure rewrite that
-    tracks only the word length: the moves are checked wherever the result
-    is applied.
+    filling length and height; each move is mirrored by ``mirror_move``.
+    A pure rewrite that tracks only the word length: the moves are checked
+    wherever the result is applied.
     """
     relators = seq.presentation.relators
     n = len(seq.initial)
     out = []
     for move in seq.moves:
-        op = move[0]
-        if op == "fr":
-            out.append(("fr", n - move[1] - 2))
-            n -= 2
-        elif op == "fe":
-            out.append(("fe", n - move[1], move[2]))
-            n += 2
-        else:
-            _, p, rid, shift, inv, split = move
-            lr = len(relators[rid])
-            out.append(
-                ("ar", n - p - split, rid, (lr - shift - split) % lr, 1 - inv, split)
-            )
-            n += lr - 2 * split
+        mirrored, n = mirror_move(move, n, relators)
+        out.append(mirrored)
     return PSequence(seq.presentation, inverse_word(seq.initial), out)
 
 
@@ -299,11 +291,6 @@ def reduction_steps(w) -> list:
 
 
 # -- compound emissions: move lists for SequenceBuilder.extend -----------------
-
-
-def inverse_pair_moves(pos: int, block: Word) -> list:
-    """Free expansions inserting block^-1 block at pos."""
-    return [("fe", pos + i, -a) for i, a in enumerate(reversed(block))]
 
 
 def pair_inverse_moves(pos: int, block: Word) -> list:

@@ -83,7 +83,8 @@ class _MoveMemo(dict):
     """Trace body line -> its move, for one parse.  A line is parsed at its
     first lookup, so each distinct line is parsed once and equal lines
     share one move tuple.  A line that is not in the grammar raises
-    ValueError or NilfillError and is not stored."""
+    ValueError (a field that is not an ASCII decimal integer, ``-?[0-9]+``)
+    or NilfillError and is not stored."""
 
     __slots__ = ("runs", "name_to_index")
 
@@ -95,6 +96,7 @@ class _MoveMemo(dict):
     def __missing__(self, line):
         parts = line.split()
         kind = parts[0] if parts else None
+        numbers = line
         if kind == "fr" and len(parts) == 2:
             move = ("fr", int(parts[1]))
         elif kind == "fe" and len(parts) == 3:
@@ -102,12 +104,16 @@ class _MoveMemo(dict):
             letter_word = parse_word(token, self.name_to_index, self.runs)
             if len(letter_word) != 1:
                 raise NilfillError(f"bad fe letter token {token!r}")
-            move = ("fe", int(parts[1]), letter_word[0])
+            numbers = parts[1]      # a letter name may hold "_"
+            move = ("fe", int(numbers), letter_word[0])
         elif kind == "ar" and len(parts) == 6:
             move = ("ar", int(parts[1]), int(parts[2]), int(parts[3]),
                     int(parts[4]), int(parts[5]))
         else:
             raise NilfillError(f"bad trace line {line!r}")
+        # int() also takes "+1", "1_0" and the digits of other scripts
+        if not numbers.isascii() or "_" in numbers or "+" in numbers:
+            raise ValueError(numbers)
         self[line] = move
         return move
 

@@ -208,8 +208,16 @@ def _compress_trace(tmp_path, capsys):
                  id="blank-line"),
     pytest.param(lambda lines: lines[:2] + [b"fr x"] + lines[2:], 3, "bad integer",
                  id="fr-x"),
+    pytest.param(lambda lines: lines[:2] + [b"fr 0_0"] + lines[2:], 3,
+                 "bad integer in trace line 'fr 0_0'", id="fr-underscore"),
+    pytest.param(lambda lines: lines[:2] + [b"fe +0 x1"] + lines[2:], 3,
+                 "bad integer in trace line 'fe +0 x1'", id="fe-plus-sign"),
+    pytest.param(lambda lines: lines[:2] + ["fr \u0660".encode()] + lines[2:], 3,
+                 "bad integer in trace line 'fr \u0660'", id="fr-arabic-indic-zero"),
     pytest.param(lambda lines: lines[:2] + [b"fe 0 nope"] + lines[2:], 3,
                  "unknown generator", id="fe-unknown-letter"),
+    pytest.param(lambda lines: lines[:2] + [b"fe 0 x1^2"] + lines[2:], 3,
+                 "bad fe letter token 'x1^2'", id="fe-two-letters"),
     pytest.param(lambda lines: lines[:-1], None, "missing final qed", id="no-qed"),
     pytest.param(lambda lines: lines[1:], 1, "expected a 'word:' header",
                  id="no-word-header"),
@@ -250,6 +258,8 @@ def test_validate_missing_file_is_usage_error(tmp_path, capsys):
                  id="class-without-value"),
     pytest.param(lambda lines: [b"class x"] + lines[1:], 1,
                  "class 'x' is not a positive integer", id="class-not-integer"),
+    pytest.param(lambda lines: lines[:1] + [b"class 3"] + lines[1:], 2,
+                 "second class line", id="second-class-line"),
     pytest.param(lambda lines: lines + [b"relator x1"], None, "unknown keyword 'relator'",
                  id="unknown-keyword"),
     pytest.param(lambda lines: lines + [b"rel x1 y7"], None, "unknown generator 'y7'",
@@ -272,3 +282,23 @@ def test_validate_malformed_presentation_names_line(tmp_path, capsys, edit, line
     assert code == 1
     assert captured.out == ""
     assert captured.err == f"error: presentation line {want}: {reason}\n"
+
+
+def test_validate_presentation_comments_and_missing_class(tmp_path, capsys):
+    # comments and blank lines are skipped; a file with no class line is an
+    # error of the whole file
+    trace = _compress_trace(tmp_path, capsys)
+    pres = tmp_path / "c.trace.pres"
+    lines = pres.read_bytes().splitlines()
+    argv = ["validate", "--trace", str(trace), "--presentation", str(pres)]
+    assert main(argv) == 0
+    verdict = capsys.readouterr().out
+    commented = [b"# a comment", b""] + [line + b"  # note" for line in lines] + [b"  "]
+    pres.write_bytes(b"\n".join(commented) + b"\n")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == verdict
+    pres.write_bytes(b"\n".join(lines[1:]) + b"\n")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: presentation file lacks a class line\n"

@@ -11,7 +11,6 @@ from nilfill.engine import (
     apply_moves,
     block_reduction_moves,
     check_moves,
-    inverse_pair_moves,
     invert_sequence,
     normalize_insertions,
     pair_inverse_moves,
@@ -228,7 +227,7 @@ def test_moves_preserve_group_element(chain22):
 
 def test_builder_helpers(chain22):
     b = SequenceBuilder(chain22, (1, 2))
-    b.extend(inverse_pair_moves(1, (1, 2)))  # x1 [ (x1 x2)^-1 x1 x2 ] x2
+    b.extend(pair_inverse_moves(1, inverse_word((1, 2))))  # x1 [ (x1 x2)^-1 x1 x2 ] x2
     assert b.word == [1, -2, -1, 1, 2, 2]
     b2 = SequenceBuilder(chain22, ())
     b2.extend(pair_inverse_moves(0, (1, 2)))

@@ -55,6 +55,7 @@ FILL_DIGESTS = {
     (3, 2, 14, 10, 11): "26fddb911b11aa10",
     (3, 3, 12, 10, 11): "4fed38c707f29e0a",
     (2, 3, 16, 12, 11): "0f5ea83522bf4a3f",
+    (4, 2, 12, 8, 11): "364fdfdb8cc53dec",
 }
 
 
