@@ -10,8 +10,11 @@ commutator word [a_k, ..., a_c].  The compression word for an exponent
 with (s_0, ..., s_{c-1}) the base-n digits of s.  Increment sequences
 transform z_1 ztilde^s into ztilde^{s+1}; concatenating all of them
 compresses z_1^{n^c} with area O(n^{c+1}) and filling length O(n).  An
-increment runs in place: in the caller's builder, on the subword at an
-offset, so every move it builds passes the kernel once.
+increment is built on its own subword z_1 ztilde^s, where every move it
+builds passes the kernel once, and kept as a checked record
+(``_increment_record``) that a power compression or a register splices in
+wherever that subword sits.  Only the carrying increments (s = n - 1 mod
+n, c > 1) move letters; the increment at s = 0 also inserts ztilde^0.
 
 Every relator application emitted here is a transport: a central block
 (a nested commutator word or its inverse) swaps with an adjacent letter.
@@ -99,11 +102,16 @@ class ChainContext:
     and its offset, not shifted copies of its moves, so a finished
     sequence shares the pooled moves too, and the trace writer keeps each
     record's line template on the record.  The memo lives as long as the
-    presentation and holds at most n^c entries for each base n; together
-    they are about one power-compression certificate.  It pays off over
-    many fills on one presentation in one process, as in ``bench fill`` or
-    a corpus: within a single fill almost every entry is used only once,
-    so one ``nilfill fill`` gains nothing from it.
+    presentation and holds at most n^c entries for each base n.  Their
+    forward records are the records a power compression splices for the
+    same (chain, n), built by the same ``_increment_record``, plus the
+    empty records of the exponents that do not carry; the mirrors hold as
+    many moves again.  It pays off over many fills on one presentation in
+    one process, as in ``bench fill`` or a corpus: within a single fill
+    almost every entry is used only once, so one ``nilfill fill`` gains
+    nothing from it.  A power compression interns its records' moves in
+    the same pool but keeps its records out of the memo, as each (chain,
+    n) compresses once.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -123,7 +131,7 @@ class ChainContext:
     def intern(self, moves) -> tuple:
         """``moves`` as a tuple whose equal moves are one shared object."""
         pool = self._move_pool
-        return tuple([pool.setdefault(mv, mv) for mv in moves])
+        return tuple(map(pool.setdefault, moves, moves))
 
     def level_presentation(self, level: int):
         return self.pres if level == 0 else self.scratch
@@ -290,32 +298,28 @@ def increment_sequence(pres: Presentation, chain, n: int, s: int) -> PSequence:
 def _increment(ctx: ChainContext, level: int, n: int, s: int) -> PSequence:
     b = SequenceBuilder(ctx.level_presentation(level),
                         ctx.z_words[level] + _cword(ctx, level, n, s))
-    _run_increment(ctx, b, level, n, s, 0)
+    _run_increment(ctx, b, level, n, s)
     return b.finish()
 
 
 def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
-                   s: int, off: int) -> None:
-    """Turn the z_level ztilde^s sitting at ``off`` in ``b`` into
-    ztilde^{s+1}, every move going through ``b``'s kernel at ``off``."""
+                   s: int) -> None:
+    """Turn ``b``'s word z_level ztilde^s into ztilde^{s+1}, every move
+    going through ``b``'s kernel."""
     chain = ctx.chain[level:]
     c = len(chain)
     if not 0 <= s <= n**c - 1:
         raise OutOfRange(f"need 0 <= s <= n^{c} - 1, got {s}")
     if c > 1 and s % n + 1 == n:
-        _carry(ctx, b, level, n, s, off)
-    expected = _cword(ctx, level, n, s + 1)
-    if b.word[off:off + len(expected)] != list(expected):
+        _carry(ctx, b, level, n, s)
+    if b.word != list(_cword(ctx, level, n, s + 1)):
         raise AssertionError(
             f"increment endpoint mismatch at level {level}, s={s}"
         )
 
 
-def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
-    """The carry of the increment at s, on the z_level ztilde^s sitting at
-    ``off`` in ``b``.  Positions below are relative to that subword: each
-    batch goes to the kernel at ``off``, and each transport starts and
-    ends ``off`` further right, since the mover reads the word."""
+def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
+    """The carry of the increment at s, on ``b``'s word z_level ztilde^s."""
     chain = ctx.chain[level:]
     a = chain[0]
     zw = ctx.z_words[level]
@@ -337,11 +341,11 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
         p = (n - i) * lz + n + lt + lz2 + i
         pending.append(("fe", p, a))
         pending += pair_inverse_moves(p + 1, z2w)
-        b.extend(pending, off)
+        b.extend(pending)
         # new z_level^-1 block starts right of the fresh z2 copy
         start = p + 1 + lz2
         boundary = (n - i) * lz
-        zmover.move_left(b, off + start, off + boundary, -1)
+        zmover.move_left(b, start, boundary, -1)
         pending = block_reduction_moves(boundary - lz, lz)
 
     # word: a^-n tword^-1 z2^-1 a^n z2 tword; run the level-2 increment
@@ -363,19 +367,38 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s, off) -> None:
             if mv[3:] != (0, 0, 0):
                 raise AssertionError("liftable sequences must insert whole relators")
             pending += pair_inverse_moves(here, relators[mv[2]])
-            b.extend(pending, off)
+            b.extend(pending)
             pending = []
-            block_mover(pool, chains[mv[2]]).move_left(b, off + here, off + there, 1)
+            block_mover(pool, chains[mv[2]]).move_left(b, here, there, 1)
         else:
             pending += ((mv[0], here) + mv[2:], (mirrored[0], there) + mirrored[2:])
-    b.extend(pending, off)
+    b.extend(pending)
+
+
+def _increment_record(ctx: ChainContext, n: int, s: int) -> CheckedMoves:
+    """The increment at s on z_1 ztilde^s, at offset 0, as a checked record
+    whose moves are interned on the context; at s = 0 the record starts
+    from z_1 alone and first inserts the trivial word ztilde^0."""
+    zw = ctx.z_words[0]
+    initial = zw + (_cword(ctx, 0, n, s) if s else ())
+    b = SequenceBuilder(ctx.pres, initial)
+    if s == 0:
+        insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
+    _run_increment(ctx, b, 0, n, s)
+    return CheckedMoves(ctx.intern(b.moves), list(initial), b.word,
+                        b.area, b.fl - len(initial))
 
 
 def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     """From z_1^{n^c} to [a_1^n, ..., a_c^n] by folding all increments.
 
-    Area is bounded by a constant times n^{c+1} and filling length by a
-    constant times n; both are measured, not asserted, here.
+    The increment at s works on the z_1 ztilde^s at the right end of the
+    word, whose last z_1 sits at (total - s - 1) len(z_1).  Only s = 0
+    (which inserts ztilde^0) and the carrying s move any letter: the other
+    increments leave the word as it is, so only those records are built,
+    each spliced once and not memoized.  Area is bounded by a constant
+    times n^{c+1} and filling length by a constant times n; both are
+    measured, not asserted, here.
     """
     if n < 2:
         raise OutOfRange(f"base must be at least 2, got {n}")
@@ -384,9 +407,9 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     lz = len(zw)
     total = n**ctx.c
     b = SequenceBuilder(pres, zw * total)
-    insert_trivial_word(b, total * lz, _cword(ctx, 0, n, 0))
-    for s in range(total):
-        _run_increment(ctx, b, 0, n, s, (total - s - 1) * lz)
+    carries = range(n - 1, total, n) if ctx.c > 1 else ()
+    for s in (0, *carries):
+        b.splice(_increment_record(ctx, n, s), (total - s - 1) * lz)
     if b.word != list(_cword(ctx, 0, n, total)):
         raise AssertionError("power compression endpoint mismatch")
     return b.finish()
@@ -428,14 +451,7 @@ class CompressedPower:
         record = entry[mirrored]
         if record is None:
             if entry[0] is None:
-                zw = ctx.z_words[0]
-                initial = zw + (_cword(ctx, 0, n, a_part) if a_part else ())
-                b = SequenceBuilder(ctx.pres, initial)
-                if a_part == 0:
-                    insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
-                _run_increment(ctx, b, 0, n, a_part, 0)
-                entry[0] = CheckedMoves(ctx.intern(b.moves), list(initial), b.word,
-                                        b.area, b.fl - len(initial))
+                entry[0] = _increment_record(ctx, n, a_part)
             if mirrored:
                 forward = entry[0]
                 mirror = invert_sequence(PSequence(ctx.pres, forward.before, forward.moves))

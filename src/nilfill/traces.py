@@ -32,17 +32,34 @@ def _move_line(move, names) -> str:
     return f"ar {move[1]} {move[2]} {move[3]} {move[4]} {move[5]}"
 
 
-def _record_lines(record, names) -> str:
+class _LineTemplates(dict):
+    """Move at offset 0 -> its trace line as a format string with a ``{}``
+    for the position, for one ``serialize_trace`` call: a move's line is
+    formatted and brace-escaped at its first lookup only."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, move):
+        # the line written at position 0, which is its fourth character
+        line = _move_line((move[0], 0) + move[2:], self.names)
+        line = line.replace("{", "{{").replace("}", "}}")
+        template = self[move] = line[:3] + "{}" + line[4:]
+        return template
+
+
+def _record_lines(record, templates: _LineTemplates) -> str:
     """The trace lines of a record's moves as one format string with a
-    ``{}`` for each position, kept by the record for these names."""
-    template = record.trace_lines.get(names)
-    if template is None:
-        # each line written at position 0, which is its fourth character
-        lines = (_move_line((mv[0], 0) + mv[2:], names).replace("{", "{{").replace("}", "}}")
-                 for mv in record.moves)
-        template = record.trace_lines[names] = "\n".join(
-            line[:3] + "{}" + line[4:] for line in lines)
-    return template
+    ``{}`` for each position, joined from ``templates`` and kept by the
+    record for these names."""
+    names = templates.names
+    text = record.trace_lines.get(names)
+    if text is None:
+        text = record.trace_lines[names] = "\n".join(map(templates.__getitem__, record.moves))
+    return text
 
 
 def serialize_trace(seq: PSequence, presentation_path: str) -> str:
@@ -50,7 +67,8 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
     is formatted once per call: a certificate repeats few moves many
     times.  A spliced record's lines are written in one ``str.format`` of
     its line template, with the positions shifted by the segment's
-    offset."""
+    offset; a template is joined from per-move templates, each made once
+    per call."""
     pres = seq.presentation
     names = pres.names
     lines = [
@@ -60,6 +78,7 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
     append = lines.append
     text_of = {}        # move -> its line, for this call
     get = text_of.get
+    templates = _LineTemplates(names)
     for record, moves, offset in seq.segments:
         if record is None:
             for move in moves:
@@ -68,7 +87,7 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
                     line = text_of[move] = _move_line(move, names)
                 append(line)
         elif moves:
-            append(_record_lines(record, names).format(*[mv[1] + offset for mv in moves]))
+            append(_record_lines(record, templates).format(*[mv[1] + offset for mv in moves]))
     append("qed")
     append("")          # the final newline, without a copy of the text
     return "\n".join(lines)
@@ -84,7 +103,8 @@ class _MoveMemo(dict):
     first lookup, so each distinct line is parsed once and equal lines
     share one move tuple.  A line that is not in the grammar raises
     ValueError (a field that is not an ASCII decimal integer, ``-?[0-9]+``)
-    or NilfillError and is not stored."""
+    or NilfillError (anything else, fields not separated by single spaces
+    included) and is not stored."""
 
     __slots__ = ("runs", "name_to_index")
 
@@ -94,7 +114,9 @@ class _MoveMemo(dict):
         self.name_to_index = name_to_index
 
     def __missing__(self, line):
-        parts = line.split()
+        # fields are separated by exactly one space; a tab, a run of
+        # spaces, an edge space or a control character leaves the grammar
+        parts = line.split(" ") if line.isprintable() else ()
         kind = parts[0] if parts else None
         numbers = line
         if kind == "fr" and len(parts) == 2:

@@ -214,6 +214,14 @@ def _compress_trace(tmp_path, capsys):
                  "bad integer in trace line 'fe +0 x1'", id="fe-plus-sign"),
     pytest.param(lambda lines: lines[:2] + ["fr \u0660".encode()] + lines[2:], 3,
                  "bad integer in trace line 'fr \u0660'", id="fr-arabic-indic-zero"),
+    pytest.param(lambda lines: lines[:2] + [b"fr\t0"] + lines[2:], 3,
+                 "bad trace line 'fr\\t0'", id="fr-tab"),
+    pytest.param(lambda lines: lines[:2] + [b"fr  0 "] + lines[2:], 3,
+                 "bad trace line 'fr  0 '", id="fr-double-and-trailing-space"),
+    pytest.param(lambda lines: lines[:2] + [b"fr 0\x1f"] + lines[2:], 3,
+                 "bad trace line 'fr 0\\x1f'", id="fr-unit-separator"),
+    pytest.param(lambda lines: lines[:2] + [b"fe 0 x1\x1f"] + lines[2:], 3,
+                 "bad trace line 'fe 0 x1\\x1f'", id="fe-unit-separator"),
     pytest.param(lambda lines: lines[:2] + [b"fe 0 nope"] + lines[2:], 3,
                  "unknown generator", id="fe-unknown-letter"),
     pytest.param(lambda lines: lines[:2] + [b"fe 0 x1^2"] + lines[2:], 3,

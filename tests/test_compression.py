@@ -17,6 +17,7 @@ from nilfill.compression import (
 from nilfill.engine import PSequence, SequenceBuilder, apply_moves, replay, validate_null
 from nilfill.errors import NoTransportRelator, NotApplicable, OutOfRange
 from nilfill.presentations import Presentation, build_chain_presentation
+from nilfill.traces import serialize_trace
 from nilfill.words import free_reduce, inverse_word, nested_commutator
 
 
@@ -274,6 +275,44 @@ def test_power_compression_equals_isolated_increments(c, chain, n):
     assert seq.moves == ref.moves
     assert seq.initial == ref.initial
     assert replay(seq)[1] == tuple(ref.word) == compression_word(pres, chain, n, n**c)
+
+
+_SPLICED_CASES = [(2, (1, 2), 3), (3, (1, 2, 3), 3), (3, (2, 3, 1), 2), (4, (1, 2, 3, 4), 2)]
+
+
+@pytest.mark.parametrize("c,chain,n", _SPLICED_CASES)
+def test_power_compression_is_spliced_records(c, chain, n):
+    # the moves sit in records, one for s = 0 and one for each carrying s;
+    # the flat segments between them stay empty
+    pres = build_chain_presentation(c, 1)
+    seq = power_compression_sequence(pres, chain, n)
+    segments = [(r, moves, offset) for r, moves, offset in seq.segments if moves]
+    assert all(r is not None and moves is r.moves for r, moves, _ in segments)
+    assert len(segments) == 1 + n ** (c - 1)
+    assert len(seq) == len(seq.moves) == sum(len(moves) for _, moves, _ in segments)
+    flat = PSequence(pres, seq.initial, seq.moves)
+    assert serialize_trace(seq, "p.pres") == serialize_trace(flat, "p.pres")
+    assert replay(seq)[0] == seq.metrics
+
+
+@pytest.mark.parametrize("c,chain,n", _SPLICED_CASES)
+def test_power_compression_records_equal_register_records(c, chain, n):
+    # the record spliced at s is the register's forward record at q = s,
+    # spliced at the last z_1 of the word; a power compression runs once per
+    # (chain, n), so it leaves nothing in the context's memo
+    pres, _ = _fresh_chain_presentation(c)
+    seq = power_compression_sequence(pres, chain, n)
+    assert chain_context(pres, chain).increments == {}
+    total, lz = n**c, len(nested_commutator(chain))
+    spliced = [(r, offset) for r, _, offset in seq.segments if r is not None]
+    for s, (record, offset) in zip((0, *range(n - 1, total, n)), spliced, strict=True):
+        reg = CompressedPower(pres, chain, n)
+        reg.q = s
+        forward = reg.local_moves()
+        assert offset == (total - s - 1) * lz
+        assert record.moves == forward.moves
+        assert record.before == forward.before
+        assert record.after == forward.after
 
 
 @functools.lru_cache(maxsize=None)
