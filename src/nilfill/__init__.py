@@ -4,7 +4,6 @@ from .bench import bench_compression, bench_fill, fit_exponent
 from .compression import (
     CompressedPower,
     compression_word,
-    increment_sequence,
     power_compression_sequence,
 )
 from .corpus import corpus_generate
@@ -16,7 +15,7 @@ from .engine import (
     replay,
     validate_null,
 )
-from .filler import certify_afl_pair, fill, fill_with_report
+from .filler import certify_afl_pair, fill_with_report
 from .presentations import (
     Presentation,
     build_chain_presentation,
@@ -38,11 +37,9 @@ __all__ = [
     "certify_afl_pair",
     "compression_word",
     "corpus_generate",
-    "fill",
     "fill_with_report",
     "fit_exponent",
     "free_reduce",
-    "increment_sequence",
     "invert_sequence",
     "inverse_word",
     "load_presentation",

@@ -86,12 +86,12 @@ class ChainContext:
     """A commutator chain bound to a presentation holding its transport
     relators.  Letters are weight-1 generator indices and may repeat.
     Level 0 works on the presentation and the inner levels on the
-    context's scratch pool (``level_presentation``); each pool keeps the
-    movers of its blocks (``block_mover``).
+    context's scratch pool; each pool keeps the movers of its blocks
+    (``block_mover``).
 
     The context memoizes register increments: ``increments`` maps
-    (n, q mod n^c) to the ``CheckedMoves`` of one absorption at that
-    exponent and, once asked for, of its mirror (see
+    (n, s, mirrored), with s = q mod n^c, to the ``CheckedMoves`` of one
+    absorption at that exponent or of its mirror (see
     ``CompressedPower.local_moves``).  Each record passes the kernel once,
     when it is made, and later absorptions splice in its effect
     (``SequenceBuilder.splice``); a register reads its length and the
@@ -102,7 +102,8 @@ class ChainContext:
     and its offset, not shifted copies of its moves, so a finished
     sequence shares the pooled moves too, and the trace writer keeps each
     record's line template on the record.  The memo lives as long as the
-    presentation and holds at most n^c entries for each base n.  Their
+    presentation and holds at most n^c forward records for each base n,
+    and a mirror for each of them that a left register asked for.  The
     forward records are the records a power compression splices for the
     same (chain, n), built by the same ``_increment_record``, plus the
     empty records of the exponents that do not carry; the mirrors hold as
@@ -132,9 +133,6 @@ class ChainContext:
         """``moves`` as a tuple whose equal moves are one shared object."""
         pool = self._move_pool
         return tuple(map(pool.setdefault, moves, moves))
-
-    def level_presentation(self, level: int):
-        return self.pres if level == 0 else self.scratch
 
 
 def chain_context(pres: Presentation, chain) -> ChainContext:
@@ -281,27 +279,6 @@ def insert_trivial_word(b: SequenceBuilder, pos: int, w: Word) -> None:
     b.extend([("fe", pos + p, a) for p, a in reversed(steps)])
 
 
-def increment_sequence(pres: Presentation, chain, n: int, s: int) -> PSequence:
-    """A valid sequence from z_1 ztilde^s to ztilde^{s+1}.
-
-    Empty of relator applications when the low digit does not carry;
-    otherwise it follows the carry construction: transport z_2 past a_1^n
-    introducing and cancelling n copies of z_1, then run the level-2
-    increment concurrently with its inverse on the two halves of the
-    commutator, re-creating each inner insertion by free expansions and
-    transporting the inverse block to the mirror position.
-    """
-    ctx = chain_context(pres, chain)
-    return _increment(ctx, 0, n, s)
-
-
-def _increment(ctx: ChainContext, level: int, n: int, s: int) -> PSequence:
-    b = SequenceBuilder(ctx.level_presentation(level),
-                        ctx.z_words[level] + _cword(ctx, level, n, s))
-    _run_increment(ctx, b, level, n, s)
-    return b.finish()
-
-
 def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
                    s: int) -> None:
     """Turn ``b``'s word z_level ztilde^s into ztilde^{s+1}, every move
@@ -319,7 +296,19 @@ def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
 
 
 def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
-    """The carry of the increment at s, on ``b``'s word z_level ztilde^s."""
+    """The carry of the increment at s, on ``b``'s word z_level ztilde^s.
+
+    With t = s // n, the word is z_level^n [a^n, ztilde^t] and must become
+    [a^n, ztilde^{t+1}], both ztilde one level down.  First z_{level+1} is
+    carried through a^n: each swap with an a leaves a z_level^-1 block,
+    which moves left to cancel one of the n copies of z_level.  The word is
+    then [a^n, z_{level+1} ztilde^t], and the level+1 increment at t runs
+    in both halves of the commutator at once, forward on the right and
+    mirrored on the inverse on the left.  That increment is built on the
+    scratch pool, whose relators are not relators here; each of its
+    applications inserts a whole relator r^-1, which this level re-creates
+    by expanding r r^-1 and moving the r block to where the mirrored
+    application inserts r."""
     chain = ctx.chain[level:]
     a = chain[0]
     zw = ctx.z_words[level]
@@ -328,7 +317,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     t = s // n
     tword = _cword(ctx, level + 1, n, t)
     lt = len(tword)
-    pool = ctx.level_presentation(level)
+    pool = ctx.scratch if level else ctx.pres
     zmover = block_mover(pool, chain)
 
     # Moves are buffered in ``pending`` and flushed before each transport,
@@ -353,9 +342,10 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     # to the right half, which starts at n + lcur + n (lcur the length of
     # the inner word before the move), and its mirror (``mirror_move``) to
     # the left half, which starts at n.
-    inner = _increment(ctx, level + 1, n, t)
+    inner = SequenceBuilder(ctx.scratch, z2w + tword)
+    _run_increment(ctx, inner, level + 1, n, t)
     relators, chains = ctx.scratch.relators, ctx.scratch.chains
-    lcur = len(inner.initial)
+    lcur = lz2 + lt
     for mv in inner.moves:
         here = n + lcur + n + mv[1]
         mirrored, lcur = mirror_move(mv, lcur, relators)
@@ -444,23 +434,20 @@ class CompressedPower:
         comes from the run that builds it, the mirror from one kernel pass
         of ``invert_sequence``'s output on the inverse subword."""
         ctx, n = self.ctx, self.n
-        a_part = self.q % n**ctx.c
-        entry = ctx.increments.get((n, a_part))
-        if entry is None:
-            entry = ctx.increments[(n, a_part)] = [None, None]
-        record = entry[mirrored]
+        s = self.q % n**ctx.c
+        memo = ctx.increments
+        record = memo.get((n, s, mirrored))
         if record is None:
-            if entry[0] is None:
-                entry[0] = _increment_record(ctx, n, a_part)
+            forward = memo.get((n, s, False))
+            if forward is None:
+                forward = memo[(n, s, False)] = _increment_record(ctx, n, s)
+            record = forward
             if mirrored:
-                forward = entry[0]
                 mirror = invert_sequence(PSequence(ctx.pres, forward.before, forward.moves))
                 record = check_moves(ctx.pres, mirror.initial, ctx.intern(mirror.moves))
                 if record.after != list(inverse_word(forward.after)):
-                    raise AssertionError(
-                        f"mirrored increment endpoint mismatch, s={a_part}")
-                entry[1] = record
-            record = entry[mirrored]
+                    raise AssertionError(f"mirrored increment endpoint mismatch, s={s}")
+                memo[(n, s, True)] = record
         return record
 
     def emit_increment(self, b: SequenceBuilder, offset: int) -> None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .compression import CompressedPower, block_mover
-from .engine import PSequence, SequenceBuilder, normalize_insertions, reduction_steps
+from .engine import SequenceBuilder, normalize_insertions, reduction_steps
 from .errors import NotNullHomotopic
 from .presentations import Presentation
 from .words import Word, inverse_word
@@ -48,14 +48,9 @@ class FillReport:
         return 2 * self.relator_bound_factor * self.inner_area + 2 * self.initial_top
 
 
-def fill(w: Word, pres: Presentation) -> PSequence:
-    """A valid null-sequence for the trivial word w (oracle-vetoed first)."""
-    seq, _ = fill_with_report(w, pres)
-    return seq
-
-
 def fill_with_report(w: Word, pres: Presentation):
-    """fill() plus the per-level register accounting used by the bounds."""
+    """A valid null-sequence for the trivial word w (oracle-vetoed first),
+    with the per-level register accounting used by the bounds."""
     if not pres.is_identity(w):
         raise NotNullHomotopic(f"word of length {len(w)} is not trivial")
     return _fill_checked(w, pres)
@@ -328,13 +323,10 @@ class _FillRun:
 
 
 def _expansion_moves(pres: Presentation, a: int, p: int, out: list) -> None:
-    """Append the moves expanding the letter a sitting at p; a letter with
-    no parents needs none."""
+    """Append the moves expanding the compound letter a sitting at p into
+    its defining chain word; only compound parents expand further."""
     parents = pres.parents
-    pair = parents[abs(a) - 1]
-    if pair is None:
-        return
-    x, y = pair
+    x, y = parents[abs(a) - 1]
     rid = pres.relator_index[(-abs(a), -x, -y, x, y)]
     compound = parents[abs(y) - 1] is not None
     if a > 0:

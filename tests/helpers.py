@@ -1,7 +1,23 @@
 """Shared test utilities."""
 
+from nilfill import compression
 from nilfill.engine import SequenceBuilder, apply_moves
+from nilfill.filler import fill_with_report
 from nilfill.words import inverse_word
+
+
+def fill(w, pres):
+    """The null-sequence of ``fill_with_report``, without its report."""
+    return fill_with_report(w, pres)[0]
+
+
+def increment_sequence(pres, chain, n, s):
+    """The increment from z_1 ztilde^s to ztilde^{s+1}, built on a fresh
+    level-0 builder by the run a register record comes from."""
+    ctx = compression.chain_context(pres, chain)
+    b = SequenceBuilder(pres, ctx.z_words[0] + compression.compression_word(pres, chain, n, s))
+    compression._run_increment(ctx, b, 0, n, s)
+    return b.finish()
 
 
 def random_valid_sequence(pres, rng, start=None, steps=12):

@@ -9,11 +9,11 @@ with headroom.
 import random
 
 import pytest
-from helpers import random_valid_sequence, witt_number
+from helpers import increment_sequence, random_valid_sequence, witt_number
 
 from nilfill import oracle
 from nilfill.bench import bench_compression, bench_fill, fit_exponent
-from nilfill.compression import compression_word, increment_sequence
+from nilfill.compression import compression_word
 from nilfill.corpus import corpus_generate
 from nilfill.engine import replay, validate_null, normalize_insertions
 from nilfill.filler import fill_with_report
@@ -193,7 +193,7 @@ def test_criterion_9_register_bound(fill_cells):
     for c, (_, _, _, reports) in fill_cells.items():
         for rep in reports:
             # 2*M*Area(inner) plus the letters already present in the input;
-            # fill() itself asserts this bound on every run
+            # every fill asserts this bound before it returns (``_FillRun.execute``)
             assert rep.max_register <= rep.register_bound, (c, rep)
             checked += 1
     _announce(9, f"register growth within 2*M*Area + 2*initial on "

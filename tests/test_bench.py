@@ -3,6 +3,7 @@ import random
 import tempfile
 
 import pytest
+from helpers import fill
 
 from nilfill.bench import (
     CSV_HEADER,
@@ -15,7 +16,6 @@ from nilfill.bench import (
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence
 from nilfill.errors import InsufficientData, NilfillError
-from nilfill.filler import fill
 from nilfill.presentations import build_filler_presentation
 
 

@@ -2,6 +2,7 @@ import functools
 import itertools
 
 import pytest
+from helpers import increment_sequence
 
 from nilfill import compression, oracle
 from nilfill.compression import (
@@ -10,7 +11,6 @@ from nilfill.compression import (
     block_mover,
     compression_word,
     chain_context,
-    increment_sequence,
     insert_trivial_word,
     power_compression_sequence,
 )
@@ -247,7 +247,7 @@ def test_power_compression_validates_and_scales(c, n):
 
 def isolated_increments(pres, chain, n, s_from, s_to):
     """Reference: increments s_from..s_to-1 each built on its own builder by
-    ``increment_sequence`` and then applied at its offset, from
+    ``helpers.increment_sequence`` and then applied at its offset, from
     z_1^(s_to - s_from) ztilde^s_from (padded with ztilde^0 when s_from = 0)."""
     zw = nested_commutator(chain)
     initial = zw * (s_to - s_from)
@@ -444,7 +444,8 @@ def test_corrupt_mirror_caught_on_first_mirrored_absorption(monkeypatch, corrupt
     with pytest.raises(error):
         reg.emit_increment_mirror(b, len(word) - len(z1))
     assert b.word == list(word) and not b.moves
-    assert reg.q == q and reg.ctx.increments[(n, q)][1] is None
+    memo = reg.ctx.increments
+    assert reg.q == q and (n, q, False) in memo and (n, q, True) not in memo
 
 
 # --- extended compression ----------------------------------------------------
@@ -513,7 +514,7 @@ def test_transport_exact_shape_matches_split_shape():
     for sign, block in ((1, z1), (-1, inverse_word(z1))):
         w = (1, -2, 2, 1) + block
         for level in (0, 1):
-            mover = block_mover(ctx.level_presentation(level), chain)
+            mover = block_mover(ctx.scratch if level else ctx.pres, chain)
             assert mover.exact == (level == 1)
             b = SequenceBuilder(mover.pres, w)
             mover.move_left(b, 4, 0, sign)

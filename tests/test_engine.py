@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import apply_move, random_valid_sequence
+from helpers import apply_move, fill, random_valid_sequence
 
 from nilfill import engine, oracle
 from nilfill.engine import (
@@ -264,7 +264,6 @@ def test_builder_metrics_equal_replay():
     # finished sequence must measure the same
     from nilfill.compression import power_compression_sequence
     from nilfill.corpus import corpus_generate
-    from nilfill.filler import fill
 
     fpres = build_filler_presentation(3, 2)
     w = corpus_generate(fpres, 10, 1, seed=5)[0]
@@ -281,7 +280,6 @@ def test_builder_metrics_equal_replay():
 def spliced_fills():
     """Class-3 fills whose registers splice several memoized increments."""
     from nilfill.corpus import corpus_generate
-    from nilfill.filler import fill
 
     fpres = build_filler_presentation(3, 2)
     seqs = [fill(w, fpres) for w in corpus_generate(fpres, 12, 4, seed=5)]

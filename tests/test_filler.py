@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from helpers import witt_number
+from helpers import fill, witt_number
 
 from nilfill import compression
 from nilfill.compression import block_mover, chain_context
 from nilfill.engine import replay, validate_null
 from nilfill.errors import NotNullHomotopic
 from nilfill.engine import apply_moves
-from nilfill.filler import certify_afl_pair, fill, fill_with_report
+from nilfill.filler import certify_afl_pair, fill_with_report
 from nilfill.presentations import Presentation, build_filler_presentation, weight_c_basis
 from nilfill.words import inverse_word, nested_commutator
 

@@ -3,13 +3,13 @@
 import hashlib
 
 import pytest
+from helpers import fill
 
 from nilfill.bench import BenchRecord, write_csv
 from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, replay
 from nilfill.errors import NotApplicable
-from nilfill.filler import fill
 from nilfill.presentations import (
     build_chain_presentation,
     build_filler_presentation,

@@ -8,11 +8,10 @@ from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, check_moves, replay
 from nilfill.errors import TraceSyntaxError
-from nilfill.filler import fill
 from nilfill.presentations import build_chain_presentation, build_filler_presentation
 from nilfill.traces import parse_trace, serialize_trace, verdict_line
 
-from helpers import random_valid_sequence
+from helpers import fill, random_valid_sequence
 
 
 def test_roundtrip_bit_exact():

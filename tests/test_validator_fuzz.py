@@ -5,12 +5,12 @@ import io
 
 import pytest
 from hypothesis import given, settings
+from helpers import fill
 from hypothesis import strategies as st
 
 from nilfill import traces
 from nilfill.cli import main
 from nilfill.corpus import corpus_generate
-from nilfill.filler import fill
 from nilfill.presentations import build_filler_presentation, save_presentation
 from nilfill.traces import serialize_trace
 
