@@ -101,8 +101,11 @@ def _iroot(value: int, k: int) -> int:
 
 
 class _FillRun:
-    """One fill's state: its builder, its two register banks and their
-    geometry.  The moves it emits are built where they land."""
+    """One fill's state: its builder, its two register banks and the
+    length of the region between them.  The layout is read off the
+    registers: the region starts after the left bank's letters, and a
+    register sits past the registers of its bank that are nearer the
+    region.  The moves it emits are built where they land."""
 
     def __init__(self, pres: Presentation, w: Word):
         self.pres = pres
@@ -131,13 +134,15 @@ class _FillRun:
                 )
         self.basis.sort(key=lambda z: (-counts[z] - counts[-z], z))
         self.slot_of = {z: j for j, z in enumerate(self.basis)}
-        n_base = max(2, _iroot(max(max(counts.values(), default=0), 1), c))
+        peak = max(counts.values(), default=0)
+        n_base = max(2, _iroot(peak, c))
 
         self.report = FillReport(
             nclass=c,
             length=len(w),
             inner_area=inner_seq.metrics.area,  # normalization keeps the area
             initial_top=sum(1 for a in w if pres.weight_of(a) == c),
+            max_register=peak,      # the checks below prove it is reached
             relator_bound_factor=pres.max_weight_c_per_relator,
             register_base=n_base,
             inner=inner_report,
@@ -147,14 +152,10 @@ class _FillRun:
                       for z in self.basis]
         self.left = [CompressedPower(pres, pres.defining_chain(z), n_base)
                      for z in self.basis]
-        # running geometry: the region starts at ``lo`` (the length of the
-        # left bank) and is ``region_len`` long; register j of a bank sits
-        # ``left_at[j]`` before the region start or ``right_at[j]`` after
-        # its end, updated when an absorption grows a register
-        self.lo = 0
+        # geometry: the left bank, the region (``region_len`` letters) and
+        # the right bank; register j of a bank sits after (right) or before
+        # (left) the bank's registers 0..j-1, so offsets are read off them
         self.region_len = len(w)
-        self.left_at = [0] * len(self.basis)
-        self.right_at = [0] * len(self.basis)
 
         self.collect(0, len(w))
 
@@ -168,15 +169,13 @@ class _FillRun:
             assert split == 0, "inner sequence must be normalized"
             src_rid, surviving = lift_table[rid]
             span = len(pres.relators[src_rid])
-            if inv:
-                shift = sorted(span - 1 - s for s in surviving)[shift]
-            else:
-                shift = surviving[shift]
+            # inverted, the kept positions are span - 1 - s in reverse order
+            # of surviving, which is strictly increasing
+            shift = span - 1 - surviving[-1 - shift] if inv else surviving[shift]
             moves.append(("ar", pos, src_rid, shift, inv, 0))
-            lo = self.lo
             self._lift(moves)
             moves = []
-            self.collect(lo + pos, lo + pos + span)
+            self.collect(pos, pos + span)
         self._lift(moves)
         if self.region_len:
             raise AssertionError("projected word did not empty")
@@ -232,44 +231,45 @@ class _FillRun:
     # -- collection ------------------------------------------------------------
 
     @property
+    def lo(self) -> int:
+        """The region start: the length of the left bank."""
+        return sum(r.length for r in self.left)
+
+    @property
     def hi(self) -> int:
         return self.lo + self.region_len
 
-    def collect(self, scan_lo: int, scan_hi: int) -> None:
-        """Sweep weight-c letters out of [scan_lo, scan_hi): rewrite dependent
-        letters in place, then send basis letters rightmost-first to the right
-        registers and their inverses leftmost-first to the left ones.
-
-        Scan bounds are kept relative to the region start, since left-side
-        absorptions grow the word in front of it."""
+    def collect(self, start: int, end: int) -> None:
+        """Sweep weight-c letters out of the region's [start, end), offsets
+        from the region start: rewrite dependent letters in place, then send
+        basis letters rightmost-first to the right registers and their
+        inverses leftmost-first to the left ones.  Only a send left moves
+        the region start, since its register grows in front of it."""
         word = self.b.word
-        weight_of = self.pres.weight_of
-        c, rewrite, slots = self.c, self.rewrite, self.slot_of
-        off_lo, off_hi = scan_lo - self.lo, scan_hi - self.lo
-        p = scan_lo
-        hi_abs = scan_hi
-        while p < hi_abs:
-            i = abs(word[p])
-            if weight_of(i) == c and i in rewrite:
-                delta = self._apply_rewrite(p, word[p])
-                hi_abs += delta
-                off_hi += delta
+        rewrite, slots = self.rewrite, self.slot_of
+        lo = self.lo
+        k = start
+        while k < end:
+            a = word[lo + k]
+            if abs(a) in rewrite:
+                delta = self._apply_rewrite(lo + k, a)
+                end += delta
                 self.region_len += delta
             else:
-                p += 1
+                k += 1
         # a send right leaves the letters left of it in place
-        for p in range(hi_abs - 1, scan_lo - 1, -1):
-            if word[p] in slots:
-                self._send_right(p)
-                off_hi -= 1
+        for k in range(end - 1, start - 1, -1):
+            if word[lo + k] in slots:
+                self._send_right(lo + k)
+                end -= 1
         # a send left leaves the letters after it at the same offset from
         # the region start, the next one at the offset of the letter sent
-        k = off_lo
-        while k < off_hi:
-            p = self.lo + k
-            if -word[p] in slots:
-                self._send_left(p)
-                off_hi -= 1
+        k = start
+        while k < end:
+            if -word[lo + k] in slots:
+                self._send_left(lo + k)
+                lo = self.lo
+                end -= 1
             else:
                 k += 1
         # shape invariant: registers, a weight-c-free region, registers
@@ -289,37 +289,27 @@ class _FillRun:
     def _send_right(self, p: int) -> None:
         z = self.b.word[p]
         j = self.slot_of[z]
-        target = self.hi - 1 + self.right_at[j]
+        target = self.hi - 1 + sum(r.length for r in self.right[:j])
         block_mover(self.pres, (z,)).move_right(self.b, p, target, +1)
         self.region_len -= 1
-        reg = self.right[j]
-        self._absorb(reg, reg.emit_increment, self.right_at, j, target)
+        self._absorb(self.right[j].emit_increment, target)
 
     def _send_left(self, p: int) -> None:
         z = -self.b.word[p]
         j = self.slot_of[z]
-        target = self.lo - self.left_at[j]
+        target = self.lo - sum(r.length for r in self.left[:j])
         block_mover(self.pres, (z,)).move_left(self.b, p, target, -1)
         self.region_len -= 1
-        reg = self.left[j]
-        self.lo += self._absorb(reg, reg.emit_increment_mirror, self.left_at, j, target)
+        self._absorb(self.left[j].emit_increment_mirror, target)
 
-    def _absorb(self, reg: CompressedPower, emit, at: list, j: int, p: int) -> int:
-        """Absorb the weight-c letter at p into register j of a bank: expand
-        it into its defining chain word, one definition relator per
-        unfolding, then splice it into the register with ``emit``.  Shifts
-        the bank's later offsets ``at`` by the register's growth and returns
-        it."""
-        grown = -reg.length
+    def _absorb(self, emit, p: int) -> None:
+        """Absorb the weight-c letter at p into a register: expand it into
+        its defining chain word, one definition relator per unfolding, then
+        splice it into the register with ``emit``."""
         moves = []
         _expansion_moves(self.pres, self.b.word[p], p, moves)
         self.b.extend(moves)
         emit(self.b, p)
-        grown += reg.length
-        for i in range(j + 1, len(at)):
-            at[i] += grown
-        self.report.max_register = max(self.report.max_register, reg.q)
-        return grown
 
 
 def _expansion_moves(pres: Presentation, a: int, p: int, out: list) -> None:

@@ -74,28 +74,6 @@ def eval_word(w: Word, m: int, c: int) -> list[int]:
     return vec
 
 
-def series_mul(ctx: SeriesContext, a: list[int], b: list[int]) -> list[int]:
-    """Full truncated product; slower than the letter loop of eval_word,
-    which tests check against it."""
-    out = [0] * ctx.size
-    idx = ctx.index
-    monos = ctx.monomials
-    c = ctx.c
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        mi = monos[i]
-        room = c - len(mi)
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            mj = monos[j]
-            if len(mj) > room:
-                continue
-            out[idx[mi + mj]] += ai * bj
-    return out
-
-
 def is_unit(vec: list[int]) -> bool:
     return vec[0] == 1 and not any(vec[1:])
 

@@ -382,8 +382,9 @@ def build_filler_presentation(c: int, m: int) -> Presentation:
 
 
 def save_presentation(pres: Presentation, path) -> None:
-    """Write the presentation file.  A presentation is immutable, so its
-    text (``pres.text``) is built on the first save and kept for the next."""
+    """Write the presentation file.  A presentation's generators and
+    relators never change, so its text (``pres.text``) is built on the
+    first save and kept for the next."""
     with open(path, "w") as fh:
         fh.write(pres.text)
 

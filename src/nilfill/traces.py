@@ -18,7 +18,7 @@ from itertools import chain, islice
 from .engine import Metrics, PSequence, replay, validate_null
 from .errors import NilfillError, NotApplicable, NotNull, TraceSyntaxError
 from .presentations import Presentation, read_text
-from .words import format_letter, parse_word
+from .words import NAME_RE, format_letter, parse_word
 
 _PIECE = 1 << 18    # characters of trace text before a piece's cut
 
@@ -102,16 +102,17 @@ class _MoveMemo(dict):
     """Trace body line -> its move, for one parse.  A line is parsed at its
     first lookup, so each distinct line is parsed once and equal lines
     share one move tuple.  A line that is not in the grammar raises
-    ValueError (a field that is not an ASCII decimal integer, ``-?[0-9]+``)
-    or NilfillError (anything else, fields not separated by single spaces
-    included) and is not stored."""
+    NilfillError with its reason and is not stored: an integer field must
+    be an ASCII decimal integer (``-?[0-9]+``), fields are separated by
+    single spaces and an ``fe`` letter is written ``NAME`` or ``NAME^-1``."""
 
-    __slots__ = ("runs", "name_to_index")
+    __slots__ = ("letters",)
 
-    def __init__(self, runs, name_to_index):
+    def __init__(self, pres: Presentation):
         super().__init__()
-        self.runs = runs
-        self.name_to_index = name_to_index
+        # each letter in the one form the trace writer gives it
+        self.letters = {format_letter(a, pres.names): a
+                        for i in range(1, pres.rank + 1) for a in (i, -i)}
 
     def __missing__(self, line):
         # fields are separated by exactly one space; a tab, a run of
@@ -119,23 +120,28 @@ class _MoveMemo(dict):
         parts = line.split(" ") if line.isprintable() else ()
         kind = parts[0] if parts else None
         numbers = line
-        if kind == "fr" and len(parts) == 2:
-            move = ("fr", int(parts[1]))
-        elif kind == "fe" and len(parts) == 3:
-            token = parts[2]
-            letter_word = parse_word(token, self.name_to_index, self.runs)
-            if len(letter_word) != 1:
-                raise NilfillError(f"bad fe letter token {token!r}")
-            numbers = parts[1]      # a letter name may hold "_"
-            move = ("fe", int(numbers), letter_word[0])
-        elif kind == "ar" and len(parts) == 6:
-            move = ("ar", int(parts[1]), int(parts[2]), int(parts[3]),
-                    int(parts[4]), int(parts[5]))
-        else:
-            raise NilfillError(f"bad trace line {line!r}")
-        # int() also takes "+1", "1_0" and the digits of other scripts
-        if not numbers.isascii() or "_" in numbers or "+" in numbers:
-            raise ValueError(numbers)
+        try:
+            if kind == "fr" and len(parts) == 2:
+                move = ("fr", int(parts[1]))
+            elif kind == "fe" and len(parts) == 3:
+                token = parts[2]        # the letter is read first
+                letter = self.letters.get(token)
+                if letter is None:
+                    name = token.removesuffix("^-1")
+                    raise NilfillError(f"unknown generator {name!r}" if NAME_RE.match(name)
+                                       else f"bad fe letter token {token!r}")
+                numbers = parts[1]      # a letter name may hold "_"
+                move = ("fe", int(numbers), letter)
+            elif kind == "ar" and len(parts) == 6:
+                move = ("ar", int(parts[1]), int(parts[2]), int(parts[3]),
+                        int(parts[4]), int(parts[5]))
+            else:
+                raise NilfillError(f"bad trace line {line!r}")
+            # int() also takes "+1", "1_0" and the digits of other scripts
+            if not numbers.isascii() or "_" in numbers or "+" in numbers:
+                raise ValueError(numbers)
+        except ValueError:
+            raise NilfillError(f"bad integer in trace line {line!r}") from None
         self[line] = move
         return move
 
@@ -166,13 +172,12 @@ def parse_trace(text: str, pres: Presentation):
     for number, tag in ((1, "word:"), (2, "presentation:")):
         if len(lines) < number or not lines[number - 1].startswith(tag):
             raise TraceSyntaxError(number, f"expected a {tag!r} header line")
-    runs = {}           # word token -> letters, for this parse
     try:
-        initial = parse_word(lines[0][len("word:"):].strip(), pres.name_to_index, runs)
+        initial = parse_word(lines[0][len("word:"):].strip(), pres.name_to_index)
     except NilfillError as exc:
         raise TraceSyntaxError(1, str(exc)) from None
     pres_path = lines[1][len("presentation:"):].strip()
-    move_of = _MoveMemo(runs, pres.name_to_index)
+    move_of = _MoveMemo(pres)
     moves = []
     bad = None          # (line number, reason) of the first bad body line
     before, start = 0, 2    # file lines ahead of `lines`; its first body line
@@ -185,11 +190,10 @@ def parse_trace(text: str, pres: Presentation):
         if bad is None:
             try:
                 moves += map(move_of.__getitem__, islice(lines, start, end))
-            except (ValueError, NilfillError) as exc:
+            except NilfillError as exc:
                 # every line ahead of the bad one is in the memo by now
                 index = next(i for i in range(start, end) if lines[i] not in move_of)
-                bad = before + index + 1, (f"bad integer in trace line {lines[index]!r}"
-                                           if isinstance(exc, ValueError) else str(exc))
+                bad = before + index + 1, str(exc)
         before, start = before + len(lines), 0
     if bad is not None:
         raise TraceSyntaxError(*bad)

@@ -3,6 +3,7 @@
 from nilfill import compression
 from nilfill.engine import SequenceBuilder, apply_moves
 from nilfill.filler import fill_with_report
+from nilfill.oracle import SeriesContext
 from nilfill.words import inverse_word
 
 
@@ -18,6 +19,28 @@ def increment_sequence(pres, chain, n, s):
     b = SequenceBuilder(pres, ctx.z_words[0] + compression.compression_word(pres, chain, n, s))
     compression._run_increment(ctx, b, 0, n, s)
     return b.finish()
+
+
+def series_mul(ctx: SeriesContext, a: list[int], b: list[int]) -> list[int]:
+    """Full truncated product; slower than the letter loop of eval_word,
+    which tests check against it."""
+    out = [0] * ctx.size
+    idx = ctx.index
+    monos = ctx.monomials
+    c = ctx.c
+    for i, ai in enumerate(a):
+        if not ai:
+            continue
+        mi = monos[i]
+        room = c - len(mi)
+        for j, bj in enumerate(b):
+            if not bj:
+                continue
+            mj = monos[j]
+            if len(mj) > room:
+                continue
+            out[idx[mi + mj]] += ai * bj
+    return out
 
 
 def random_valid_sequence(pres, rng, start=None, steps=12):

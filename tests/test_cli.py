@@ -226,6 +226,14 @@ def _compress_trace(tmp_path, capsys):
                  "unknown generator", id="fe-unknown-letter"),
     pytest.param(lambda lines: lines[:2] + [b"fe 0 x1^2"] + lines[2:], 3,
                  "bad fe letter token 'x1^2'", id="fe-two-letters"),
+    pytest.param(lambda lines: lines[:2] + [b"fe 0 x1^1"] + lines[2:], 3,
+                 "bad fe letter token 'x1^1'", id="fe-exponent-one"),
+    pytest.param(lambda lines: lines[:2] + [b"fe 0 x1^+1"] + lines[2:], 3,
+                 "bad fe letter token 'x1^+1'", id="fe-exponent-plus-one"),
+    pytest.param(lambda lines: lines[:2] + [b"fe 0 x1^01"] + lines[2:], 3,
+                 "bad fe letter token 'x1^01'", id="fe-exponent-zero-padded"),
+    pytest.param(lambda lines: lines[:2] + [b"fe 0 x1^-001"] + lines[2:], 3,
+                 "bad fe letter token 'x1^-001'", id="fe-exponent-zero-padded-inverse"),
     pytest.param(lambda lines: lines[:-1], None, "missing final qed", id="no-qed"),
     pytest.param(lambda lines: lines[1:], 1, "expected a 'word:' header",
                  id="no-word-header"),

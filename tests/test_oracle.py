@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import witt_number
+from helpers import series_mul, witt_number
 
 from nilfill import oracle
 from nilfill.errors import NotInGammaC
@@ -29,7 +29,7 @@ def brute_series(w, m, c):
                 letter[ctx.index[mono]] = sign
                 mono = mono + (s,)
                 sign = -sign
-        vec = oracle.series_mul(ctx, vec, letter)
+        vec = series_mul(ctx, vec, letter)
     return vec
 
 
@@ -70,7 +70,7 @@ def test_homomorphism_and_free_reduction_invariance():
         v = tuple(rng.choice(letters) for _ in range(rng.randrange(10)))
         pu = oracle.eval_word(u, 2, 3)
         pv = oracle.eval_word(v, 2, 3)
-        assert oracle.eval_word(u + v, 2, 3) == oracle.series_mul(ctx, pu, pv)
+        assert oracle.eval_word(u + v, 2, 3) == series_mul(ctx, pu, pv)
         assert oracle.is_unit(oracle.eval_word(u + inverse_word(u), 2, 3))
         assert oracle.eval_word(free_reduce(u), 2, 3) == pu
 

@@ -10,6 +10,7 @@ from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, replay
 from nilfill.errors import NotApplicable
+from nilfill.filler import fill_with_report
 from nilfill.presentations import (
     build_chain_presentation,
     build_filler_presentation,
@@ -76,6 +77,31 @@ def test_fill_trace_digests_stable(c, m, n, count, seed):
     digests = [_fill_digest(pres, words), _fill_digest(pres, words),
                _fill_digest(fresh, words)]
     assert digests == [FILL_DIGESTS[(c, m, n, count, seed)]] * 3
+
+
+# Frozen digests of the fill reports over the same corpora: each level's
+# (nclass, length, inner_area, initial_top, max_register,
+# relator_bound_factor, register_base), one list per fill.
+REPORT_DIGESTS = {
+    (3, 3, 12, 10, 11): "f93fcfccbfbdab9d",
+    (4, 2, 12, 8, 11): "14d2aa29f22c6544",
+}
+
+
+@pytest.mark.parametrize("c,m,n,count,seed", [k for k in REPORT_DIGESTS])
+def test_fill_report_digests_stable(c, m, n, count, seed):
+    pres = build_filler_presentation(c, m)
+    h = hashlib.sha256()
+    for w in corpus_generate(pres, n, count, seed):
+        report = fill_with_report(w, pres)[1]
+        levels = []
+        while report is not None:
+            levels.append((report.nclass, report.length, report.inner_area,
+                           report.initial_top, report.max_register,
+                           report.relator_bound_factor, report.register_base))
+            report = report.inner
+        h.update(repr(levels).encode())
+    assert h.hexdigest()[:16] == REPORT_DIGESTS[(c, m, n, count, seed)]
 
 
 # Frozen digests of serialized power compression traces on the chain
