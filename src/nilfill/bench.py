@@ -77,17 +77,18 @@ def fit_exponent(points) -> FitResult:
 
 
 def _revalidate_from_file(seq, pres, expect_final, trace_dir=None):
-    """Round-trip the trace through its serialized file and replay it."""
+    """Round-trip the trace through its serialized file and replay it.  A
+    kept trace names the presentation file beside it, named by its digest."""
     keep = trace_dir is not None
+    pres_path = "<in-memory>"
     if keep:
+        import hashlib  # not at the top: OpenSSL adds 3.6 MB RSS to every command
         os.makedirs(trace_dir, exist_ok=True)
-        pres_path = os.path.join(trace_dir, "presentation.pres")
+        digest = hashlib.sha256(pres.text.encode()).hexdigest()[:16]
+        pres_path = os.path.join(trace_dir, f"presentation-{digest}.pres")
         if not os.path.exists(pres_path):
             save_presentation(pres, pres_path)
-        fd, path = tempfile.mkstemp(suffix=".trace", dir=trace_dir)
-    else:
-        pres_path = "<in-memory>"
-        fd, path = tempfile.mkstemp(suffix=".trace")
+    fd, path = tempfile.mkstemp(suffix=".trace", dir=trace_dir)
     os.close(fd)
     try:
         save_trace(seq, path, pres_path)

@@ -89,8 +89,8 @@ class ChainContext:
     context's scratch pool; each pool keeps the movers of its blocks
     (``block_mover``).
 
-    The context memoizes register increments: ``increments`` maps
-    (n, s, mirrored), with s = q mod n^c, to the ``CheckedMoves`` of one
+    The context memoizes register increments: ``increments`` maps (n, s,
+    mirrored), with s = q mod n^c, to the ``CheckedMoves`` of one
     absorption at that exponent or of its mirror (see
     ``CompressedPower.local_moves``).  Each record passes the kernel once,
     when it is made, and later absorptions splice in its effect
@@ -98,21 +98,21 @@ class ChainContext:
     mirror's splice offset off the record, so the context keeps no word
     lengths.  Moves are tuples at offset 0, and each distinct move is
     stored once, in ``_move_pool``: across its entries a context holds
-    some 25 moves for every distinct one.  A splice records the record
-    and its offset, not shifted copies of its moves, so a finished
-    sequence shares the pooled moves too, and the trace writer keeps each
-    record's line template on the record.  The memo lives as long as the
-    presentation and holds at most n^c forward records for each base n,
-    and a mirror for each of them that a left register asked for.  The
-    forward records are the records a power compression splices for the
-    same (chain, n), built by the same ``_increment_record``, plus the
-    empty records of the exponents that do not carry; the mirrors hold as
-    many moves again.  It pays off over many fills on one presentation in
-    one process, as in ``bench fill`` or a corpus: within a single fill
-    almost every entry is used only once, so one ``nilfill fill`` gains
-    nothing from it.  A power compression interns its records' moves in
-    the same pool but keeps its records out of the memo, as each (chain,
-    n) compresses once.
+    some 25 moves for every distinct one.  A splice records the record and
+    its offset, not shifted copies of its moves, so a finished sequence
+    shares the pooled moves too, and the trace writer keeps each record's
+    line template on the record.  The memo lives as long as the
+    presentation and holds, for each base n, the forward records of s = 0
+    and of the carrying s, the absorptions that move letters, and a mirror
+    for each of them that a left register asked for.  The forward records
+    are the records a power compression splices for the same (chain, n),
+    built by the same ``_increment_record``; the mirrors hold as many
+    moves again.  It pays off over many fills on one presentation in one
+    process, as in ``bench fill`` or a corpus: within a single fill almost
+    every entry is used only once, so one ``nilfill fill`` gains nothing
+    from it.  A power compression interns its records' moves in the same
+    pool but keeps its records out of the memo, as each (chain, n)
+    compresses once.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -383,12 +383,12 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     """From z_1^{n^c} to [a_1^n, ..., a_c^n] by folding all increments.
 
     The increment at s works on the z_1 ztilde^s at the right end of the
-    word, whose last z_1 sits at (total - s - 1) len(z_1).  Only s = 0
-    (which inserts ztilde^0) and the carrying s move any letter: the other
-    increments leave the word as it is, so only those records are built,
-    each spliced once and not memoized.  Area is bounded by a constant
-    times n^{c+1} and filling length by a constant times n; both are
-    measured, not asserted, here.
+    word, whose last z_1 sits at (total - s - 1) len(z_1).  For c > 1 only
+    s = 0 (which inserts ztilde^0) and the carrying s move any letter, and
+    at c = 1 none does: the other increments leave the word as it is, so
+    only those records are built, each spliced once and not memoized.  Area
+    is bounded by a constant times n^{c+1} and filling length by a
+    constant times n; both are measured, not asserted, here.
     """
     if n < 2:
         raise OutOfRange(f"base must be at least 2, got {n}")
@@ -397,8 +397,8 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     lz = len(zw)
     total = n**ctx.c
     b = SequenceBuilder(pres, zw * total)
-    carries = range(n - 1, total, n) if ctx.c > 1 else ()
-    for s in (0, *carries):
+    moving = (0, *range(n - 1, total, n)) if ctx.c > 1 else ()
+    for s in moving:
         b.splice(_increment_record(ctx, n, s), (total - s - 1) * lz)
     if b.word != list(_cword(ctx, 0, n, total)):
         raise AssertionError("power compression endpoint mismatch")
@@ -408,32 +408,34 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
 class CompressedPower:
     """A register holding ztilde^q for a growing exponent q.
 
-    ``emit_increment`` turns z_1 ztilde^q (the z_1 word sitting at
-    ``offset`` in the builder, the register word right after it) into
-    ztilde^{q+1}; the mirrored variant works on the inverse word, with the
-    z_1^-1 word at ``offset`` arriving on the right.  Both splice in the
-    checked effect of the memoized absorption (``local_moves``).  Crossing
-    into a new block happens exactly when n^c divides q+1.  ``length`` is
+    ``absorb`` turns z_1 ztilde^q (the z_1 word sitting at ``offset`` in
+    the builder, the register word right after it) into ztilde^{q+1}; a
+    register made ``mirrored`` works on the inverse word, with the z_1^-1
+    word at ``offset`` arriving on the right.  For c > 1 only s = q mod
+    n^c = 0, which opens a block, and the carrying s move letters:
+    ``absorb`` splices in their memoized, checked effect (``local_moves``),
+    and at any other s the z_1 word just joins the register.  ``length`` is
     len(ztilde^q), and like the mirror's splice offset it is read off the
     record: an absorption turns z_1 and the register's head (``before``)
     into the new head (``after``) and leaves the blocks beyond it alone.
     """
 
-    def __init__(self, pres: Presentation, chain, n: int):
+    def __init__(self, pres: Presentation, chain, n: int, mirrored: bool = False):
         if n < 2:
             raise OutOfRange(f"base must be at least 2, got {n}")
         self.ctx = chain_context(pres, chain)
         self.n = n
+        self.mirrored = mirrored
         self.q = 0
         self.length = 0
 
-    def local_moves(self, mirrored: bool = False) -> CheckedMoves:
+    def local_moves(self) -> CheckedMoves:
         """The absorption at the current q on the subword z_1 ztilde^{A-part}
         (mirrored: on its inverse), at offset 0; blocks to the right are
         never touched.  Memoized on the chain context: the forward record
         comes from the run that builds it, the mirror from one kernel pass
         of ``invert_sequence``'s output on the inverse subword."""
-        ctx, n = self.ctx, self.n
+        ctx, n, mirrored = self.ctx, self.n, self.mirrored
         s = self.q % n**ctx.c
         memo = ctx.increments
         record = memo.get((n, s, mirrored))
@@ -450,18 +452,14 @@ class CompressedPower:
                 memo[(n, s, True)] = record
         return record
 
-    def emit_increment(self, b: SequenceBuilder, offset: int) -> None:
-        record = self.local_moves()
-        b.splice(record, offset)
-        self._advance(record)
-
-    def emit_increment_mirror(self, b: SequenceBuilder, offset: int) -> None:
-        """Mirrored absorption: ... (ztilde^q)^-1 z_1^-1 ... with the z_1^-1
-        word at ``offset``; the record's ``before`` ends with that word."""
-        record = self.local_moves(mirrored=True)
-        b.splice(record, offset + len(self.ctx.z_words[0]) - len(record.before))
-        self._advance(record)
-
-    def _advance(self, record: CheckedMoves) -> None:
+    def absorb(self, b: SequenceBuilder, offset: int) -> None:
+        lz, n, c = len(self.ctx.z_words[0]), self.n, self.ctx.c
+        s = self.q % n**c
+        if c > 1 and (s == 0 or s % n == n - 1):
+            record = self.local_moves()
+            if self.mirrored:
+                offset += lz - len(record.before)
+            b.splice(record, offset)
+            self.length += len(record.after) - len(record.before)
         self.q += 1
-        self.length += len(self.ctx.z_words[0]) + len(record.after) - len(record.before)
+        self.length += lz

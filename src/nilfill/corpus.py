@@ -46,6 +46,8 @@ def corpus_generate(pres: Presentation, n: int, count: int, seed: int) -> list:
     words = [w for w in structured_words(pres, n)]
     letters = [s for i in range(1, pres.rank + 1) for s in (i, -i)]
     relators = pres.relators
+    if len(words) < count and not relators:
+        raise OutOfRange("presentation has no relators to draw words from")
     attempts = 0
     while len(words) < count and attempts < 200 * count:
         attempts += 1

@@ -345,10 +345,7 @@ class SequenceBuilder:
         ``before``, so wherever ``before`` sits every move passes the same
         checks and the batch leaves ``after``: the word takes ``after`` in
         one splice.  Anywhere else the moves go through ``extend``, which
-        refuses them as it would refuse any batch.  A record with no moves
-        leaves any word as it is, and records nothing."""
-        if not record.moves:
-            return
+        refuses them as it would refuse any batch."""
         word, before = self.word, record.before
         end = offset + len(before)
         if offset < 0 or word[offset:end] != before:

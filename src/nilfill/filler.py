@@ -8,8 +8,8 @@ expanded to the lifted relator.  Its released weight-c letters are swept
 outward - positive basis letters to compression registers on the right,
 their inverses to mirrored registers on the left, dependent letters
 rewritten through the basis on the spot.  One absorption emits the
-letter's expansion into its defining chain word, then the register's
-splice.  When the projected word is gone the two register banks mirror
+letter's expansion into its defining chain word, which the register then
+takes in.  When the projected word is gone the two register banks mirror
 each other exactly and cancel freely.  A fill keeps only its own state;
 the tables it reuses live on the presentation and the chain contexts.
 
@@ -150,7 +150,7 @@ class _FillRun:
         b = self.b = SequenceBuilder(pres, w)
         self.right = [CompressedPower(pres, pres.defining_chain(z), n_base)
                       for z in self.basis]
-        self.left = [CompressedPower(pres, pres.defining_chain(z), n_base)
+        self.left = [CompressedPower(pres, pres.defining_chain(z), n_base, mirrored=True)
                      for z in self.basis]
         # geometry: the left bank, the region (``region_len`` letters) and
         # the right bank; register j of a bank sits after (right) or before
@@ -292,7 +292,7 @@ class _FillRun:
         target = self.hi - 1 + sum(r.length for r in self.right[:j])
         block_mover(self.pres, (z,)).move_right(self.b, p, target, +1)
         self.region_len -= 1
-        self._absorb(self.right[j].emit_increment, target)
+        self._absorb(self.right[j], target)
 
     def _send_left(self, p: int) -> None:
         z = -self.b.word[p]
@@ -300,16 +300,16 @@ class _FillRun:
         target = self.lo - sum(r.length for r in self.left[:j])
         block_mover(self.pres, (z,)).move_left(self.b, p, target, -1)
         self.region_len -= 1
-        self._absorb(self.left[j].emit_increment_mirror, target)
+        self._absorb(self.left[j], target)
 
-    def _absorb(self, emit, p: int) -> None:
-        """Absorb the weight-c letter at p into a register: expand it into
+    def _absorb(self, register: CompressedPower, p: int) -> None:
+        """Absorb the weight-c letter at p into ``register``: expand it into
         its defining chain word, one definition relator per unfolding, then
-        splice it into the register with ``emit``."""
+        let the register take that word in."""
         moves = []
         _expansion_moves(self.pres, self.b.word[p], p, moves)
         self.b.extend(moves)
-        emit(self.b, p)
+        register.absorb(self.b, p)
 
 
 def _expansion_moves(pres: Presentation, a: int, p: int, out: list) -> None:

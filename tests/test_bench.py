@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tempfile
@@ -13,10 +14,11 @@ from nilfill.bench import (
     fit_exponent,
     write_csv,
 )
+from nilfill.cli import main
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence
 from nilfill.errors import InsufficientData, NilfillError
-from nilfill.presentations import build_filler_presentation
+from nilfill.presentations import build_chain_presentation, build_filler_presentation
 
 
 def test_fit_exact_cubic():
@@ -80,7 +82,29 @@ def test_bench_keeps_traces(tmp_path):
     bench_compression(2, range(2, 4), timing=False, trace_dir=str(trace_dir))
     kept = sorted(p.name for p in trace_dir.iterdir())
     assert len(kept) == 3  # two traces plus the shared presentation file
-    assert "presentation.pres" in kept
+    pres = build_chain_presentation(2, 1)
+    digest = hashlib.sha256(pres.text.encode()).hexdigest()[:16]
+    assert f"presentation-{digest}.pres" in kept
+
+
+def test_bench_runs_on_different_presentations_share_a_trace_dir(tmp_path, capsys):
+    # each kept trace names the presentation it was built on, even when a
+    # run on another class kept its traces in the same directory first
+    trace_dir = tmp_path / "traces"
+    for c in ("2", "3"):
+        assert main(["bench", "compression", "--class", c, "--n-max", "3",
+                     "--csv", str(tmp_path / f"k{c}.csv"),
+                     "--trace-dir", str(trace_dir), "--no-timing"]) == 0
+    traces = sorted(trace_dir.glob("*.trace"))
+    assert len(traces) == 4 and len(list(trace_dir.glob("*.pres"))) == 2
+    capsys.readouterr()
+    for path in traces:
+        pres_line = path.read_text().splitlines()[1]
+        assert pres_line.startswith("presentation: ")
+        code = main(["validate", "--trace", str(path),
+                     "--presentation", pres_line[len("presentation: "):]])
+        out = capsys.readouterr().out
+        assert code == 0 and out.startswith("ok "), (path.name, out)
 
 
 def test_revalidation_refuses_a_different_endpoint(tmp_path, monkeypatch):

@@ -148,6 +148,11 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
     pytest.param(("bench", "fill", "--class", "2", "--gens", "2", "--n", "12", "--count",
                   "0", "--seed", "3", "--csv", "OUT"), "empty corpus",
                  id="bench-fill-empty-corpus"),
+    pytest.param(("corpus", "--class", "1", "--gens", "1", "--n", "4", "--count", "2",
+                  "--seed", "1", "--out", "OUT"), "no relators", id="corpus-no-relators"),
+    pytest.param(("bench", "fill", "--class", "1", "--gens", "1", "--n", "4", "--count",
+                  "2", "--seed", "1", "--csv", "OUT"), "no relators",
+                 id="bench-fill-no-relators"),
 ])
 def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
     out_path = str(tmp_path / "out")

@@ -220,6 +220,7 @@ def test_power_compression_c1_zero_moves():
     seq = power_compression_sequence(pres, chain, 3)
     assert seq.moves == []
     assert seq.initial == (1, 1, 1)
+    assert all(record is None for record, _, _ in seq.segments)  # nothing spliced
 
 
 def test_power_compression_c2_n2():
@@ -387,9 +388,9 @@ def test_splice_matches_kernel_extend(c, n, qs, mirrored):
     pres, chain = _fresh_chain_presentation(c)
     for q in qs:
         for prefix, suffix in (((), ()), ((2, 1, -2), (1, 1))):
-            reg = CompressedPower(pres, chain, n)
+            reg = CompressedPower(pres, chain, n, mirrored)
             reg.q = q
-            record = reg.local_moves(mirrored)
+            record = reg.local_moves()
             word, offset = _register_site(reg.ctx, n, q, mirrored, prefix, suffix)
             assert list(word[offset:offset + len(record.before)]) == record.before
             spliced, twin = SequenceBuilder(pres, word), SequenceBuilder(pres, word)
@@ -437,12 +438,12 @@ def test_corrupt_mirror_caught_on_first_mirrored_absorption(monkeypatch, corrupt
     monkeypatch.setattr(compression, "invert_sequence", lambda seq: corrupt(invert(seq)))
     z1 = nested_commutator(chain)
     n, q = 2, 1        # s + 1 = n: the increment carries, so it has relators
-    reg = CompressedPower(pres, chain, n)
+    reg = CompressedPower(pres, chain, n, mirrored=True)
     reg.q = q
     word, _ = _register_site(reg.ctx, n, q, True, (), ())
     b = SequenceBuilder(pres, word)
     with pytest.raises(error):
-        reg.emit_increment_mirror(b, len(word) - len(z1))
+        reg.absorb(b, len(word) - len(z1))
     assert b.word == list(word) and not b.moves
     memo = reg.ctx.increments
     assert reg.q == q and (n, q, False) in memo and (n, q, True) not in memo
@@ -470,7 +471,7 @@ def test_extended_compression_oracle():
         reg = CompressedPower(pres, chain, 2)
         b = SequenceBuilder(pres, z1 * q)
         for s in range(q):
-            reg.emit_increment(b, (q - s - 1) * len(z1))
+            reg.absorb(b, (q - s - 1) * len(z1))
         assert reg.q == q
         word = extended_word(reg.ctx, 2, q)
         assert b.word == list(word)
@@ -483,21 +484,21 @@ def test_extended_compression_oracle():
 @pytest.mark.parametrize("c,n", [(2, 2), (2, 3), (3, 2)])
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_compressed_power_register(c, n, mirrored):
-    # the register reads its length and the mirror's splice offset off each
-    # record: past two block crossings, every absorption leaves the
-    # extended word (mirrored: its inverse), as long as the register says
+    # the register reads its length and the mirror's splice offset off the
+    # records it splices: past two block crossings, every absorption leaves
+    # the extended word (mirrored: its inverse), as long as the register says
     pres, chain = _fresh_chain_presentation(c)
-    reg = CompressedPower(pres, chain, n)
+    reg = CompressedPower(pres, chain, n, mirrored)
     z1 = reg.ctx.z_words[0]
     for q in range(2 * n**c + 2):
         word = extended_word(reg.ctx, n, q)
         if mirrored:
             # ... (ztilde^q)^-1 z1^-1, the z1^-1 word right of the register
             b = SequenceBuilder(pres, inverse_word(word) + inverse_word(z1))
-            reg.emit_increment_mirror(b, reg.length)
+            reg.absorb(b, reg.length)
         else:
             b = SequenceBuilder(pres, z1 + word)
-            reg.emit_increment(b, 0)
+            reg.absorb(b, 0)
         want = extended_word(reg.ctx, n, q + 1)
         assert reg.q == q + 1
         assert b.word == list(inverse_word(want) if mirrored else want)

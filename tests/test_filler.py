@@ -5,6 +5,7 @@ from helpers import fill, witt_number
 
 from nilfill import compression
 from nilfill.compression import block_mover, chain_context
+from nilfill.corpus import corpus_generate
 from nilfill.engine import replay, validate_null
 from nilfill.errors import NotNullHomotopic
 from nilfill.engine import apply_moves
@@ -157,6 +158,23 @@ def test_each_pool_keeps_one_mover_per_block(p3, monkeypatch):
     chain = pres.defining_chain(z)
     assert block_mover(chain_context(pres, chain).scratch, chain).exact
     assert not block_mover(pres, chain).exact
+
+
+def test_register_memo_holds_only_records_that_move_letters(p3):
+    # a fresh copy, so that its memos hold only this corpus's records: a
+    # register asks for a record only at s = 0 and at the carrying s, and
+    # every other absorption appends its z_1 word without one
+    pres = Presentation(p3.names, p3.weights, p3.relators, 3, p3.parents)
+    for w in corpus_generate(pres, 16, 12, 3):
+        fill(w, pres)
+    keys = []
+    for level in (pres, pres.quotient):
+        for ctx in level._chain_ctxs.values():
+            for (n, s, mirrored), record in ctx.increments.items():
+                keys.append((ctx.c, mirrored))
+                assert record.moves, (ctx.chain, n, s, mirrored)
+                assert s == 0 or s % n == n - 1, (ctx.chain, n, s)
+    assert {(3, False), (3, True), (2, False), (2, True)} <= set(keys)
 
 
 def test_fill_report_structure(p3):
