@@ -103,18 +103,49 @@ class _MoveMemo(dict):
     first lookup, so each distinct line is parsed once and equal lines
     share one move tuple.  A line that is not in the grammar raises
     NilfillError with its reason and is not stored: an integer field must
-    be an ASCII decimal integer (``-?[0-9]+``), fields are separated by
-    single spaces and an ``fe`` letter is written ``NAME`` or ``NAME^-1``."""
+    be an ASCII decimal integer (``-?[0-9]+``) that ``int()`` takes,
+    fields are separated by single spaces and an ``fe`` letter is written
+    ``NAME`` or ``NAME^-1``.
 
-    __slots__ = ("letters",)
+    A line is its kind, its position and its tail, the fields after the
+    position.  A line is read from its position alone when that is ASCII
+    digits that ``int()`` takes and its tail is one the grammar has
+    accepted: an ``ar`` line's tail in ``tails``, an ``fe`` letter in
+    ``letters``, or no tail for ``fr``.  The grammar reads every other
+    line, so it alone gives the refusals."""
+
+    __slots__ = ("letters", "tails")
 
     def __init__(self, pres: Presentation):
         super().__init__()
         # each letter in the one form the trace writer gives it
         self.letters = {format_letter(a, pres.names): a
                         for i in range(1, pres.rank + 1) for a in (i, -i)}
+        self.tails = {}     # "RID SHIFT INV SPLIT" of an accepted ar line -> its ints
 
     def __missing__(self, line):
+        kind, _, rest = line.partition(" ")
+        pos, space, tail = rest.partition(" ")
+        move = None
+        if pos.isdigit() and pos.isascii():
+            try:
+                if kind == "ar" and tail in self.tails:
+                    move = ("ar", int(pos)) + self.tails[tail]
+                elif kind == "fe" and tail in self.letters:
+                    move = ("fe", int(pos), self.letters[tail])
+                elif kind == "fr" and not space:
+                    move = ("fr", int(pos))
+            except ValueError:      # int() refuses a position of too many digits
+                pass
+        if move is None:
+            move = self._read(line)
+            if kind == "ar":
+                self.tails[tail] = move[2:]
+        self[line] = move
+        return move
+
+    def _read(self, line):
+        """The move of a line, by the full grammar."""
         # fields are separated by exactly one space; a tab, a run of
         # spaces, an edge space or a control character leaves the grammar
         parts = line.split(" ") if line.isprintable() else ()
@@ -142,7 +173,6 @@ class _MoveMemo(dict):
                 raise ValueError(numbers)
         except ValueError:
             raise NilfillError(f"bad integer in trace line {line!r}") from None
-        self[line] = move
         return move
 
 

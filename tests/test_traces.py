@@ -4,11 +4,13 @@ import tracemalloc
 import pytest
 
 from nilfill import traces
+from nilfill.cli import main
 from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, check_moves, replay
 from nilfill.errors import TraceSyntaxError
-from nilfill.presentations import build_chain_presentation, build_filler_presentation
+from nilfill.presentations import (build_chain_presentation, build_filler_presentation,
+                                   save_presentation)
 from nilfill.traces import parse_trace, serialize_trace, verdict_line
 
 from helpers import fill, random_valid_sequence
@@ -301,3 +303,78 @@ def test_parse_peak_memory_is_bounded_by_the_text():
         tracemalloc.stop()
     assert len(result[0].moves) == len(text.splitlines()) - 3
     assert peak - retained <= 3.5 * len(text)
+
+
+# -- positions after a known tail -------------------------------------------
+#
+# A line whose fields after the position (its tail) an accepted line
+# already had is read from its position alone when that is ASCII digits.
+# Every other position goes to the full grammar, so a line's outcome must
+# not depend on whether its tail was seen before.
+
+# kind, tail, and an accepted line of a different tail
+KINDS = [pytest.param("fr", "", "fe 0 x1", id="fr"),
+         pytest.param("fe", " x1", "fe 0 x2^-1", id="fe"),
+         pytest.param("ar", " 3 1 1 0", "ar 0 3 1 1 1", id="ar")]
+
+
+@pytest.mark.parametrize("kind,tail,_", KINDS)
+def test_huge_position_after_an_accepted_tail_is_a_bad_integer(tmp_path, capsys,
+                                                               kind, tail, _):
+    # int() refuses more than 4,300 digits; the validator must stay total
+    pres = build_chain_presentation(2, 1)
+    huge = f"{kind} {'9' * 5000}{tail}"
+    trace = tmp_path / "t.trace"
+    trace.write_text(_chain_trace([f"{kind} 0{tail}", "fe 0 x1", huge, "fr 0"]))
+    with pytest.raises(TraceSyntaxError) as err:
+        parse_trace(trace.read_text(), pres)
+    assert (err.value.line, err.value.reason) == (5, f"bad integer in trace line {huge!r}")
+    save_presentation(pres, tmp_path / "p.pres")
+    code = main(["validate", "--trace", str(trace), "--presentation", str(tmp_path / "p.pres")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == f"error line=5 bad integer in trace line {huge!r}\n"
+
+
+def _after_first_line(outcome):
+    """An outcome without the first body line's move."""
+    if outcome[0] == "error":
+        return outcome
+    _, moves, shared, _ = outcome
+    return moves[1:], shared[1:]
+
+
+@pytest.mark.parametrize("piece", [1, 300])
+@pytest.mark.parametrize("kind,tail,other", KINDS)
+@pytest.mark.parametrize("pos,refusal", [
+    ("+5", "bad integer in trace line"),
+    ("5_0", "bad integer in trace line"),
+    ("\u0665", "bad integer in trace line"),      # Arabic-Indic five
+    ("\uff15", "bad integer in trace line"),      # fullwidth five
+    (" 5", "bad trace line"),
+    ("5 ", "bad trace line"),
+    ("5\t", "bad trace line"),
+    ("5\x1f", "bad trace line"),
+    ("05", None),
+    ("-3", None),       # read, then refused by the kernel
+], ids=["plus", "underscore", "arabic-indic", "fullwidth", "double-space",
+        "trailing-space", "tab", "unit-separator", "zero-padded", "negative"])
+def test_position_after_a_known_tail_reads_as_after_an_unknown_one(
+        monkeypatch, piece, kind, tail, other, pos, refusal):
+    pres = build_chain_presentation(2, 1)
+    line = f"{kind} {pos}{tail}"
+    known, unknown = (_chain_trace([first, line, "fe 1 x2", line])
+                      for first in (f"{kind} 0{tail}", other))
+    outcome = _after_first_line(_parses_alike_in_pieces(monkeypatch, known, pres, piece))
+    assert outcome == _after_first_line(
+        _parses_alike_in_pieces(monkeypatch, unknown, pres, piece))
+    if refusal is not None:
+        assert outcome == ("error", 4, f"{refusal} {line!r}")
+        return
+    moves, shared = outcome
+    fields = {"fr": (), "fe": (1,), "ar": (3, 1, 1, 0)}[kind]
+    assert moves == [(kind, int(pos)) + fields, ("fe", 1, 2), (kind, int(pos)) + fields]
+    assert shared == [1, 2, 1]
+    if pos == "-3":
+        code, verdict = verdict_line(PSequence(pres, (1, -1), moves[:1]), require_null=False)
+        assert code == 1 and verdict.endswith(" at -3 out of range")

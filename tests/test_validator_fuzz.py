@@ -1,4 +1,5 @@
-"""Single-byte mutations of a real certificate never crash the validator."""
+"""Mutations of a real certificate never crash the validator: single bytes,
+and the position field of a line whose tail came earlier."""
 
 import contextlib
 import io
@@ -100,3 +101,41 @@ def test_single_byte_mutation_of_class3_certificate_in_small_pieces(certificate_
         _mutate_and_validate(certificate_c3, target, draw)
         in_pieces = _validate(work)
     assert _validate(work) == in_pieces
+
+
+# what a rewritten position is drawn from: runs of digits past int()'s
+# limit of 4,300, signs, "_", other scripts' digits, spaces and controls
+POSITION_PARTS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=12),
+    st.builds(str.__mul__, st.sampled_from("0123456789"),
+              st.one_of(st.integers(1, 5000), st.integers(4299, 4302))),
+    st.sampled_from(["-", "+", "_", "\u0665", "\uff15", "\u00b2", " ", "\t",
+                     "\x00", "\x1f", "\x7f", "\x85"]),
+)
+
+
+@settings(max_examples=100)
+@given(draw=st.data())
+def test_position_rewrite_of_class3_certificate(certificate_c3, draw):
+    # only lines whose kind and tail (the fields after the position) an
+    # earlier line has: those a parse may read from their position alone
+    work, files = certificate_c3
+    lines = files["t.trace"].decode().split("\n")
+    seen, after_seen = set(), []
+    for i, line in enumerate(lines[2:-2], 2):
+        kind, _, rest = line.partition(" ")
+        key = kind, rest.partition(" ")[2]
+        if key in seen:
+            after_seen.append(i)
+        seen.add(key)
+    i = draw.draw(st.sampled_from(after_seen))
+    kind, _, rest = lines[i].partition(" ")
+    _, space, tail = rest.partition(" ")
+    pos = "".join(draw.draw(st.lists(POSITION_PARTS, min_size=1, max_size=4)))
+    lines = lines[:i] + [f"{kind} {pos}{space}{tail}"] + lines[i + 1:]
+    (work / "m.trace").write_text("\n".join(lines), encoding="utf-8")
+    (work / "m.pres").write_bytes(files["p.pres"])
+    code, out = _validate(work)
+    assert code in (0, 1)
+    assert len(out) == 1
+    assert out[0].startswith("ok area=" if code == 0 else "error")
