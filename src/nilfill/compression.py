@@ -9,12 +9,15 @@ commutator word [a_k, ..., a_c].  The compression word for an exponent
 
 with (s_0, ..., s_{c-1}) the base-n digits of s.  Increment sequences
 transform z_1 ztilde^s into ztilde^{s+1}; concatenating all of them
-compresses z_1^{n^c} with area O(n^{c+1}) and filling length O(n).  An
-increment is built on its own subword z_1 ztilde^s, where every move it
-builds passes the kernel once, and kept as a checked record
-(``_increment_record``) that a power compression or a register splices in
-wherever that subword sits.  Only the carrying increments (s = n - 1 mod
-n, c > 1) move letters; the increment at s = 0 also inserts ztilde^0.
+compresses z_1^{n^c} with area O(n^{c+1}) and filling length O(n).  A
+register (``CompressedPower``) drives the increments, one absorption of
+z_1 at a time, and a power compression is one register absorbing n^c
+copies of z_1.  An increment is built on its own subword z_1 ztilde^s,
+where every move it builds passes the kernel once, and kept as a checked
+record (``_increment_record``) on the register's chain context, which
+splices it in wherever that subword sits.  Only the carrying increments
+(s = n - 1 mod n, c > 1) move letters; the increment at s = 0 also
+inserts ztilde^0.
 
 Every relator application emitted here is a transport: a central block
 (a nested commutator word or its inverse) swaps with an adjacent letter.
@@ -91,28 +94,22 @@ class ChainContext:
 
     The context memoizes register increments: ``increments`` maps (n, s,
     mirrored), with s = q mod n^c, to the ``CheckedMoves`` of one
-    absorption at that exponent or of its mirror (see
-    ``CompressedPower.local_moves``).  Each record passes the kernel once,
+    absorption that moves letters (s = 0 or carrying) or of its mirror
+    (``CompressedPower.local_moves``).  Each record passes the kernel once,
     when it is made, and later absorptions splice in its effect
-    (``SequenceBuilder.splice``); a register reads its length and the
-    mirror's splice offset off the record, so the context keeps no word
-    lengths.  Moves are tuples at offset 0, and each distinct move is
-    stored once, in ``_move_pool``: across its entries a context holds
-    some 25 moves for every distinct one.  A splice records the record and
-    its offset, not shifted copies of its moves, so a finished sequence
-    shares the pooled moves too, and the trace writer keeps each record's
-    line template on the record.  The memo lives as long as the
-    presentation and holds, for each base n, the forward records of s = 0
-    and of the carrying s, the absorptions that move letters, and a mirror
-    for each of them that a left register asked for.  The forward records
-    are the records a power compression splices for the same (chain, n),
-    built by the same ``_increment_record``; the mirrors hold as many
-    moves again.  It pays off over many fills on one presentation in one
-    process, as in ``bench fill`` or a corpus: within a single fill almost
-    every entry is used only once, so one ``nilfill fill`` gains nothing
-    from it.  A power compression interns its records' moves in the same
-    pool but keeps its records out of the memo, as each (chain, n)
-    compresses once.
+    (``SequenceBuilder.splice``), sharing its moves; a register reads its
+    length and the mirror's splice offset off the record.  Moves are
+    tuples at offset 0, each distinct one stored once in ``_move_pool`` (a
+    context holds some 25 moves for every distinct one), and the trace
+    writer keeps each record's line template on the record.
+
+    Whoever makes a register chooses the context that owns its records.
+    Fills share the presentation's context of each chain
+    (``chain_context``): its memo lives as long as the presentation and
+    pays off over many fills on it, as in ``bench fill``, though within one
+    fill almost every entry is used once.  A power compression and a
+    compression word each make a context of their own, which goes when
+    they are done, with its records, moves and scratch pool.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -136,6 +133,7 @@ class ChainContext:
 
 
 def chain_context(pres: Presentation, chain) -> ChainContext:
+    """The presentation's shared context of ``chain``, which fills use."""
     cache = pres._chain_ctxs
     key = tuple(chain)
     ctx = cache.get(key)
@@ -250,8 +248,7 @@ class BlockMover:
 
 def compression_word(pres: Presentation, chain, n: int, s: int) -> Word:
     """The compression word for z_1^s; s = n^c gives [a_1^n, ..., a_c^n]."""
-    ctx = chain_context(pres, chain)
-    return _cword(ctx, 0, n, s)
+    return _cword(ChainContext(pres, chain), 0, n, s)
 
 
 def _cword(ctx: ChainContext, level: int, n: int, s: int) -> Word:
@@ -380,26 +377,21 @@ def _increment_record(ctx: ChainContext, n: int, s: int) -> CheckedMoves:
 
 
 def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
-    """From z_1^{n^c} to [a_1^n, ..., a_c^n] by folding all increments.
-
-    The increment at s works on the z_1 ztilde^s at the right end of the
-    word, whose last z_1 sits at (total - s - 1) len(z_1).  For c > 1 only
-    s = 0 (which inserts ztilde^0) and the carrying s move any letter, and
-    at c = 1 none does: the other increments leave the word as it is, so
-    only those records are built, each spliced once and not memoized.  Area
-    is bounded by a constant times n^{c+1} and filling length by a
-    constant times n; both are measured, not asserted, here.
+    """From z_1^{n^c} to [a_1^n, ..., a_c^n]: one register absorbs all n^c
+    copies of z_1, each at the last z_1 of the word, (total - s - 1)
+    len(z_1).  The register works on a chain context of its own, so the
+    records it splices, their interned moves and the scratch pool go when
+    the sequence goes.  Area is bounded by a constant times n^{c+1} and
+    filling length by a constant times n; both are measured, not asserted,
+    here.
     """
-    if n < 2:
-        raise OutOfRange(f"base must be at least 2, got {n}")
-    ctx = chain_context(pres, chain)
+    ctx = ChainContext(pres, chain)
+    reg = CompressedPower(ctx, n)
     zw = ctx.z_words[0]
-    lz = len(zw)
     total = n**ctx.c
     b = SequenceBuilder(pres, zw * total)
-    moving = (0, *range(n - 1, total, n)) if ctx.c > 1 else ()
-    for s in moving:
-        b.splice(_increment_record(ctx, n, s), (total - s - 1) * lz)
+    for s in range(total):
+        reg.absorb(b, (total - s - 1) * len(zw))
     if b.word != list(_cword(ctx, 0, n, total)):
         raise AssertionError("power compression endpoint mismatch")
     return b.finish()
@@ -413,17 +405,20 @@ class CompressedPower:
     register made ``mirrored`` works on the inverse word, with the z_1^-1
     word at ``offset`` arriving on the right.  For c > 1 only s = q mod
     n^c = 0, which opens a block, and the carrying s move letters:
-    ``absorb`` splices in their memoized, checked effect (``local_moves``),
-    and at any other s the z_1 word just joins the register.  ``length`` is
-    len(ztilde^q), and like the mirror's splice offset it is read off the
-    record: an absorption turns z_1 and the register's head (``before``)
-    into the new head (``after``) and leaves the blocks beyond it alone.
+    ``absorb`` splices in their checked effect (``local_moves``), memoized
+    on the chain context ``ctx`` that its maker hands it, and at any other
+    s the z_1 word just joins the register.  ``absorb`` is the one driver
+    of increments: a fill's registers and a power compression both run
+    through it.  ``length`` is len(ztilde^q), and like the mirror's splice
+    offset it is read off the record: an absorption turns z_1 and the
+    register's head (``before``) into the new head (``after``) and leaves
+    the blocks beyond it alone.
     """
 
-    def __init__(self, pres: Presentation, chain, n: int, mirrored: bool = False):
+    def __init__(self, ctx: ChainContext, n: int, mirrored: bool = False):
         if n < 2:
             raise OutOfRange(f"base must be at least 2, got {n}")
-        self.ctx = chain_context(pres, chain)
+        self.ctx = ctx
         self.n = n
         self.mirrored = mirrored
         self.q = 0

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .compression import CompressedPower, block_mover
+from .compression import CompressedPower, block_mover, chain_context
 from .engine import SequenceBuilder, normalize_insertions, reduction_steps
 from .errors import NotNullHomotopic
 from .presentations import Presentation
@@ -148,10 +148,9 @@ class _FillRun:
             inner=inner_report,
         )
         b = self.b = SequenceBuilder(pres, w)
-        self.right = [CompressedPower(pres, pres.defining_chain(z), n_base)
-                      for z in self.basis]
-        self.left = [CompressedPower(pres, pres.defining_chain(z), n_base, mirrored=True)
-                     for z in self.basis]
+        ctxs = [chain_context(pres, pres.defining_chain(z)) for z in self.basis]
+        self.right = [CompressedPower(ctx, n_base) for ctx in ctxs]
+        self.left = [CompressedPower(ctx, n_base, mirrored=True) for ctx in ctxs]
         # geometry: the left bank, the region (``region_len`` letters) and
         # the right bank; register j of a bank sits after (right) or before
         # (left) the bank's registers 0..j-1, so offsets are read off them

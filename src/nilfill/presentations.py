@@ -61,8 +61,8 @@ class Presentation:
         self.C = max((len(r) for r in self.relators), default=0)
         self._expansion = {}
         self.lift_table = ()    # set on a quotient by its parent's ``quotient``
-        # filled by compression.chain_context, compression.block_mover and
-        # engine._template
+        # filled by compression.chain_context (the chain contexts fills
+        # share), compression.block_mover and engine._template
         self._chain_ctxs: dict = {}
         self._movers: dict = {}
         self._move_templates: dict = {}
@@ -405,9 +405,13 @@ _COUNT_RE = re.compile(r"[0-9]+$")
 
 
 def _count(text: str, what: str, number: int) -> int:
-    if not _COUNT_RE.match(text) or int(text) < 1:
+    try:
+        value = int(text) if _COUNT_RE.match(text) else 0
+    except ValueError:      # past int()'s digit limit
+        raise PresentationSyntaxError(number, f"{what} has more digits than int() takes") from None
+    if value < 1:
         raise PresentationSyntaxError(number, f"{what} {text!r} is not a positive integer")
-    return int(text)
+    return value
 
 
 def load_presentation(path) -> Presentation:

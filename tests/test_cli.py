@@ -291,6 +291,10 @@ def test_validate_missing_file_is_usage_error(tmp_path, capsys):
                  "not UTF-8 text", id="non-utf8"),
     pytest.param(lambda lines: lines + [b"rel x1^10000000000000000000 x2"], None,
                  "word longer than 1000000 letters", id="rel-huge-exponent"),
+    pytest.param(lambda lines: [b"class " + b"9" * 5000] + lines[1:], 1,
+                 "class has more digits than int() takes", id="class-huge"),
+    pytest.param(lambda lines: lines + [b"gen x9 " + b"9" * 5000], None,
+                 "weight has more digits than int() takes", id="weight-huge"),
 ])
 def test_validate_malformed_presentation_names_line(tmp_path, capsys, edit, line, reason):
     trace = _compress_trace(tmp_path, capsys)

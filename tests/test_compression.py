@@ -1,5 +1,7 @@
 import functools
+import gc
 import itertools
+import weakref
 
 import pytest
 from helpers import increment_sequence
@@ -7,6 +9,7 @@ from helpers import increment_sequence
 from nilfill import compression, oracle
 from nilfill.compression import (
     BlockMover,
+    ChainContext,
     CompressedPower,
     block_mover,
     compression_word,
@@ -307,13 +310,28 @@ def test_power_compression_records_equal_register_records(c, chain, n):
     total, lz = n**c, len(nested_commutator(chain))
     spliced = [(r, offset) for r, _, offset in seq.segments if r is not None]
     for s, (record, offset) in zip((0, *range(n - 1, total, n)), spliced, strict=True):
-        reg = CompressedPower(pres, chain, n)
+        reg = CompressedPower(chain_context(pres, chain), n)
         reg.q = s
         forward = reg.local_moves()
         assert offset == (total - s - 1) * lz
         assert record.moves == forward.moves
         assert record.before == forward.before
         assert record.after == forward.after
+
+
+@pytest.mark.parametrize("c,chain,n", _SPLICED_CASES)
+def test_power_compression_leaves_no_shared_state(c, chain, n):
+    # a power compression and a compression word each work on a chain
+    # context of their own: the presentation keeps none, and the records a
+    # power compression splices go with its sequence
+    pres, _ = _fresh_chain_presentation(c)
+    seq = power_compression_sequence(pres, chain, n)
+    assert replay(seq)[1] == compression_word(pres, chain, n, n**c)
+    assert pres._chain_ctxs == {}
+    record = weakref.ref(next(r for r, _, _ in seq.segments if r is not None))
+    del seq
+    gc.collect()
+    assert record() is None
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,7 +352,12 @@ def test_power_compression_every_chain_ordering(c, chain, n):
     seq = power_compression_sequence(pres, chain, n)
     assert replay(seq)[1] == compression_word(pres, chain, n, n**c)
     assert seq.metrics == _natural_order_metrics(c, n)
-    scratch = chain_context(pres, chain).scratch
+    ctx = ChainContext(pres, chain)
+    reg = CompressedPower(ctx, n)
+    for s in range(n - 1, n**c, n):
+        reg.q = s
+        reg.local_moves()
+    scratch = ctx.scratch
     assert scratch.relators
     for rid, relator in enumerate(scratch.relators):
         assert nested_commutator(scratch.chains[rid]) == relator
@@ -351,7 +374,7 @@ def test_register_increment_equals_isolated_increment(c, n, qs):
     # a fresh presentation, so each local_moves call misses the memo
     pres, chain = _fresh_chain_presentation(c)
     for q in qs:
-        reg = CompressedPower(pres, chain, n)
+        reg = CompressedPower(chain_context(pres, chain), n)
         reg.q = q
         a_part = q % n**c
         assert list(reg.local_moves().moves) == isolated_increments(
@@ -388,7 +411,7 @@ def test_splice_matches_kernel_extend(c, n, qs, mirrored):
     pres, chain = _fresh_chain_presentation(c)
     for q in qs:
         for prefix, suffix in (((), ()), ((2, 1, -2), (1, 1))):
-            reg = CompressedPower(pres, chain, n, mirrored)
+            reg = CompressedPower(chain_context(pres, chain), n, mirrored)
             reg.q = q
             record = reg.local_moves()
             word, offset = _register_site(reg.ctx, n, q, mirrored, prefix, suffix)
@@ -403,7 +426,7 @@ def test_splice_matches_kernel_extend(c, n, qs, mirrored):
 
 def test_splice_where_before_does_not_sit_is_refused_by_the_kernel():
     pres, chain = _fresh_chain_presentation(2)
-    reg = CompressedPower(pres, chain, 2)
+    reg = CompressedPower(chain_context(pres, chain), 2)
     reg.q = 3
     record = reg.local_moves()
     word, offset = _register_site(reg.ctx, 2, 3, False, (2, 1), ())
@@ -438,7 +461,7 @@ def test_corrupt_mirror_caught_on_first_mirrored_absorption(monkeypatch, corrupt
     monkeypatch.setattr(compression, "invert_sequence", lambda seq: corrupt(invert(seq)))
     z1 = nested_commutator(chain)
     n, q = 2, 1        # s + 1 = n: the increment carries, so it has relators
-    reg = CompressedPower(pres, chain, n, mirrored=True)
+    reg = CompressedPower(chain_context(pres, chain), n, mirrored=True)
     reg.q = q
     word, _ = _register_site(reg.ctx, n, q, True, (), ())
     b = SequenceBuilder(pres, word)
@@ -468,7 +491,7 @@ def test_extended_compression_oracle():
     # from z1^q the register reaches the extended compression word, which
     # the oracle confirms equals z1^q
     for q in (0, 1, 4, 6, 9):
-        reg = CompressedPower(pres, chain, 2)
+        reg = CompressedPower(chain_context(pres, chain), 2)
         b = SequenceBuilder(pres, z1 * q)
         for s in range(q):
             reg.absorb(b, (q - s - 1) * len(z1))
@@ -488,7 +511,7 @@ def test_compressed_power_register(c, n, mirrored):
     # records it splices: past two block crossings, every absorption leaves
     # the extended word (mirrored: its inverse), as long as the register says
     pres, chain = _fresh_chain_presentation(c)
-    reg = CompressedPower(pres, chain, n, mirrored)
+    reg = CompressedPower(chain_context(pres, chain), n, mirrored)
     z1 = reg.ctx.z_words[0]
     for q in range(2 * n**c + 2):
         word = extended_word(reg.ctx, n, q)
