@@ -13,9 +13,9 @@ compresses z_1^{n^c} with area O(n^{c+1}) and filling length O(n).  A
 register (``CompressedPower``) drives the increments, one absorption of
 z_1 at a time, and a power compression is one register absorbing n^c
 copies of z_1.  An increment is built on its own subword z_1 ztilde^s,
-where every move it builds passes the kernel once, and kept as a checked
-record (``_increment_record``) on the register's chain context, which
-splices it in wherever that subword sits.  Only the carrying increments
+where every move it builds passes the kernel once, as a checked record
+that the chain context makes and keeps (``ChainContext.record``), and
+spliced in wherever that subword sits.  Only the carrying increments
 (s = n - 1 mod n, c > 1) move letters; the increment at s = 0 also
 inserts ztilde^0.
 
@@ -63,7 +63,10 @@ class _ScratchPresentation:
     ``rid`` is the nested commutator of the chain ``chains[rid]``, which
     the lift reads back to move the leftover block.  Like a presentation,
     the pool keeps the kernel's move templates and its own block movers
-    (``block_mover``), which add relators to it in the exact shape."""
+    (``block_mover``), which add relators to it in the exact shape.  Its
+    movers point back at it (``BlockMover.pres``), so it is not part of its
+    ``ChainContext``: that cycle would hold the record memo until the cyclic
+    collector runs (compress peak memory 75.8 -> 87.3 MB in a trial)."""
 
     def __init__(self, base: Presentation):
         self.rank = base.rank
@@ -92,10 +95,10 @@ class ChainContext:
     context's scratch pool; each pool keeps the movers of its blocks
     (``block_mover``).
 
-    The context memoizes register increments: ``increments`` maps (n, s,
-    mirrored), with s = q mod n^c, to the ``CheckedMoves`` of one
-    absorption that moves letters (s = 0 or carrying) or of its mirror
-    (``CompressedPower.local_moves``).  Each record passes the kernel once,
+    The context builds, mirrors and keeps register increments (``record``):
+    ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
+    ``CheckedMoves`` of one absorption that moves letters (s = 0 or
+    carrying) or of its mirror.  Each record passes the kernel once,
     when it is made, and later absorptions splice in its effect
     (``SequenceBuilder.splice``), sharing its moves; a register reads its
     length and the mirror's splice offset off the record.  Moves are
@@ -108,8 +111,9 @@ class ChainContext:
     (``chain_context``): its memo lives as long as the presentation and
     pays off over many fills on it, as in ``bench fill``, though within one
     fill almost every entry is used once.  A power compression and a
-    compression word each make a context of their own, which goes when
-    they are done, with its records, moves and scratch pool.
+    compression word each make a context of their own: its records and
+    moves go with the sequence that splices them, its scratch pool (which
+    its movers point back at) at the next cyclic collection.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -130,6 +134,32 @@ class ChainContext:
         """``moves`` as a tuple whose equal moves are one shared object."""
         pool = self._move_pool
         return tuple(map(pool.setdefault, moves, moves))
+
+    def record(self, n: int, s: int, mirrored: bool) -> CheckedMoves:
+        """The checked record of the increment at s on z_1 ztilde^s (mirrored:
+        on its inverse), at offset 0, made on the first request and kept; at
+        s = 0 it starts from z_1 and inserts ztilde^0."""
+        rec = self.increments.get((n, s, mirrored))
+        if rec is not None:
+            return rec
+        if mirrored:
+            forward = self.record(n, s, False)
+            mirror = invert_sequence(PSequence(self.pres, forward.before, forward.moves))
+            rec = check_moves(self.pres, mirror.initial, self.intern(mirror.moves))
+            if rec.after != list(inverse_word(forward.after)):
+                raise AssertionError(f"mirrored increment endpoint mismatch, s={s}")
+        else:
+            zw = self.z_words[0]
+            initial = zw + (_cword(self, 0, n, s) if s else ())
+            b = SequenceBuilder(self.pres, initial)
+            if s == 0:
+                b.extend([("fe", len(zw) + p, a)
+                          for p, a in reversed(reduction_steps(_cword(self, 0, n, 0)))])
+            _run_increment(self, b, 0, n, s)
+            rec = CheckedMoves(self.intern(b.moves), list(initial), b.word,
+                               b.area, b.fl - len(initial))
+        self.increments[n, s, mirrored] = rec
+        return rec
 
 
 def chain_context(pres: Presentation, chain) -> ChainContext:
@@ -268,14 +298,6 @@ def _cword(ctx: ChainContext, level: int, n: int, s: int) -> Word:
     return ctx.z_words[level] * s0 + tail
 
 
-def insert_trivial_word(b: SequenceBuilder, pos: int, w: Word) -> None:
-    """Free-expand a freely trivial word at pos (len(w)/2 expansions)."""
-    steps = reduction_steps(w)
-    if 2 * len(steps) != len(w):
-        raise OutOfRange("word is not freely trivial")
-    b.extend([("fe", pos + p, a) for p, a in reversed(steps)])
-
-
 def _run_increment(ctx: ChainContext, b: SequenceBuilder, level: int, n: int,
                    s: int) -> None:
     """Turn ``b``'s word z_level ztilde^s into ztilde^{s+1}, every move
@@ -362,28 +384,14 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     b.extend(pending)
 
 
-def _increment_record(ctx: ChainContext, n: int, s: int) -> CheckedMoves:
-    """The increment at s on z_1 ztilde^s, at offset 0, as a checked record
-    whose moves are interned on the context; at s = 0 the record starts
-    from z_1 alone and first inserts the trivial word ztilde^0."""
-    zw = ctx.z_words[0]
-    initial = zw + (_cword(ctx, 0, n, s) if s else ())
-    b = SequenceBuilder(ctx.pres, initial)
-    if s == 0:
-        insert_trivial_word(b, len(zw), _cword(ctx, 0, n, 0))
-    _run_increment(ctx, b, 0, n, s)
-    return CheckedMoves(ctx.intern(b.moves), list(initial), b.word,
-                        b.area, b.fl - len(initial))
-
-
 def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     """From z_1^{n^c} to [a_1^n, ..., a_c^n]: one register absorbs all n^c
     copies of z_1, each at the last z_1 of the word, (total - s - 1)
-    len(z_1).  The register works on a chain context of its own, so the
-    records it splices, their interned moves and the scratch pool go when
-    the sequence goes.  Area is bounded by a constant times n^{c+1} and
-    filling length by a constant times n; both are measured, not asserted,
-    here.
+    len(z_1).  The register works on a chain context of its own: the
+    records it splices and their interned moves go when the sequence goes,
+    the scratch pool at the next cyclic collection.  Area is bounded by a
+    constant times n^{c+1} and filling length by a constant times n; both
+    are measured, not asserted, here.
     """
     ctx = ChainContext(pres, chain)
     reg = CompressedPower(ctx, n)
@@ -405,8 +413,8 @@ class CompressedPower:
     register made ``mirrored`` works on the inverse word, with the z_1^-1
     word at ``offset`` arriving on the right.  For c > 1 only s = q mod
     n^c = 0, which opens a block, and the carrying s move letters:
-    ``absorb`` splices in their checked effect (``local_moves``), memoized
-    on the chain context ``ctx`` that its maker hands it, and at any other
+    ``absorb`` splices in their checked effect (``local_moves``), a record
+    that the chain context ``ctx`` its maker hands it keeps, and at any other
     s the z_1 word just joins the register.  ``absorb`` is the one driver
     of increments: a fill's registers and a power compression both run
     through it.  ``length`` is len(ztilde^q), and like the mirror's splice
@@ -425,27 +433,8 @@ class CompressedPower:
         self.length = 0
 
     def local_moves(self) -> CheckedMoves:
-        """The absorption at the current q on the subword z_1 ztilde^{A-part}
-        (mirrored: on its inverse), at offset 0; blocks to the right are
-        never touched.  Memoized on the chain context: the forward record
-        comes from the run that builds it, the mirror from one kernel pass
-        of ``invert_sequence``'s output on the inverse subword."""
-        ctx, n, mirrored = self.ctx, self.n, self.mirrored
-        s = self.q % n**ctx.c
-        memo = ctx.increments
-        record = memo.get((n, s, mirrored))
-        if record is None:
-            forward = memo.get((n, s, False))
-            if forward is None:
-                forward = memo[(n, s, False)] = _increment_record(ctx, n, s)
-            record = forward
-            if mirrored:
-                mirror = invert_sequence(PSequence(ctx.pres, forward.before, forward.moves))
-                record = check_moves(ctx.pres, mirror.initial, ctx.intern(mirror.moves))
-                if record.after != list(inverse_word(forward.after)):
-                    raise AssertionError(f"mirrored increment endpoint mismatch, s={s}")
-                memo[(n, s, True)] = record
-        return record
+        """The context's record of the absorption at the current q."""
+        return self.ctx.record(self.n, self.q % self.n**self.ctx.c, self.mirrored)
 
     def absorb(self, b: SequenceBuilder, offset: int) -> None:
         lz, n, c = len(self.ctx.z_words[0]), self.n, self.ctx.c

@@ -165,7 +165,8 @@ class _FillRun:
                 moves.append(mv)
                 continue
             _, pos, rid, shift, inv, split = mv
-            assert split == 0, "inner sequence must be normalized"
+            if split:
+                raise AssertionError("inner sequence must be normalized")
             src_rid, surviving = lift_table[rid]
             span = len(pres.relators[src_rid])
             # inverted, the kept positions are span - 1 - s in reverse order

@@ -31,7 +31,6 @@ class SeriesContext:
     def __init__(self, m: int, c: int):
         if m < 1 or c < 1:
             raise OutOfRange(f"need m >= 1 and c >= 1, got m={m}, c={c}")
-        self.m = m
         self.c = c
         monomials: list[tuple] = [()]
         by_degree: list[list[tuple]] = [[()]]

@@ -58,7 +58,6 @@ class Presentation:
         self.name_to_index = {n: i + 1 for i, n in enumerate(self.names)}
         if len(self.name_to_index) != len(self.names):
             raise NilfillError("duplicate generator names")
-        self.C = max((len(r) for r in self.relators), default=0)
         self._expansion = {}
         self.lift_table = ()    # set on a quotient by its parent's ``quotient``
         # filled by compression.chain_context (the chain contexts fills

@@ -1,7 +1,8 @@
 """Shared test utilities."""
 
 from nilfill import compression
-from nilfill.engine import SequenceBuilder, apply_moves
+from nilfill.engine import SequenceBuilder, apply_moves, reduction_steps
+from nilfill.errors import OutOfRange
 from nilfill.filler import fill_with_report
 from nilfill.oracle import SeriesContext
 from nilfill.words import inverse_word
@@ -19,6 +20,20 @@ def increment_sequence(pres, chain, n, s):
     b = SequenceBuilder(pres, ctx.z_words[0] + compression.compression_word(pres, chain, n, s))
     compression._run_increment(ctx, b, 0, n, s)
     return b.finish()
+
+
+def insert_trivial_word(b, pos, w):
+    """Free-expand a freely trivial word at pos (len(w)/2 expansions), as a
+    register record does with ztilde^0 at s = 0."""
+    steps = reduction_steps(w)
+    if 2 * len(steps) != len(w):
+        raise OutOfRange("word is not freely trivial")
+    b.extend([("fe", pos + p, a) for p, a in reversed(steps)])
+
+
+def longest_relator(pres) -> int:
+    """Length of the presentation's longest relator (0 with no relators)."""
+    return max(map(len, pres.relators), default=0)
 
 
 def series_mul(ctx: SeriesContext, a: list[int], b: list[int]) -> list[int]:

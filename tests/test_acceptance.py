@@ -9,7 +9,7 @@ with headroom.
 import random
 
 import pytest
-from helpers import increment_sequence, random_valid_sequence, witt_number
+from helpers import increment_sequence, longest_relator, random_valid_sequence, witt_number
 
 from nilfill import oracle
 from nilfill.bench import bench_compression, bench_fill, fit_exponent
@@ -126,7 +126,7 @@ def test_criterion_5_base_case():
         seq, _ = fill_with_report(w, pres)
         metrics = validate_null(seq)
         assert metrics.area <= len(w) ** 2, w
-        assert metrics.fl <= len(w) + pres.C, w
+        assert metrics.fl <= len(w) + longest_relator(pres), w
     _announce(5, f"abelian base case fills {len(words)} words within "
                  "(len^2, len + C)")
 
@@ -140,7 +140,7 @@ def test_criterion_6_insertion_normalization():
         norm = normalize_insertions(seq)
         m1, end1 = replay(norm)
         assert m1.area == m0.area
-        assert m1.fl <= m0.fl + pres.C
+        assert m1.fl <= m0.fl + longest_relator(pres)
         assert end1 == end0 and norm.initial == seq.initial
         assert all(mv[5] == 0 for mv in norm.moves if mv[0] == "ar")
     _announce(6, "1000 fuzzed traces: normalization preserves area, "

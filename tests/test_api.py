@@ -1,5 +1,5 @@
 """The public API: every export and every public definition has a user in
-the library itself."""
+the library itself, and no check of the library is an ``assert``."""
 
 import ast
 import pathlib
@@ -44,3 +44,56 @@ def test_every_public_definition_has_a_caller():
                     and not node.name.startswith("_") and node.name not in used):
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(dec).startswith("dataclass") for dec in node.decorator_list)
+
+
+def _self_targets(target):
+    """The names ``X`` that an assignment target sets as ``self.X``."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _self_targets(elt)
+    elif (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        yield target.attr
+
+
+def test_every_public_member_is_read_in_the_package():
+    # a public method or a public ``self.X = ...`` attribute of a class is
+    # read as an attribute somewhere in the package, not only by tests;
+    # dataclass fields are the class's record and are exempt
+    read = set()
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and not _is_dataclass(node):
+                classes.append((path.stem, node))
+    unread = []
+    for module, cls in classes:
+        members = set()
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                members.add(item.name)
+                for node in ast.walk(item):
+                    if isinstance(node, ast.Assign):
+                        for target in node.targets:
+                            members.update(_self_targets(target))
+                    elif isinstance(node, ast.AnnAssign):
+                        members.update(_self_targets(node.target))
+        unread += [f"{module}.{cls.name}.{name}" for name in sorted(members)
+                   if not name.startswith("_") and name not in read]
+    assert unread == []
+
+
+def test_no_assert_statement_in_the_package():
+    # ``python -O`` strips ``assert``; every check raises explicitly
+    asserts = [f"{path.name}:{node.lineno}"
+               for path in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

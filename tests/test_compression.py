@@ -4,7 +4,7 @@ import itertools
 import weakref
 
 import pytest
-from helpers import increment_sequence
+from helpers import increment_sequence, insert_trivial_word
 
 from nilfill import compression, oracle
 from nilfill.compression import (
@@ -14,7 +14,6 @@ from nilfill.compression import (
     block_mover,
     compression_word,
     chain_context,
-    insert_trivial_word,
     power_compression_sequence,
 )
 from nilfill.engine import PSequence, SequenceBuilder, apply_moves, replay, validate_null

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import apply_move, fill, random_valid_sequence
+from helpers import apply_move, fill, longest_relator, random_valid_sequence
 
 from nilfill import engine, oracle
 from nilfill.engine import (
@@ -128,7 +128,7 @@ def test_normalize_insertions_properties(chain22):
         m1, end1 = replay(norm)
         assert all(mv[5] == 0 for mv in norm.moves if mv[0] == "ar")
         assert m1.area == m0.area
-        assert m1.fl <= m0.fl + chain22.C
+        assert m1.fl <= m0.fl + longest_relator(chain22)
         assert end1 == end0
         assert norm.initial == seq.initial
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import fill, witt_number
+from helpers import fill, longest_relator, witt_number
 
 from nilfill import compression
 from nilfill.compression import block_mover, chain_context
@@ -102,7 +102,7 @@ def test_fill_abelian_base_case(p1):
         seq, _ = fill_with_report(w, p1)
         m = validate_null(seq)
         assert m.area <= len(w) ** 2
-        assert m.fl <= len(w) + p1.C
+        assert m.fl <= len(w) + longest_relator(p1)
 
 
 def test_fill_commutator_power_family(p2):

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from helpers import witt_number
+from helpers import longest_relator, witt_number
 
 from nilfill.errors import NilfillError, OutOfRange
 from nilfill.presentations import (
@@ -33,7 +33,7 @@ def test_chain_c2_k2_is_infinite_cyclic():
     assert p.names == ("x2",)
     assert p.relators == ()
     assert p.nclass == 1
-    assert p.C == 0
+    assert longest_relator(p) == 0
 
 
 def test_chain_c2_k1_counts():
@@ -47,7 +47,7 @@ def test_chain_c2_k1_counts():
 def test_chain_c3_counts_match_enumeration():
     p = build_chain_presentation(3, 1)
     assert list(p.relators) == brute_chain_relators(3, 1)
-    assert p.C == 3 * 2 ** 3 - 2
+    assert longest_relator(p) == 3 * 2 ** 3 - 2
 
 
 @pytest.mark.parametrize("c,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2)])

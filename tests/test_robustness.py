@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from helpers import fill
+from helpers import fill, longest_relator
 
 from nilfill.bench import BenchRecord, write_csv
 from nilfill.compression import power_compression_sequence
@@ -167,7 +167,7 @@ def test_fill_intermediates_oracle_equal_sampled():
 
 def test_fill_longest_class_relator_c3():
     pres = build_filler_presentation(3, 2)
-    w = next(r for r in pres.relators if len(r) == pres.C)
+    w = next(r for r in pres.relators if len(r) == longest_relator(pres))
     from nilfill.engine import validate_null
     from nilfill.filler import fill_with_report
 
