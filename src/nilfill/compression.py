@@ -23,15 +23,15 @@ Every relator application emitted here is a transport: a central block
 (a nested commutator word or its inverse) swaps with an adjacent letter.
 The relator pool a transport works on decides its shape.  On the chain
 presentation (level 0) the split form replaces the block-letter pair in
-one move.  On the scratch pool of the inner levels the exact form inserts
-the inverse of a whole unrotated relator and reduces; sequences built
-this way can be lifted one chain level down.  There the two halves of a
-commutator run the inner sequence and its mirror side by side, each move
-mirrored by ``engine.mirror_move``, the rule of ``invert_sequence``.  An
-inner insertion of r^-1 is re-created by expanding r r^-1 and
-transporting the r block, whose chain the pool recorded with the
-relator, to where the mirrored application inserts r.  Any ordering of
-the chain letters compresses.
+one move.  On the inner levels, whose relator pool is the chain context
+itself, the exact form inserts the inverse of a whole unrotated relator
+and reduces; sequences built this way can be lifted one chain level
+down.  There the two halves of a commutator run the inner sequence and
+its mirror side by side, each move mirrored by ``engine.mirror_move``,
+the rule of ``invert_sequence``.  An inner insertion of r^-1 is
+re-created by expanding r r^-1 and transporting the r block, whose chain
+the context recorded with the relator, to where the mirrored application
+inserts r.  Any ordering of the chain letters compresses.
 """
 
 from __future__ import annotations
@@ -52,48 +52,22 @@ from .presentations import Presentation
 from .words import Word, commutator, inverse_word, nested_commutator
 
 
-class _ScratchPresentation:
-    """Mutable relator pool for the inner chain levels.
+class ChainContext:
+    """A commutator chain bound to a presentation holding its transport
+    relators, and the relator pool of the chain's inner levels.  Letters
+    are weight-1 generator indices and may repeat.
 
-    The level-k increment for k >= 2 is a sequence over the subchain
+    Level 0 works on the presentation and the inner levels on the context.
+    The level-k increment for k >= 1 is a sequence over the subchain
     presentation, whose relators are not relators of the ambient group.
     Those inner sequences are scaffolding: each of their applications is
     re-created in the ambient presentation by free expansions plus
     transports, so the pool only has to name the inserted words.  Relator
-    ``rid`` is the nested commutator of the chain ``chains[rid]``, which
-    the lift reads back to move the leftover block.  Like a presentation,
-    the pool keeps the kernel's move templates and its own block movers
-    (``block_mover``), which add relators to it in the exact shape.  Its
-    movers point back at it (``BlockMover.pres``), so it is not part of its
-    ``ChainContext``: that cycle would hold the record memo until the cyclic
-    collector runs (compress peak memory 75.8 -> 87.3 MB in a trial)."""
-
-    def __init__(self, base: Presentation):
-        self.rank = base.rank
-        self.relators: list = []
-        self.chains: list = []
-        self._index: dict = {}
-        self._move_templates: dict = {}
-        self._movers: dict = {}
-
-    def ensure(self, chain) -> int:
-        """Relator id of the nested commutator of ``chain``, added on the
-        first request."""
-        rid = self._index.get(chain)
-        if rid is None:
-            rid = len(self.relators)
-            self.relators.append(nested_commutator(chain))
-            self.chains.append(chain)
-            self._index[chain] = rid
-        return rid
-
-
-class ChainContext:
-    """A commutator chain bound to a presentation holding its transport
-    relators.  Letters are weight-1 generator indices and may repeat.
-    Level 0 works on the presentation and the inner levels on the
-    context's scratch pool; each pool keeps the movers of its blocks
-    (``block_mover``).
+    ``rid`` is the nested commutator of the chain ``chains[rid]``
+    (``ensure``), which the lift reads back to move the leftover block.
+    Like a presentation, the context keeps the kernel's move templates and
+    the movers of its blocks (``block_mover``), which add relators to it in
+    the exact shape.
 
     The context builds, mirrors and keeps register increments (``record``):
     ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
@@ -112,8 +86,8 @@ class ChainContext:
     pays off over many fills on it, as in ``bench fill``, though within one
     fill almost every entry is used once.  A power compression and a
     compression word each make a context of their own: its records and
-    moves go with the sequence that splices them, its scratch pool (which
-    its movers point back at) at the next cyclic collection.
+    moves go with the sequence that splices them, and the rest when the
+    call returns.
     """
 
     def __init__(self, pres: Presentation, chain):
@@ -122,13 +96,29 @@ class ChainContext:
         if not self.chain:
             raise OutOfRange("empty commutator chain")
         for a in self.chain:
-            if a < 1 or pres.weight_of(a) != 1:
+            if not 1 <= a <= pres.rank or pres.weight_of(a) != 1:
                 raise OutOfRange(f"chain letter {a} is not a weight-1 generator")
         self.c = len(self.chain)
         self.z_words = [nested_commutator(self.chain[k:]) for k in range(self.c)]
-        self.scratch = _ScratchPresentation(pres)
+        self.rank = pres.rank
+        self.relators: list = []
+        self.chains: list = []
+        self._index: dict = {}
+        self._move_templates: dict = {}
+        self._movers: dict = {}
         self.increments: dict = {}
         self._move_pool: dict = {}
+
+    def ensure(self, chain) -> int:
+        """Relator id of the nested commutator of ``chain`` in the inner
+        pool, added on the first request."""
+        rid = self._index.get(chain)
+        if rid is None:
+            rid = len(self.relators)
+            self.relators.append(nested_commutator(chain))
+            self.chains.append(chain)
+            self._index[chain] = rid
+        return rid
 
     def intern(self, moves) -> tuple:
         """``moves`` as a tuple whose equal moves are one shared object."""
@@ -175,7 +165,7 @@ def chain_context(pres: Presentation, chain) -> ChainContext:
 
 def block_mover(pool, block_chain) -> "BlockMover":
     """The mover of the block with this chain on a relator pool (a
-    presentation or a scratch pool), built on first use and kept by the
+    presentation or a chain context), built on first use and kept by the
     pool for every fill and compression on it."""
     key = tuple(block_chain)
     mover = pool._movers.get(key)
@@ -187,9 +177,12 @@ def block_mover(pool, block_chain) -> "BlockMover":
 class BlockMover:
     """Transport of the central block W^s (W the nested commutator of
     ``block_chain``, s = +-1) past single letters, one swap per letter.
-    Each pool keeps one mover per block (``block_mover``).
+    Each pool keeps one mover per block (``block_mover``).  A mover keeps
+    no reference to its pool: it moves a block on a builder over that pool
+    and reads the pool off the builder (``b.pres``), so a pool and its
+    movers form no reference cycle.
 
-    The pool decides the move shape: ``exact`` on a scratch pool, which
+    The pool decides the move shape: ``exact`` on a chain context, which
     adds the relator [t, chain] for each letter t the block passes, and
     split on a presentation, which must already contain it.  Only left
     moves come in the exact shape, as no inner level moves a block right,
@@ -198,21 +191,20 @@ class BlockMover:
     swap's moves are known up front and go to the builder as one batch; in
     the split shape the batch is one comprehension over those letters."""
 
-    def __init__(self, pres, block_chain):
-        self.pres = pres
+    def __init__(self, pool, block_chain):
         self.chain = tuple(block_chain)
         self.length = len(nested_commutator(self.chain))
-        self.exact = isinstance(pres, _ScratchPresentation)
+        self.exact = isinstance(pool, ChainContext)
         self._rids = {}
 
-    def _rid(self, t: int) -> int:
-        """Relator id of the transport commutator [t, chain]."""
+    def _rid(self, pool, t: int) -> int:
+        """Relator id of the transport commutator [t, chain] in ``pool``."""
         rid = self._rids.get(t)
         if rid is None:
             if self.exact:
-                rid = self.pres.ensure((t,) + self.chain)
+                rid = pool.ensure((t,) + self.chain)
             else:
-                rid = self.pres.relator_index.get(nested_commutator((t,) + self.chain))
+                rid = pool.relator_index.get(nested_commutator((t,) + self.chain))
                 if rid is None:
                     raise NoTransportRelator(
                         f"presentation lacks [{t}, {self.chain}] transport relator"
@@ -220,18 +212,19 @@ class BlockMover:
             self._rids[t] = rid
         return rid
 
-    def _split_run(self, positions, letters, sign: int, inv: int, head: int) -> list:
+    def _split_run(self, pool, positions, letters, sign: int, inv: int,
+                   head: int) -> list:
         """Split-shape swaps of the block (first letter ``head``) past
         ``letters``, the k-th at ``positions[k]``, built by one
         comprehension: rids come from the mover's table, ``_rid`` resolving
-        each letter it lacks once."""
+        each letter it lacks once in ``pool``."""
         rids, L = self._rids, self.length
         shift = L + 1 if sign > 0 else 0
         # a single-letter block meeting its own inverse swaps freely
         stop = -head if L == 1 else None
         for t in set(letters):
             if t != stop and sign * t not in rids:
-                self._rid(sign * t)
+                self._rid(pool, sign * t)
         if stop not in letters:
             return [("ar", p, rids[sign * t], shift, inv, L + 1)
                     for p, t in zip(positions, letters)]
@@ -248,9 +241,9 @@ class BlockMover:
     def move_left(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` left to ``target``, swapping it with
         the letter t at each p it passes."""
-        w = b.word
+        w, pool = b.word, b.pres
         if not self.exact:
-            b.extend(self._split_run(range(start - 1, target - 1, -1),
+            b.extend(self._split_run(pool, range(start - 1, target - 1, -1),
                                      w[target:start][::-1], sign, 0, w[start]))
             return
         L, rid = self.length, self._rid
@@ -259,12 +252,12 @@ class BlockMover:
             t = w[p]
             if sign > 0:
                 # insert [t,W]^-1 after the block
-                moves.append(("ar", p + 1 + L, rid(t), 0, 0, 0))
+                moves.append(("ar", p + 1 + L, rid(pool, t), 0, 0, 0))
                 moves += block_reduction_moves(p + 1, L)
                 moves.append(("fr", p))
             else:
                 # insert [t^-1,W]^-1 before the letter
-                moves += (("ar", p, rid(-t), 0, 0, 0), ("fr", p + 2 * L + 1))
+                moves += (("ar", p, rid(pool, -t), 0, 0, 0), ("fr", p + 2 * L + 1))
                 moves += block_reduction_moves(p + L + 1, L)
         b.extend(moves)
 
@@ -272,8 +265,8 @@ class BlockMover:
         """Move the block at ``start`` right to ``target``, swapping it with
         the letter t at each p + L it passes, in the split shape."""
         w, L = b.word, self.length
-        b.extend(self._split_run(range(start, target), w[start + L:target + L],
-                                 sign, 1, w[start]))
+        b.extend(self._split_run(b.pres, range(start, target),
+                                 w[start + L:target + L], sign, 1, w[start]))
 
 
 def compression_word(pres: Presentation, chain, n: int, s: int) -> Word:
@@ -324,10 +317,10 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     then [a^n, z_{level+1} ztilde^t], and the level+1 increment at t runs
     in both halves of the commutator at once, forward on the right and
     mirrored on the inverse on the left.  That increment is built on the
-    scratch pool, whose relators are not relators here; each of its
-    applications inserts a whole relator r^-1, which this level re-creates
-    by expanding r r^-1 and moving the r block to where the mirrored
-    application inserts r."""
+    context's own relator pool, whose relators are not relators here; each
+    of its applications inserts a whole relator r^-1, which this level
+    re-creates by expanding r r^-1 and moving the r block to where the
+    mirrored application inserts r."""
     chain = ctx.chain[level:]
     a = chain[0]
     zw = ctx.z_words[level]
@@ -336,7 +329,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     t = s // n
     tword = _cword(ctx, level + 1, n, t)
     lt = len(tword)
-    pool = ctx.scratch if level else ctx.pres
+    pool = ctx if level else ctx.pres
     zmover = block_mover(pool, chain)
 
     # Moves are buffered in ``pending`` and flushed before each transport,
@@ -361,9 +354,9 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     # to the right half, which starts at n + lcur + n (lcur the length of
     # the inner word before the move), and its mirror (``mirror_move``) to
     # the left half, which starts at n.
-    inner = SequenceBuilder(ctx.scratch, z2w + tword)
+    inner = SequenceBuilder(ctx, z2w + tword)
     _run_increment(ctx, inner, level + 1, n, t)
-    relators, chains = ctx.scratch.relators, ctx.scratch.chains
+    relators, chains = ctx.relators, ctx.chains
     lcur = lz2 + lt
     for mv in inner.moves:
         here = n + lcur + n + mv[1]
@@ -389,7 +382,7 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     copies of z_1, each at the last z_1 of the word, (total - s - 1)
     len(z_1).  The register works on a chain context of its own: the
     records it splices and their interned moves go when the sequence goes,
-    the scratch pool at the next cyclic collection.  Area is bounded by a
+    the rest of the context when this call returns.  Area is bounded by a
     constant times n^{c+1} and filling length by a constant times n; both
     are measured, not asserted, here.
     """

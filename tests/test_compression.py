@@ -43,6 +43,9 @@ def test_compression_word_range_errors():
         compression_word(pres, chain, 2, -1)
     with pytest.raises(OutOfRange):
         compression_word(pres, chain, 1, 0)
+    # a chain letter past the rank names no generator
+    with pytest.raises(OutOfRange, match="chain letter 5"):
+        compression_word(build_chain_presentation(2, 1), (1, 5), 2, 1)
 
 
 def test_compression_word_c1():
@@ -322,15 +325,21 @@ def test_power_compression_records_equal_register_records(c, chain, n):
 def test_power_compression_leaves_no_shared_state(c, chain, n):
     # a power compression and a compression word each work on a chain
     # context of their own: the presentation keeps none, and the records a
-    # power compression splices go with its sequence
+    # power compression splices go with its sequence, by reference counting
+    # alone (the context and its block movers form no reference cycle)
     pres, _ = _fresh_chain_presentation(c)
-    seq = power_compression_sequence(pres, chain, n)
-    assert replay(seq)[1] == compression_word(pres, chain, n, n**c)
-    assert pres._chain_ctxs == {}
-    record = weakref.ref(next(r for r, _, _ in seq.segments if r is not None))
-    del seq
     gc.collect()
-    assert record() is None
+    gc.disable()
+    try:
+        seq = power_compression_sequence(pres, chain, n)
+        assert replay(seq)[1] == compression_word(pres, chain, n, n**c)
+        assert pres._chain_ctxs == {}
+        record = weakref.ref(next(r for r, _, _ in seq.segments if r is not None))
+        del seq
+        assert record() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @functools.lru_cache(maxsize=None)
@@ -344,7 +353,7 @@ def _natural_order_metrics(c, n):
     *[(4, chain, 2) for chain in itertools.permutations((1, 2, 3, 4))],
 ])
 def test_power_compression_every_chain_ordering(c, chain, n):
-    # the lift reads each inner block's chain from the scratch pool that
+    # the lift reads each inner block's chain from the chain context that
     # holds its relator, so every ordering of the chain letters compresses,
     # at the cost of x1..xc
     pres = build_chain_presentation(c, 1)
@@ -356,10 +365,9 @@ def test_power_compression_every_chain_ordering(c, chain, n):
     for s in range(n - 1, n**c, n):
         reg.q = s
         reg.local_moves()
-    scratch = ctx.scratch
-    assert scratch.relators
-    for rid, relator in enumerate(scratch.relators):
-        assert nested_commutator(scratch.chains[rid]) == relator
+    assert ctx.relators
+    for rid, relator in enumerate(ctx.relators):
+        assert nested_commutator(ctx.chains[rid]) == relator
 
 
 def _fresh_chain_presentation(c):
@@ -529,7 +537,7 @@ def test_compressed_power_register(c, n, mirrored):
 
 def test_transport_exact_shape_matches_split_shape():
     # the pool decides the shape: split on the presentation (level 0),
-    # exact on the scratch pool; both move a block to the same word, at
+    # exact on the chain context; both move a block to the same word, at
     # one relator application per letter passed
     pres, chain = chain_setup(2)
     ctx = chain_context(pres, chain)
@@ -537,9 +545,10 @@ def test_transport_exact_shape_matches_split_shape():
     for sign, block in ((1, z1), (-1, inverse_word(z1))):
         w = (1, -2, 2, 1) + block
         for level in (0, 1):
-            mover = block_mover(ctx.scratch if level else ctx.pres, chain)
+            pool = ctx if level else ctx.pres
+            mover = block_mover(pool, chain)
             assert mover.exact == (level == 1)
-            b = SequenceBuilder(mover.pres, w)
+            b = SequenceBuilder(pool, w)
             mover.move_left(b, 4, 0, sign)
             seq = b.finish()
             assert tuple(b.word) == block + (1, -2, 2, 1)

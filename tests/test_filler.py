@@ -154,9 +154,9 @@ def test_each_pool_keeps_one_mover_per_block(p3, monkeypatch):
     assert all(pool._movers[chain].chain == chain for pool, chain in built)
     z = pres.basis[0][0]
     assert block_mover(pres, (z,)) is block_mover(pres, (z,))
-    # the pool decides the shape: exact on a scratch pool, split on pres
+    # the pool decides the shape: exact on a chain context, split on pres
     chain = pres.defining_chain(z)
-    assert block_mover(chain_context(pres, chain).scratch, chain).exact
+    assert block_mover(chain_context(pres, chain), chain).exact
     assert not block_mover(pres, chain).exact
 
 
