@@ -20,18 +20,18 @@ spliced in wherever that subword sits.  Only the carrying increments
 inserts ztilde^0.
 
 Every relator application emitted here is a transport: a central block
-(a nested commutator word or its inverse) swaps with an adjacent letter.
-The relator pool a transport works on decides its shape.  On the chain
-presentation (level 0) the split form replaces the block-letter pair in
-one move.  On the inner levels, whose relator pool is the chain context
-itself, the exact form inserts the inverse of a whole unrotated relator
-and reduces; sequences built this way can be lifted one chain level
-down.  There the two halves of a commutator run the inner sequence and
+(a nested commutator word or its inverse) swaps with an adjacent letter,
+in one move that replaces the block-letter pair.  A block moves this one
+way on the chain presentation (level 0) and on the inner levels, whose
+relator pool is the chain context itself.  A carry lifts an inner
+sequence one chain level down: the two halves of a commutator run it and
 its mirror side by side, each move mirrored by ``engine.mirror_move``,
-the rule of ``invert_sequence``.  An inner insertion of r^-1 is
-re-created by expanding r r^-1 and transporting the r block, whose chain
-the context recorded with the relator, to where the mirrored application
-inserts r.  Any ordering of the chain letters compresses.
+the rule of ``invert_sequence``.  The lift writes each inner swap as the
+insertion of the inverse of its whole unrotated relator r and free
+reductions (``_whole_insertions``), and re-creates that insertion by
+expanding r r^-1 and transporting the r block, whose chain the context
+recorded with the relator, to where the mirrored application inserts r.
+Any ordering of the chain letters compresses.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class ChainContext:
     ``rid`` is the nested commutator of the chain ``chains[rid]``
     (``ensure``), which the lift reads back to move the leftover block.
     Like a presentation, the context keeps the kernel's move templates and
-    the movers of its blocks (``block_mover``), which add relators to it in
-    the exact shape.
+    the movers of its blocks (``block_mover``), which add to it the relator
+    of each swap they make.
 
     The context builds, mirrors and keeps register increments (``record``):
     ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
@@ -170,7 +170,7 @@ def block_mover(pool, block_chain) -> "BlockMover":
     key = tuple(block_chain)
     mover = pool._movers.get(key)
     if mover is None:
-        mover = pool._movers[key] = BlockMover(pool, key)
+        mover = pool._movers[key] = BlockMover(key)
     return mover
 
 
@@ -182,26 +182,23 @@ class BlockMover:
     and reads the pool off the builder (``b.pres``), so a pool and its
     movers form no reference cycle.
 
-    The pool decides the move shape: ``exact`` on a chain context, which
-    adds the relator [t, chain] for each letter t the block passes, and
-    split on a presentation, which must already contain it.  Only left
-    moves come in the exact shape, as no inner level moves a block right,
-    and only for a carry's or a lift's block, of two or more chain letters.
-    The letters a block passes do not change while it moves, so every
-    swap's moves are known up front and go to the builder as one batch; in
-    the split shape the batch is one comprehension over those letters."""
+    A block moves one way on every pool: each swap with a letter t is one
+    split application of the relator [t, chain], which a chain context
+    adds on first use and a presentation must already contain.  The
+    letters a block passes do not change while it moves, so every swap's
+    moves are known up front and go to the builder as one batch, built by
+    one comprehension over those letters."""
 
-    def __init__(self, pool, block_chain):
+    def __init__(self, block_chain):
         self.chain = tuple(block_chain)
         self.length = len(nested_commutator(self.chain))
-        self.exact = isinstance(pool, ChainContext)
         self._rids = {}
 
     def _rid(self, pool, t: int) -> int:
         """Relator id of the transport commutator [t, chain] in ``pool``."""
         rid = self._rids.get(t)
         if rid is None:
-            if self.exact:
+            if isinstance(pool, ChainContext):
                 rid = pool.ensure((t,) + self.chain)
             else:
                 rid = pool.relator_index.get(nested_commutator((t,) + self.chain))
@@ -214,10 +211,10 @@ class BlockMover:
 
     def _split_run(self, pool, positions, letters, sign: int, inv: int,
                    head: int) -> list:
-        """Split-shape swaps of the block (first letter ``head``) past
-        ``letters``, the k-th at ``positions[k]``, built by one
-        comprehension: rids come from the mover's table, ``_rid`` resolving
-        each letter it lacks once in ``pool``."""
+        """Swaps of the block (first letter ``head``) past ``letters``, the
+        k-th at ``positions[k]``, built by one comprehension: rids come from
+        the mover's table, ``_rid`` resolving each letter it lacks once in
+        ``pool``."""
         rids, L = self._rids, self.length
         shift = L + 1 if sign > 0 else 0
         # a single-letter block meeting its own inverse swaps freely
@@ -241,29 +238,13 @@ class BlockMover:
     def move_left(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` left to ``target``, swapping it with
         the letter t at each p it passes."""
-        w, pool = b.word, b.pres
-        if not self.exact:
-            b.extend(self._split_run(pool, range(start - 1, target - 1, -1),
-                                     w[target:start][::-1], sign, 0, w[start]))
-            return
-        L, rid = self.length, self._rid
-        moves = []
-        for p in range(start - 1, target - 1, -1):
-            t = w[p]
-            if sign > 0:
-                # insert [t,W]^-1 after the block
-                moves.append(("ar", p + 1 + L, rid(pool, t), 0, 0, 0))
-                moves += block_reduction_moves(p + 1, L)
-                moves.append(("fr", p))
-            else:
-                # insert [t^-1,W]^-1 before the letter
-                moves += (("ar", p, rid(pool, -t), 0, 0, 0), ("fr", p + 2 * L + 1))
-                moves += block_reduction_moves(p + L + 1, L)
-        b.extend(moves)
+        w = b.word
+        b.extend(self._split_run(b.pres, range(start - 1, target - 1, -1),
+                                 w[target:start][::-1], sign, 0, w[start]))
 
     def move_right(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` right to ``target``, swapping it with
-        the letter t at each p + L it passes, in the split shape."""
+        the letter t at each p + L it passes."""
         w, L = b.word, self.length
         b.extend(self._split_run(b.pres, range(start, target),
                                  w[start + L:target + L], sign, 1, w[start]))
@@ -317,10 +298,11 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     then [a^n, z_{level+1} ztilde^t], and the level+1 increment at t runs
     in both halves of the commutator at once, forward on the right and
     mirrored on the inverse on the left.  That increment is built on the
-    context's own relator pool, whose relators are not relators here; each
-    of its applications inserts a whole relator r^-1, which this level
-    re-creates by expanding r r^-1 and moving the r block to where the
-    mirrored application inserts r."""
+    context's own relator pool, whose relators are not relators here.  The
+    lift writes each of its swaps as the insertion of a whole relator r^-1
+    (``_whole_insertions``), which this level re-creates by expanding
+    r r^-1 and moving the r block to where the mirrored application
+    inserts r."""
     chain = ctx.chain[level:]
     a = chain[0]
     zw = ctx.z_words[level]
@@ -358,7 +340,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     _run_increment(ctx, inner, level + 1, n, t)
     relators, chains = ctx.relators, ctx.chains
     lcur = lz2 + lt
-    for mv in inner.moves:
+    for mv in _whole_insertions(inner.moves, relators):
         here = n + lcur + n + mv[1]
         mirrored, lcur = mirror_move(mv, lcur, relators)
         there = n + mirrored[1]
@@ -366,8 +348,6 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
             # an inner application inserts a whole relator r^-1: expand
             # r r^-1 instead and move the r block to where the mirrored
             # application inserts r
-            if mv[3:] != (0, 0, 0):
-                raise AssertionError("liftable sequences must insert whole relators")
             pending += pair_inverse_moves(here, relators[mv[2]])
             b.extend(pending)
             pending = []
@@ -375,6 +355,25 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
         else:
             pending += ((mv[0], here) + mv[2:], (mirrored[0], there) + mirrored[2:])
     b.extend(pending)
+
+
+def _whole_insertions(moves, relators):
+    """``moves`` with each relator application, a split swap of a block W^s
+    past a letter, rewritten as the insertion of the inverse of its whole
+    unrotated relator r (length m) followed by its k free reductions:
+    a W^-1 block (shift 0) inserts at p and reduces the last k letters of
+    r^-1, a W block (shift + k = m) inserts at p + k and reduces the k
+    letters before it.  The lift re-creates only such insertions."""
+    for mv in moves:
+        if mv[0] != "ar":
+            yield mv
+            continue
+        _, p, rid, shift, inv, k = mv
+        m = len(relators[rid])
+        if inv or (shift and (shift + k) % m):
+            raise AssertionError("liftable sequences must insert whole relators")
+        yield ("ar", p + k if shift else p, rid, 0, 0, 0)
+        yield from block_reduction_moves(p if shift else p + m - k, k)
 
 
 def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:

@@ -51,7 +51,7 @@ def corpus_generate(pres: Presentation, n: int, count: int, seed: int) -> list:
     attempts = 0
     while len(words) < count and attempts < 200 * count:
         attempts += 1
-        target = rng.randint(max(2, min(4, n)), n)
+        target = rng.randint(min(4, n), n)
         w: Word = ()
         while True:
             rid = rng.randrange(len(relators))

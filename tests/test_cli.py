@@ -105,6 +105,26 @@ def test_corpus_stdout(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_corpus_out_file(tmp_path, capsys):
+    out_path = tmp_path / "words.txt"
+    code, out = run(capsys, "corpus", "--class", "2", "--gens", "2", "--n", "10",
+                    "--count", "3", "--seed", "1", "--out", str(out_path))
+    assert code == 0
+    assert out == f"wrote 3 words to {out_path}\n"
+    assert len(out_path.read_text().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("corpus", "--class", "2", "--gens", "2", "--n", "1", "--count", "3", "--seed", "1"),
+    ("bench", "fill", "--class", "2", "--gens", "2", "--n", "1", "--count", "3",
+     "--seed", "1", "--csv", "OUT", "--no-timing"),
+], ids=["corpus", "bench-fill"])
+def test_budget_one_runs(tmp_path, capsys, argv):
+    # a length budget of 1 draws one-letter words, not a traceback
+    code = main([str(tmp_path / "out") if a == "OUT" else a for a in argv])
+    assert code == 0
+
+
 def test_oracle_eval_and_check(capsys):
     code, out = run(capsys, "oracle", "eval", "--class", "2", "x1^-1 x2^-1 x1 x2")
     assert code == 0
@@ -153,6 +173,10 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
     pytest.param(("bench", "fill", "--class", "1", "--gens", "1", "--n", "4", "--count",
                   "2", "--seed", "1", "--csv", "OUT"), "no relators",
                  id="bench-fill-no-relators"),
+    pytest.param(("compress", "--class", "2", "--n", "1", "--trace", "OUT"),
+                 "base must be at least 2, got 1", id="compress-base-1"),
+    pytest.param(("compress", "--class", "3", "--n", "2", "--spec", "x1,x2",
+                  "--trace", "OUT"), "spec must name 3 letters", id="spec-too-short"),
 ])
 def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
     out_path = str(tmp_path / "out")

@@ -163,7 +163,7 @@ def test_increment_grid_valid_and_bounded(c, n):
 def _transport(pres, w, chain, sign, start, target):
     """Move the block W^sign (W the nested commutator of ``chain``) at
     ``start`` in w to ``target`` in the split move shape."""
-    mover = BlockMover(pres, chain)
+    mover = BlockMover(chain)
     b = SequenceBuilder(pres, w)
     if target <= start:
         mover.move_left(b, start, target, sign)
@@ -535,30 +535,54 @@ def test_compressed_power_register(c, n, mirrored):
         assert reg.length == len(b.word)
 
 
+# The whole insertions of the [x1, x2] block passing x1 x2^-1 x2 x1 on a
+# fresh chain context, one per letter: the relator [t, W]^-1 and its five
+# free reductions, the relators numbered in the order the block meets them.
+_WHOLE_INSERTIONS = {
+    1: [("ar", 8, 0, 0, 0, 0), ("fr", 7), ("fr", 6), ("fr", 5), ("fr", 4), ("fr", 3),
+        ("ar", 7, 1, 0, 0, 0), ("fr", 6), ("fr", 5), ("fr", 4), ("fr", 3), ("fr", 2),
+        ("ar", 6, 2, 0, 0, 0), ("fr", 5), ("fr", 4), ("fr", 3), ("fr", 2), ("fr", 1),
+        ("ar", 5, 0, 0, 0, 0), ("fr", 4), ("fr", 3), ("fr", 2), ("fr", 1), ("fr", 0)],
+    -1: [("ar", 3, 0, 0, 0, 0), ("fr", 12), ("fr", 11), ("fr", 10), ("fr", 9), ("fr", 8),
+         ("ar", 2, 1, 0, 0, 0), ("fr", 11), ("fr", 10), ("fr", 9), ("fr", 8), ("fr", 7),
+         ("ar", 1, 2, 0, 0, 0), ("fr", 10), ("fr", 9), ("fr", 8), ("fr", 7), ("fr", 6),
+         ("ar", 0, 0, 0, 0, 0), ("fr", 9), ("fr", 8), ("fr", 7), ("fr", 6), ("fr", 5)],
+}
+
+
 def test_transport_exact_shape_matches_split_shape():
-    # the pool decides the shape: split on the presentation (level 0),
-    # exact on the chain context; both move a block to the same word, at
-    # one relator application per letter passed
+    # a block moves one way on both pools, one split swap per letter passed;
+    # the lift rewrites the context's run into whole insertions, which the
+    # kernel takes to the same word at the same area
     pres, chain = chain_setup(2)
-    ctx = chain_context(pres, chain)
     z1 = nested_commutator(chain)
     for sign, block in ((1, z1), (-1, inverse_word(z1))):
         w = (1, -2, 2, 1) + block
-        for level in (0, 1):
-            pool = ctx if level else ctx.pres
-            mover = block_mover(pool, chain)
-            assert mover.exact == (level == 1)
+        ctx = ChainContext(pres, chain)
+        for pool in (pres, ctx):
             b = SequenceBuilder(pool, w)
-            mover.move_left(b, 4, 0, sign)
+            block_mover(pool, chain).move_left(b, 4, 0, sign)
             seq = b.finish()
             assert tuple(b.word) == block + (1, -2, 2, 1)
             assert seq.metrics.area == 4
-            splits = [mv[5] for mv in seq.moves if mv[0] == "ar"]
-            assert len(splits) == 4
-            if mover.exact:
-                assert all(split == 0 for split in splits)
-            else:
-                assert all(split != 0 for split in splits)
+            assert [mv[5] for mv in seq.moves if mv[0] == "ar"] == [len(z1) + 1] * 4
+        whole = list(compression._whole_insertions(seq.moves, ctx.relators))
+        assert whole == _WHOLE_INSERTIONS[sign]
+        b = SequenceBuilder(ctx, w)
+        b.extend(whole)
+        assert tuple(b.word) == block + (1, -2, 2, 1) and b.area == 4
+
+
+@pytest.mark.parametrize("move", [("ar", 1, 0, 1, 0, 5), ("ar", 1, 0, 5, 1, 5)],
+                         ids=["shift-1", "inv-1"])
+def test_lift_refuses_an_application_that_is_no_swap(move):
+    # only a block's swap rewrites into a whole insertion: a rotation that
+    # starts inside the block, or an inverted application, is refused
+    pres, chain = chain_setup(2)
+    ctx = ChainContext(pres, chain)
+    ctx.ensure((1,) + chain)
+    with pytest.raises(AssertionError, match="must insert whole relators"):
+        list(compression._whole_insertions([("fr", 0), move], ctx.relators))
 
 
 # --- summation and counting checks -------------------------------------------

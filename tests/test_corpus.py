@@ -25,6 +25,15 @@ def test_every_word_is_trivial_and_bounded(p2):
         assert p2.is_identity(w)
 
 
+def test_budget_one(p2):
+    # at budget 1 the only trivial words are single letters equal to 1
+    words = corpus_generate(p2, 1, 3, seed=1)
+    assert len(words) == 3
+    for w in words:
+        assert len(w) == 1
+        assert p2.is_identity(w)
+
+
 def test_reproducible(p2):
     a = corpus_generate(p2, 16, 30, seed=9)
     b = corpus_generate(p2, 16, 30, seed=9)

@@ -139,9 +139,9 @@ def test_each_pool_keeps_one_mover_per_block(p3, monkeypatch):
     built = []
     init = compression.BlockMover.__init__
 
-    def counting_init(self, pool, chain):
-        built.append((pool, chain))
-        init(self, pool, chain)
+    def counting_init(self, chain):
+        built.append(self)
+        init(self, chain)
 
     monkeypatch.setattr(compression.BlockMover, "__init__", counting_init)
     w = pres.parse_word("x2^-1 g12^-1 g112^-1 x2^-1 x1 x2 x1^-1 x2^-1 "
@@ -149,15 +149,22 @@ def test_each_pool_keeps_one_mover_per_block(p3, monkeypatch):
     fill(w, pres)
     fill(inverse_word(w), pres)
     assert pres._movers and len(built) > len(pres._movers)
-    # every (pool, block) mover is built once and kept by its pool
-    assert len({(id(pool), chain) for pool, chain in built}) == len(built)
-    assert all(pool._movers[chain].chain == chain for pool, chain in built)
+    # every (pool, block) mover is built once and kept by its pool, the
+    # presentations of the recursion and their chain contexts
+    levels = [pres]
+    while levels[-1].nclass > 1:
+        levels.append(levels[-1].quotient)
+    pools = levels + [ctx for level in levels for ctx in level._chain_ctxs.values()]
+    kept = [(pool, chain, mover) for pool in pools
+            for chain, mover in pool._movers.items()]
+    assert sorted(map(id, built)) == sorted(id(mover) for _, _, mover in kept)
+    assert all(mover.chain == chain for _, chain, mover in kept)
     z = pres.basis[0][0]
     assert block_mover(pres, (z,)) is block_mover(pres, (z,))
-    # the pool decides the shape: exact on a chain context, split on pres
     chain = pres.defining_chain(z)
-    assert block_mover(chain_context(pres, chain), chain).exact
-    assert not block_mover(pres, chain).exact
+    ctx = chain_context(pres, chain)
+    assert block_mover(ctx, chain) is block_mover(ctx, chain)
+    assert block_mover(ctx, chain) is not block_mover(pres, chain)
 
 
 def test_register_memo_holds_only_records_that_move_letters(p3):
