@@ -125,7 +125,7 @@ def cmd_present(args) -> int:
 
 def cmd_compress(args) -> int:
     pres = build_chain_presentation(args.nclass, 1)
-    if args.spec:
+    if args.spec is not None:
         names = re.split(r"[,\s]+", args.spec.strip())
         unknown = [nm for nm in names if nm not in pres.name_to_index]
         if unknown:

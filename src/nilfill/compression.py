@@ -23,15 +23,16 @@ Every relator application emitted here is a transport: a central block
 (a nested commutator word or its inverse) swaps with an adjacent letter,
 in one move that replaces the block-letter pair.  A block moves this one
 way on the chain presentation (level 0) and on the inner levels, whose
-relator pool is the chain context itself.  A carry lifts an inner
-sequence one chain level down: the two halves of a commutator run it and
-its mirror side by side, each move mirrored by ``engine.mirror_move``,
-the rule of ``invert_sequence``.  The lift writes each inner swap as the
-insertion of the inverse of its whole unrotated relator r and free
-reductions (``_whole_insertions``), and re-creates that insertion by
-expanding r r^-1 and transporting the r block, whose chain the context
-recorded with the relator, to where the mirrored application inserts r.
-Any ordering of the chain letters compresses.
+relator pool is the chain context itself; its mover asks the pool its
+builder writes to for each swap's relator (``relator_id``).  A carry
+lifts an inner sequence one chain level down: the two halves of a
+commutator run it and its mirror side by side, each move mirrored by
+``engine.mirror_move``, the rule of ``invert_sequence``.  The lift writes
+each inner swap as the insertion of the inverse of its whole unrotated
+relator r and free reductions (``_whole_insertions``), and re-creates
+that insertion by expanding r r^-1 and transporting the r block, whose
+chain the context recorded with the relator, to where the mirrored
+application inserts r.  Any ordering of the chain letters compresses.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .engine import (
     pair_inverse_moves,
     reduction_steps,
 )
-from .errors import NoTransportRelator, OutOfRange
+from .errors import OutOfRange
 from .presentations import Presentation
 from .words import Word, commutator, inverse_word, nested_commutator
 
@@ -62,12 +63,12 @@ class ChainContext:
     presentation, whose relators are not relators of the ambient group.
     Those inner sequences are scaffolding: each of their applications is
     re-created in the ambient presentation by free expansions plus
-    transports, so the pool only has to name the inserted words.  Relator
-    ``rid`` is the nested commutator of the chain ``chains[rid]``
-    (``ensure``), which the lift reads back to move the leftover block.
-    Like a presentation, the context keeps the kernel's move templates and
-    the movers of its blocks (``block_mover``), which add to it the relator
-    of each swap they make.
+    transports, so the pool only has to name the inserted words.  Like a
+    presentation, it names the relator of a swap (``relator_id``), adding
+    it on the first request: relator ``rid`` is the nested commutator of
+    the chain ``chains[rid]``, which the lift reads back to move the
+    leftover block.  Like a presentation, too, the context keeps the
+    kernel's move templates and the movers of its blocks (``block_mover``).
 
     The context builds, mirrors and keeps register increments (``record``):
     ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
@@ -109,9 +110,9 @@ class ChainContext:
         self.increments: dict = {}
         self._move_pool: dict = {}
 
-    def ensure(self, chain) -> int:
-        """Relator id of the nested commutator of ``chain`` in the inner
-        pool, added on the first request."""
+    def relator_id(self, chain) -> int:
+        """Id of the nested commutator of ``chain`` in the inner pool, added
+        on the first request."""
         rid = self._index.get(chain)
         if rid is None:
             rid = len(self.relators)
@@ -183,45 +184,29 @@ class BlockMover:
     movers form no reference cycle.
 
     A block moves one way on every pool: each swap with a letter t is one
-    split application of the relator [t, chain], which a chain context
-    adds on first use and a presentation must already contain.  The
-    letters a block passes do not change while it moves, so every swap's
-    moves are known up front and go to the builder as one batch, built by
-    one comprehension over those letters."""
+    split application of the relator [t, chain], whose id the pool names
+    (``relator_id``).  The letters a block passes do not change while it
+    moves, so every swap's moves are known up front and go to the builder
+    as one batch, built by one comprehension over those letters."""
 
     def __init__(self, block_chain):
         self.chain = tuple(block_chain)
         self.length = len(nested_commutator(self.chain))
         self._rids = {}
 
-    def _rid(self, pool, t: int) -> int:
-        """Relator id of the transport commutator [t, chain] in ``pool``."""
-        rid = self._rids.get(t)
-        if rid is None:
-            if isinstance(pool, ChainContext):
-                rid = pool.ensure((t,) + self.chain)
-            else:
-                rid = pool.relator_index.get(nested_commutator((t,) + self.chain))
-                if rid is None:
-                    raise NoTransportRelator(
-                        f"presentation lacks [{t}, {self.chain}] transport relator"
-                    )
-            self._rids[t] = rid
-        return rid
-
     def _split_run(self, pool, positions, letters, sign: int, inv: int,
                    head: int) -> list:
         """Swaps of the block (first letter ``head``) past ``letters``, the
         k-th at ``positions[k]``, built by one comprehension: rids come from
-        the mover's table, ``_rid`` resolving each letter it lacks once in
-        ``pool``."""
+        the mover's table, which asks ``pool`` once for each letter it
+        lacks."""
         rids, L = self._rids, self.length
         shift = L + 1 if sign > 0 else 0
         # a single-letter block meeting its own inverse swaps freely
         stop = -head if L == 1 else None
         for t in set(letters):
             if t != stop and sign * t not in rids:
-                self._rid(pool, sign * t)
+                rids[sign * t] = pool.relator_id((sign * t,) + self.chain)
         if stop not in letters:
             return [("ar", p, rids[sign * t], shift, inv, L + 1)
                     for p, t in zip(positions, letters)]
@@ -302,7 +287,8 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     lift writes each of its swaps as the insertion of a whole relator r^-1
     (``_whole_insertions``), which this level re-creates by expanding
     r r^-1 and moving the r block to where the mirrored application
-    inserts r."""
+    inserts r.  Every block moves on the pool ``b`` writes to (``b.pres``):
+    the presentation at level 0, the context on the inner levels."""
     chain = ctx.chain[level:]
     a = chain[0]
     zw = ctx.z_words[level]
@@ -311,8 +297,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     t = s // n
     tword = _cword(ctx, level + 1, n, t)
     lt = len(tword)
-    pool = ctx if level else ctx.pres
-    zmover = block_mover(pool, chain)
+    zmover = block_mover(b.pres, chain)
 
     # Moves are buffered in ``pending`` and flushed before each transport,
     # which reads the word.
@@ -351,7 +336,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
             pending += pair_inverse_moves(here, relators[mv[2]])
             b.extend(pending)
             pending = []
-            block_mover(pool, chains[mv[2]]).move_left(b, here, there, 1)
+            block_mover(b.pres, chains[mv[2]]).move_left(b, here, there, 1)
         else:
             pending += ((mv[0], here) + mv[2:], (mirrored[0], there) + mirrored[2:])
     b.extend(pending)

@@ -30,7 +30,7 @@ from itertools import chain
 
 from .errors import NotApplicable, NotNull
 from .presentations import Presentation
-from .words import Word, inverse_word
+from .words import MAX_WORD_LENGTH, Word, inverse_word
 
 
 @dataclass(frozen=True)
@@ -109,9 +109,9 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
     """Apply ``moves``, each position shifted by ``offset``, to ``word`` in
     place; returns (area, fl) of the batch, fl counting the starting word.
 
-    Every move is checked before it changes the word, its range first and
-    then its content; the check that fails raises NotApplicable with its
-    own reason and the move's index within ``moves``."""
+    Every move is checked before it changes the word: range, content and
+    the word-length bound ``MAX_WORD_LENGTH``; the check that fails raises
+    NotApplicable with its own reason and the move's index within ``moves``."""
     templates = pres._move_templates
     rank = pres.rank
     n = fl = len(word)
@@ -129,11 +129,13 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
                 raise NotApplicable(f"relator application at {p} out of range", i)
             if word[p:q] != u:
                 raise NotApplicable(f"word does not carry relator prefix at {p}", i)
-            word[p:q] = v
-            area += 1
             n += grow
             if n > fl:
+                if n > MAX_WORD_LENGTH:
+                    raise NotApplicable(f"word longer than {MAX_WORD_LENGTH} letters", i)
                 fl = n
+            word[p:q] = v
+            area += 1
         elif op == "fr":
             if p < 0 or p + 1 >= n:
                 raise NotApplicable(f"free reduction at {p} out of range", i)
@@ -147,10 +149,12 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
                 raise NotApplicable(f"free expansion at {p} out of range", i)
             if not 0 < abs(a) <= rank:
                 raise NotApplicable(f"free expansion letter {a} names no generator", i)
-            word[p:p] = (a, -a)
             n += 2
             if n > fl:
+                if n > MAX_WORD_LENGTH:
+                    raise NotApplicable(f"word longer than {MAX_WORD_LENGTH} letters", i)
                 fl = n
+            word[p:p] = (a, -a)
         else:
             raise NotApplicable(f"unknown move kind {op!r}", i)
     return area, fl
@@ -238,7 +242,7 @@ def normalize_insertions(seq: PSequence) -> PSequence:
             _, p, rid, shift, inv, split = move
             n = len(relators[rid])
             out.append(("ar", p + split, rid, (shift + split) % n, inv, 0))
-            out.extend(("fr", q) for q in range(p + split - 1, p - 1, -1))
+            out += block_reduction_moves(p, split)
         else:
             out.append(move)
     return PSequence(seq.presentation, seq.initial, out)
@@ -344,14 +348,14 @@ class SequenceBuilder:
         A batch the kernel checked on ``before`` alone reads only letters of
         ``before``, so wherever ``before`` sits every move passes the same
         checks and the batch leaves ``after``: the word takes ``after`` in
-        one splice.  Anywhere else the moves go through ``extend``, which
-        refuses them as it would refuse any batch."""
+        one splice.  Anywhere else, or past ``MAX_WORD_LENGTH``, the moves go
+        through ``extend``, which refuses them as it would any batch."""
         word, before = self.word, record.before
         end = offset + len(before)
-        if offset < 0 or word[offset:end] != before:
+        fl = len(word) + record.grow
+        if offset < 0 or word[offset:end] != before or fl > MAX_WORD_LENGTH:
             self.extend(record.moves, offset)
             return
-        fl = len(word) + record.grow
         word[offset:end] = record.after
         self.area += record.area
         if fl > self.fl:

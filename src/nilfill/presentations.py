@@ -20,7 +20,8 @@ import re
 from functools import cached_property, lru_cache
 
 from . import oracle
-from .errors import NilfillError, OutOfRange, PresentationSyntaxError, UnsupportedIndex
+from .errors import (NilfillError, NoTransportRelator, OutOfRange,
+                     PresentationSyntaxError, UnsupportedIndex)
 from .words import (
     NAME_RE,
     Word,
@@ -85,6 +86,15 @@ class Presentation:
         for rid, r in enumerate(self.relators):
             idx.setdefault(r, rid)
         return idx
+
+    def relator_id(self, chain) -> int:
+        """Id of the nested commutator of ``chain``, the relator of a block's
+        swap with a letter (``compression.BlockMover``)."""
+        rid = self.relator_index.get(nested_commutator(chain))
+        if rid is None:
+            raise NoTransportRelator(
+                f"presentation lacks [{chain[0]}, {chain[1:]}] transport relator")
+        return rid
 
     @cached_property
     def max_weight_c_per_relator(self) -> int:

@@ -156,6 +156,13 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
                   "--trace", "OUT"), "unknown generator 'x9'", id="spec-unknown"),
     pytest.param(("compress", "--class", "3", "--n", "3", "--spec", ",",
                   "--trace", "OUT"), "unknown generator ''", id="spec-empty-name"),
+    pytest.param(("compress", "--class", "3", "--n", "3", "--spec", "",
+                  "--trace", "OUT"), "unknown generator ''", id="spec-empty"),
+    pytest.param(("present", "--class", "2", "--gens", "10", "--out", "OUT"),
+                 "generator naming supports at most 9 weight-1 letters",
+                 id="present-gens-10"),
+    pytest.param(("corpus", "--class", "2", "--gens", "2", "--n", "0", "--count", "2",
+                  "--seed", "1"), "need n >= 1, got 0", id="corpus-n-0"),
     pytest.param(("oracle", "eval", "--class", "0", "x y"),
                  "need m >= 1 and c >= 1", id="oracle-class-0"),
     pytest.param(("bench", "compression", "--class", "2", "--n-min", "5",
@@ -186,6 +193,21 @@ def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
     assert captured.err.startswith("error: ") and message in captured.err
     assert len(captured.err.splitlines()) == 1
     assert not os.listdir(tmp_path)  # nothing written
+
+
+@pytest.mark.parametrize("lines,verdict", [
+    (1000, "ok area=1000 fl=1000000 height=1000"),
+    (1001, "error line=1003 word longer than 1000000 letters"),
+])
+def test_validate_bounds_the_replayed_word(tmp_path, capsys, lines, verdict):
+    # each line inserts a 1,000-letter relator: the replayed word may grow
+    # to the bound on every word read, and a move past it is refused
+    pres = tmp_path / "grow.pres"
+    pres.write_text("class 2\ngen x1 1\ngen x2 1\nrel " + "x1 x2 x1^-1 x2^-1 " * 250 + "\n")
+    trace = tmp_path / "grow.trace"
+    trace.write_text("word:\npresentation: grow.pres\n" + "ar 0 0 0 0 0\n" * lines + "qed\n")
+    code, out = run(capsys, "validate", "--trace", str(trace), "--presentation", str(pres))
+    assert (code, out) == (int(lines > 1000), verdict + "\n")
 
 
 @pytest.mark.parametrize("argv,expected", [

@@ -6,7 +6,7 @@ import weakref
 import pytest
 from helpers import increment_sequence, insert_trivial_word
 
-from nilfill import compression, oracle
+from nilfill import compression, engine, oracle
 from nilfill.compression import (
     BlockMover,
     ChainContext,
@@ -46,6 +46,8 @@ def test_compression_word_range_errors():
     # a chain letter past the rank names no generator
     with pytest.raises(OutOfRange, match="chain letter 5"):
         compression_word(build_chain_presentation(2, 1), (1, 5), 2, 1)
+    with pytest.raises(OutOfRange, match="empty commutator chain"):
+        compression_word(build_chain_presentation(2, 1), (), 2, 0)
 
 
 def test_compression_word_c1():
@@ -217,7 +219,30 @@ def test_transport_missing_relator():
         _transport(pres, (1,) + nested_commutator((1, 2, 2)), (1, 2, 2), +1, 1, 0)
 
 
+def test_context_relator_id_adds_a_relator_once():
+    pres, chain = chain_setup(2)
+    ctx = ChainContext(pres, chain)
+    rid = ctx.relator_id((1,) + chain)
+    assert ctx.relators == [nested_commutator((1,) + chain)]
+    assert ctx.chains == [(1,) + chain]
+    assert ctx.relator_id((1,) + chain) == rid
+    assert ctx.relator_id((-2,) + chain) == rid + 1 and len(ctx.relators) == 2
+
+
 # --- power compression ------------------------------------------------------
+
+
+def test_power_compression_refuses_a_word_past_the_bound(monkeypatch):
+    # a power compression is built and replayed under the kernel's word
+    # bound: below its FL, the build and the replay both refuse a move
+    pres, chain = chain_setup(2)
+    seq = power_compression_sequence(pres, chain, 3)
+    bound = seq.metrics.fl - 1
+    monkeypatch.setattr(engine, "MAX_WORD_LENGTH", bound)
+    with pytest.raises(NotApplicable, match=f"word longer than {bound} letters"):
+        power_compression_sequence(pres, chain, 3)
+    with pytest.raises(NotApplicable, match=f"word longer than {bound} letters"):
+        replay(seq)
 
 
 def test_power_compression_c1_zero_moves():
@@ -580,7 +605,7 @@ def test_lift_refuses_an_application_that_is_no_swap(move):
     # starts inside the block, or an inverted application, is refused
     pres, chain = chain_setup(2)
     ctx = ChainContext(pres, chain)
-    ctx.ensure((1,) + chain)
+    ctx.relator_id((1,) + chain)
     with pytest.raises(AssertionError, match="must insert whole relators"):
         list(compression._whole_insertions([("fr", 0), move], ctx.relators))
 

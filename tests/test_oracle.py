@@ -130,6 +130,10 @@ def test_weight_exponents_examples():
 def test_weight_exponents_rejects_low_degree():
     with pytest.raises(NotInGammaC):
         lie((1,), 2, 2)
+    series = oracle.eval_word((), 2, 2)
+    series[0] = 2
+    with pytest.raises(NotInGammaC, match="constant coefficient differs from 1"):
+        oracle.lie_coordinates(series, 2, 2)
 
 
 def test_weight_exponents_at_class3():

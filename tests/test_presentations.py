@@ -3,7 +3,7 @@ import itertools
 import pytest
 from helpers import longest_relator, witt_number
 
-from nilfill.errors import NilfillError, OutOfRange
+from nilfill.errors import NilfillError, NoTransportRelator, OutOfRange
 from nilfill.presentations import (
     Presentation,
     build_chain_presentation,
@@ -75,6 +75,39 @@ def test_chain_rejects_bad_k():
 def test_presentation_rejects_letters_naming_no_generator(relators, bad):
     with pytest.raises(NilfillError, match=f"relator letter {bad} names no generator"):
         Presentation(("x1", "x2"), (1, 1), relators, 2)
+
+
+@pytest.mark.parametrize("names,weights,message", [
+    (["x1"], [1, 1], "generator annotation lengths disagree"),
+    (["x1", "x1"], [1, 1], "duplicate generator names"),
+])
+def test_presentation_rejects_bad_generators(names, weights, message):
+    with pytest.raises(NilfillError, match=message):
+        Presentation(names, weights, [], 1)
+
+
+def test_quotient_needs_class_2_and_top_weight_last():
+    with pytest.raises(NilfillError, match="cannot project a class-1 presentation"):
+        build_filler_presentation(1, 2).quotient
+    with pytest.raises(NilfillError, match="weight-c generators must come last"):
+        Presentation(["g12", "x1", "x2"], [2, 1, 1], [], 2).quotient
+
+
+def test_loaded_filler_letter_has_no_definition(tmp_path):
+    path = tmp_path / "f22.pres"
+    save_presentation(build_filler_presentation(2, 2), path)
+    pres = load_presentation(path)
+    with pytest.raises(NilfillError, match="generator g12 has weight 2 but no defining pair"):
+        pres.is_identity((pres.name_to_index["g12"],))
+
+
+def test_relator_id_names_a_transport_relator():
+    p = build_chain_presentation(2, 1)
+    for chain in [(1, 1, 2), (-2, 1, 2), (2, -1, -2)]:
+        assert p.relator_id(chain) == p.relator_index[nested_commutator(chain)]
+    with pytest.raises(NoTransportRelator,
+                       match=r"presentation lacks \[1, \(1, 2, 2\)\] transport relator"):
+        p.relator_id((1, 1, 2, 2))
 
 
 def test_filler_c1_is_free_abelian():

@@ -118,6 +118,13 @@ def test_parse_rejects_bad_tokens():
             parse_word(bad, TABLE)
 
 
+def test_nested_commutator_of_nothing():
+    from nilfill.errors import NilfillError
+
+    with pytest.raises(NilfillError, match="nested commutator of an empty list"):
+        nested_commutator([])
+
+
 def test_format_empty_word():
     assert format_word((), NAMES) == ""
     assert parse_word("", TABLE) == ()
