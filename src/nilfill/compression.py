@@ -48,9 +48,9 @@ from .engine import (
     pair_inverse_moves,
     reduction_steps,
 )
-from .errors import OutOfRange
+from .errors import NilfillError, OutOfRange
 from .presentations import Presentation
-from .words import Word, commutator, inverse_word, nested_commutator
+from .words import MAX_WORD_LENGTH, Word, commutator, inverse_word, nested_commutator
 
 
 class ChainContext:
@@ -368,12 +368,16 @@ def power_compression_sequence(pres: Presentation, chain, n: int) -> PSequence:
     records it splices and their interned moves go when the sequence goes,
     the rest of the context when this call returns.  Area is bounded by a
     constant times n^{c+1} and filling length by a constant times n; both
-    are measured, not asserted, here.
+    are measured, not asserted, here.  A starting word past
+    ``MAX_WORD_LENGTH`` is refused before it is built, with the kernel's
+    reason.
     """
     ctx = ChainContext(pres, chain)
     reg = CompressedPower(ctx, n)
     zw = ctx.z_words[0]
     total = n**ctx.c
+    if len(zw) * total > MAX_WORD_LENGTH:
+        raise NilfillError(f"word longer than {MAX_WORD_LENGTH} letters")
     b = SequenceBuilder(pres, zw * total)
     for s in range(total):
         reg.absorb(b, (total - s - 1) * len(zw))

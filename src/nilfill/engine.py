@@ -15,7 +15,11 @@ position makes the trace invalid, it is never repaired.
 
 ``apply_moves`` is the only code that checks a move: the validator's
 replay and every builder emission go through it, and ``SequenceBuilder``
-records the batches it accepts.  ``SequenceBuilder.splice`` applies a
+records the batches it accepts.  A transport is a run of swaps, each an
+application that moves a block W one letter (u = t W -> v = W t, or
+u = W t -> v = t W); the kernel checks each swap after the first of a run
+by its letter, its block and its range, and writes the run with one slice
+assignment.  ``SequenceBuilder.splice`` applies a
 batch the kernel has already checked (a ``CheckedMoves``) by its recorded
 effect wherever the subword it was checked on sits, and records it as a
 segment: the record and its offset, with no copy of its moves.  A
@@ -26,7 +30,7 @@ when it is read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import NotApplicable, NotNull
 from .presentations import Presentation
@@ -83,8 +87,13 @@ def _flatten(segments):
 
 
 def _template(pres, key, index: int):
-    """(u, v, len(v) - len(u)) for the relator application whose fields
-    after the position are ``key``, checked and cached on the presentation."""
+    """(u, v, len(v) - len(u), left, right) for the relator application
+    whose fields after the position are ``key``, checked and cached on the
+    presentation.  ``left`` is the block W when the application is a swap
+    u = t W -> v = W t (the block moves left past the letter t = u[0]),
+    ``right`` the block when it is u = W t -> v = t W (right past t =
+    u[-1]); otherwise None.  A single-letter block's swap a b -> b a reads
+    both ways."""
     if len(key) != 4:
         raise NotApplicable("relator application needs five fields", index)
     rid, shift, inv, split = key
@@ -101,7 +110,14 @@ def _template(pres, key, index: int):
     rv = inverse_word(r) if inv else r
     rot = rv[shift:] + rv[:shift]
     u, v = list(rot[:split]), list(inverse_word(rot[split:]))
-    template = pres._move_templates[key] = (u, v, len(v) - len(u))
+    left = right = None
+    if split > 1 and len(v) == split:
+        head, tail = v[:-1], v[1:]
+        if u[0] == v[-1] and u[1:] == head:
+            left = head
+        if u[-1] == v[0] and u[:-1] == tail:
+            right = tail
+    template = pres._move_templates[key] = (u, v, len(v) - len(u), left, right)
     return template
 
 
@@ -111,19 +127,27 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
 
     Every move is checked before it changes the word: range, content and
     the word-length bound ``MAX_WORD_LENGTH``; the check that fails raises
-    NotApplicable with its own reason and the move's index within ``moves``."""
+    NotApplicable with its own reason and the move's index within ``moves``.
+
+    ``moves`` is a list or tuple.  After a swap, the moves that continue it
+    one position at a time are checked and written as one run
+    (``_continue_run``); the first move that does not continue the run is
+    checked here as any other move, so a refusal has the reason, the index
+    and the word that one move per call gives."""
     templates = pres._move_templates
     rank = pres.rank
     n = fl = len(word)
     area = 0
-    for i, move in enumerate(moves):
+    last = len(moves) - 1
+    steps = enumerate(moves)
+    for i, move in steps:
         op = move[0]
         p = move[1] + offset
         if op == "ar":
             t = templates.get(move[2:])
             if t is None:
                 t = _template(pres, move[2:], i)
-            u, v, grow = t
+            u, v, grow, left, right = t
             q = p + move[5]
             if p < 0 or q > n:
                 raise NotApplicable(f"relator application at {p} out of range", i)
@@ -136,6 +160,12 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
                 fl = n
             word[p:q] = v
             area += 1
+            if i < last and (left or right):
+                k = _continue_run(word, moves, i + 1, p, offset, templates, n,
+                                  left, right)
+                if k:
+                    area += k
+                    next(islice(steps, k - 1, None))
         elif op == "fr":
             if p < 0 or p + 1 >= n:
                 raise NotApplicable(f"free reduction at {p} out of range", i)
@@ -158,6 +188,49 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
         else:
             raise NotApplicable(f"unknown move kind {op!r}", i)
     return area, fl
+
+
+def _continue_run(word, moves, j, p, offset, templates, n, left, right) -> int:
+    """How many moves from ``moves[j]`` on continue the swap just applied at
+    ``p``, each checked as it is read, with the whole run then written to
+    ``word`` in one slice assignment.  The next move's position step picks
+    the direction: p - 1 continues a left swap (its block ``left``) and
+    p + 1 a right one.  A move continues the run when it is an ``ar`` one
+    position further the same way, its template is cached, it swaps the
+    same block the same way, the letter it passes is the word's letter
+    there, and it is in range; the first that is not ends the run, and the
+    kernel checks it as any other move."""
+    end = len(moves)
+    m = moves[j]
+    if left and m[1] + offset == p - 1:
+        r = p       # the block's position
+        while m[0] == "ar" and m[1] + offset == r - 1 and r > 0:
+            t = templates.get(m[2:])
+            if t is None or t[3] != left or t[0][0] != word[r - 1]:
+                break
+            r -= 1
+            j += 1
+            if j == end:
+                break
+            m = moves[j]
+        if r < p:
+            word[r:p + len(left)] = left + word[r:p]
+        return p - r
+    if right and m[1] + offset == p + 1:
+        r, L = p, len(right)   # the block sits at r + 1
+        while m[0] == "ar" and m[1] + offset == r + 1 and r + L + 2 <= n:
+            t = templates.get(m[2:])
+            if t is None or t[4] != right or t[0][-1] != word[r + L + 1]:
+                break
+            r += 1
+            j += 1
+            if j == end:
+                break
+            m = moves[j]
+        if r > p:
+            word[p + 1:r + L + 1] = word[p + L + 1:r + L + 1] + right
+        return r - p
+    return 0
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 from nilfill import compression
 from nilfill.engine import SequenceBuilder, apply_moves, reduction_steps
-from nilfill.errors import OutOfRange
+from nilfill.errors import NotApplicable, OutOfRange
 from nilfill.filler import fill_with_report
 from nilfill.oracle import SeriesContext
 from nilfill.words import inverse_word
@@ -96,6 +96,22 @@ def apply_move(w, move, pres):
     word = list(w)
     apply_moves(word, [move], pres)
     return tuple(word)
+
+
+def one_move_per_call(pres, initial, moves):
+    """("ok", area, fl, word) of ``moves`` applied one per kernel call, or
+    ("refused", index, reason, word) at the first refusal.  A one-move
+    batch never continues a transport run, so this is the reference for a
+    batch that does."""
+    word, area, fl = list(initial), 0, len(initial)
+    for i, move in enumerate(moves):
+        try:
+            a, f = apply_moves(word, [move], pres)
+        except NotApplicable as exc:
+            return "refused", i, exc.reason, word
+        area += a
+        fl = max(fl, f)
+    return "ok", area, fl, word
 
 
 def witt_number(m: int, c: int) -> int:

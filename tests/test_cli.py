@@ -182,6 +182,10 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
                  id="bench-fill-no-relators"),
     pytest.param(("compress", "--class", "2", "--n", "1", "--trace", "OUT"),
                  "base must be at least 2, got 1", id="compress-base-1"),
+    pytest.param(("compress", "--class", "2", "--n", "100000", "--trace", "OUT"),
+                 "word longer than 1000000 letters", id="compress-n-huge"),
+    pytest.param(("compress", "--class", "2", "--n", "10000000000", "--trace", "OUT"),
+                 "word longer than 1000000 letters", id="compress-n-overflow"),
     pytest.param(("compress", "--class", "3", "--n", "2", "--spec", "x1,x2",
                   "--trace", "OUT"), "spec must name 3 letters", id="spec-too-short"),
 ])

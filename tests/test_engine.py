@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from helpers import apply_move, fill, longest_relator, random_valid_sequence
+from helpers import (apply_move, fill, longest_relator, one_move_per_call,
+                     random_valid_sequence)
 
 from nilfill import engine, oracle
 from nilfill.engine import (
@@ -344,3 +345,138 @@ def test_replay_reports_index_in_the_whole_sequence(chain22):
             replay(PSequence(chain22, (), seq.moves))
         assert (flat.value.move_index, flat.value.reason) == (index, exc.value.reason)
 
+
+# -- swap runs: a batch against the same moves one per kernel call ----------
+
+
+def _as_one_batch(pres, initial, moves):
+    word = list(initial)
+    try:
+        area, fl = apply_moves(word, moves, pres)
+    except NotApplicable as exc:
+        return "refused", exc.move_index, exc.reason, word
+    return "ok", area, fl, word
+
+
+def _same_as_one_per_call(pres, initial, moves):
+    # the reference runs first, so every template the batch meets is cached
+    expected = one_move_per_call(pres, initial, moves)
+    assert _as_one_batch(pres, initial, moves) == expected
+    return expected
+
+
+def _in_a_run(moves) -> list:
+    """Indices of the ``ar`` moves one position away from an ``ar`` move
+    before them."""
+    return [i for i in range(1, len(moves))
+            if moves[i][0] == moves[i - 1][0] == "ar"
+            and abs(moves[i][1] - moves[i - 1][1]) == 1]
+
+
+def _mutated(move, field: int, rng):
+    if field == 0:      # the kind: the same fields read as another move
+        return (rng.choice(("fr", "fe", "xx")),) + move[1:]
+    if field == 4:
+        return move[:4] + (1 - move[4],) + move[5:]
+    return move[:field] + (move[field] + rng.choice((-1, 1)),) + move[field + 1:]
+
+
+@pytest.fixture(scope="module")
+def run_sequences():
+    """A class-3 compression (left runs of a 10-letter block) and a c = 3
+    fill (left and right runs of single-letter blocks), with the word
+    before each move."""
+    from nilfill.compression import power_compression_sequence
+
+    cpres = build_chain_presentation(3, 1)
+    fpres = build_filler_presentation(3, 2)
+    w = fpres.parse_word("x1 x2 g121 g222^-1 g121^-1 g222 x2^-1 x1^-1")
+    out = []
+    for pres, seq in ((cpres, power_compression_sequence(cpres, (1, 2, 3), 3)),
+                      (fpres, fill(w, fpres))):
+        moves, word, words = seq.moves, list(seq.initial), []
+        for mv in moves:
+            words.append(tuple(word))
+            apply_moves(word, [mv], pres)
+        out.append((pres, seq.initial, moves, words))
+    return out
+
+
+def test_a_batch_of_runs_equals_one_move_per_call(run_sequences):
+    steps = []
+    for pres, initial, moves, _ in run_sequences:
+        assert _same_as_one_per_call(pres, initial, moves)[0] == "ok"
+        runs = _in_a_run(moves)
+        steps.append({moves[i][1] - moves[i - 1][1] for i in runs})
+        assert len(runs) > len(moves) / 4
+    assert steps == [{-1}, {-1, 1}]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_mutated_move_in_a_run_is_refused_as_one_per_call(run_sequences, seed):
+    rng = random.Random(seed)
+    refused = 0
+    for pres, _, moves, words in run_sequences:
+        sites = _in_a_run(moves)
+        for _ in range(250):
+            i = rng.choice(sites)
+            start = max(0, i - rng.randrange(1, 40))
+            window = list(moves[start:i + rng.randrange(1, 40)])
+            window[i - start] = _mutated(window[i - start], rng.randrange(6), rng)
+            refused += _same_as_one_per_call(pres, words[start], window)[0] == "refused"
+    assert refused > 400
+
+
+def _transport(pres, chain, letters, right: bool):
+    """The word and the moves of one block move on ``pres``: the block of
+    ``chain`` left from past ``letters`` to position 0, or right from 0 to
+    the word's end."""
+    from nilfill.compression import block_mover
+    from nilfill.words import nested_commutator
+
+    W, letters = list(nested_commutator(chain)), list(letters)
+    b = SequenceBuilder(pres, W + letters if right else letters + W)
+    mover = block_mover(pres, chain)
+    if right:
+        mover.move_right(b, 0, len(letters), 1)
+    else:
+        mover.move_left(b, len(letters), 0, 1)
+    assert b.word == (letters + W if right else W + letters)
+    return b.initial, b.moves
+
+
+@pytest.mark.parametrize("right", (False, True))
+@pytest.mark.parametrize("single", (False, True))
+def test_a_run_reaches_the_word_end_and_stops_there(right, single):
+    # a run to position 0 or to the word's end, and one swap more, whose
+    # letter is in the word (at its other end, where a negative index or a
+    # range test off by one would read it)
+    if single:      # a central letter
+        pres = build_filler_presentation(3, 2)
+        chain = (pres.letters_of_weight(3)[0],)
+    else:
+        pres, chain = build_chain_presentation(3, 1), (1, 2, 3)
+    letters = (1, 2, -1, 2, 1)
+    initial, moves = _transport(pres, chain, letters, right)
+    assert len(moves) == len(letters) and all(m[0] == "ar" for m in moves)
+    assert _same_as_one_per_call(pres, initial, moves)[:3] == ("ok", len(moves), len(initial))
+    step = 1 if right else -1
+    past = ("ar", moves[-1][1] + step) + moves[-1 if right else 0][2:]
+    result = _same_as_one_per_call(pres, initial, moves + [past])
+    assert result[:2] == ("refused", len(moves))
+
+
+@pytest.mark.parametrize("right", (False, True))
+def test_a_run_ends_at_a_swap_of_another_letter_or_block(right):
+    # [t', W] passes another letter than the word holds; [t, W'] moves
+    # another block of the same length past the same letter
+    pres = build_chain_presentation(3, 1)
+    chain, letters = (1, 2, 3), (1, 2, -1, 3, 1, -2)
+    initial, moves = _transport(pres, chain, letters, right)
+    k = 3
+    t = letters[k] if right else letters[::-1][k]
+    for swap in ((-t,) + chain, (t, 2, 1, 3)):
+        bad = list(moves)
+        bad[k] = bad[k][:2] + (pres.relator_id(swap),) + bad[k][3:]
+        result = _same_as_one_per_call(pres, initial, bad)
+        assert result[:3] == ("refused", k, f"word does not carry relator prefix at {bad[k][1]}")

@@ -1,19 +1,24 @@
 """Mutations of a real certificate never crash the validator: single bytes,
-and the position field of a line whose tail came earlier."""
+the position field of a line whose tail came earlier, and one field of a
+line inside a transport run, whose verdict is that of a replay one move at
+a time."""
 
 import contextlib
 import io
 
 import pytest
 from hypothesis import given, settings
-from helpers import fill
+from helpers import fill, one_move_per_call
 from hypothesis import strategies as st
 
 from nilfill import traces
 from nilfill.cli import main
+from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
-from nilfill.presentations import build_filler_presentation, save_presentation
-from nilfill.traces import serialize_trace
+from nilfill.engine import Metrics
+from nilfill.presentations import (build_chain_presentation, build_filler_presentation,
+                                   load_presentation, save_presentation)
+from nilfill.traces import format_ok, parse_trace, serialize_trace
 
 FILES = ("t.trace", "p.pres")
 
@@ -41,11 +46,22 @@ def certificate_c3(tmp_path_factory):
     return _certificate(tmp_path_factory.mktemp("fuzz3"), 3, 10, 40, 6)
 
 
-def _validate(work):
+@pytest.fixture(scope="module")
+def compression_c3(tmp_path_factory):
+    """A class-3 power compression (n = 3, 4,515 lines), whose transport
+    runs move a 10-letter block left one letter a line."""
+    work = tmp_path_factory.mktemp("fuzz_runs")
+    pres = build_chain_presentation(3, 1)
+    save_presentation(pres, work / "p.pres")
+    seq = power_compression_sequence(pres, (1, 2, 3), 3)
+    return work, serialize_trace(seq, "p.pres"), (work / "p.pres").read_bytes()
+
+
+def _validate(work, null=True):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["validate", "--trace", str(work / "m.trace"),
-                     "--presentation", str(work / "m.pres"), "--null"])
+                     "--presentation", str(work / "m.pres")] + ["--null"] * null)
     return code, (out.getvalue() + err.getvalue()).splitlines()
 
 
@@ -139,3 +155,45 @@ def test_position_rewrite_of_class3_certificate(certificate_c3, draw):
     assert code in (0, 1)
     assert len(out) == 1
     assert out[0].startswith("ok area=" if code == 0 else "error")
+
+
+def _one_move_per_call(work, text):
+    """The verdict of a replay that hands the kernel one move per call, so
+    that no transport run is continued."""
+    seq, _ = parse_trace(text, load_presentation(work / "m.pres"))
+    result = one_move_per_call(seq.presentation, seq.initial, seq.moves)
+    if result[0] == "refused":
+        return 1, [f"error line={result[1] + 3} {result[2]}"]
+    _, area, fl, word = result
+    return 0, [format_ok(Metrics(area, fl, len(seq.moves), len(word)))]
+
+
+@settings(max_examples=100)
+@given(draw=st.data())
+def test_field_mutation_inside_a_transport_run(compression_c3, draw):
+    # one integer field of an ar line that continues a run (the line before
+    # is an ar line one position away), moved a little or set to a value
+    # the field has on another line, so that the mutated move may be one
+    # the kernel has seen: the validator, which checks runs as runs, gives
+    # the verdict of a replay one move at a time
+    work, text, pres_bytes = compression_c3
+    lines = text.split("\n")
+    fields = [line.split(" ") for line in lines]
+    inside = [i for i in range(3, len(lines))
+              if fields[i][0] == fields[i - 1][0] == "ar"
+              and abs(int(fields[i][1]) - int(fields[i - 1][1])) == 1]
+    i = draw.draw(st.sampled_from(inside))
+    k = draw.draw(st.integers(1, 5))
+    old = int(fields[i][k])
+    values = [st.sampled_from([-2, -1, 1, 2, 50]).map(old.__add__)]
+    elsewhere = sorted({int(f[k]) for f in fields if f[0] == "ar"} - {old})
+    if elsewhere:       # every inversion flag is 0
+        values.append(st.sampled_from(elsewhere))
+    value = draw.draw(st.one_of(values))
+    lines[i] = " ".join(fields[i][:k] + [str(value)] + fields[i][k + 1:])
+    mutated = "\n".join(lines)
+    (work / "m.trace").write_text(mutated)
+    (work / "m.pres").write_bytes(pres_bytes)
+    verdict = _validate(work, null=False)
+    assert verdict == _one_move_per_call(work, mutated)
+    assert len(verdict[1]) == 1
