@@ -15,14 +15,17 @@ position makes the trace invalid, it is never repaired.
 
 ``apply_moves`` is the only code that checks a move: the validator's
 replay and every builder emission go through it, and ``SequenceBuilder``
-records the batches it accepts.  A transport is a run of swaps, each an
+records the batches it accepts.  It reads a move's u and v from a
+template, cached on the presentation for a relator of at most
+``MAX_CACHED_RELATOR`` letters.  A transport is a run of swaps, each an
 application that moves a block W one letter (u = t W -> v = W t, or
-u = W t -> v = t W); the kernel checks each swap after the first of a run
-by its letter, its block and its range, and writes the run with one slice
-assignment.  ``SequenceBuilder.splice`` applies a
-batch the kernel has already checked (a ``CheckedMoves``) by its recorded
-effect wherever the subword it was checked on sits, and records it as a
-segment: the record and its offset, with no copy of its moves.  A
+u = W t -> v = t W); after the first swap of a run, one loop serves both
+directions: it checks each next swap by its position, its cached
+template's block and direction, the letter it passes and its range, and
+writes the run with one slice assignment.  ``SequenceBuilder.splice``
+applies a batch the kernel has already checked (a ``CheckedMoves``) by its
+recorded effect wherever the subword it was checked on sits, and records
+it as a segment: the record and its offset, with no copy of its moves.  A
 ``PSequence`` keeps those segments; its ``moves`` list is built only
 when it is read.
 """
@@ -35,6 +38,12 @@ from itertools import chain, islice
 from .errors import NotApplicable, NotNull
 from .presentations import Presentation
 from .words import MAX_WORD_LENGTH, Word, inverse_word
+
+# A template is cached only for a relator of at most this many letters (the
+# longest relator built, on the class-4 chain, has 46): a longer relator's
+# template is built per move, at the cost of applying it, so the cache holds
+# at most twice this many letters per trace line.
+MAX_CACHED_RELATOR = 64
 
 
 @dataclass(frozen=True)
@@ -88,8 +97,9 @@ def _flatten(segments):
 
 def _template(pres, key, index: int):
     """(u, v, len(v) - len(u), left, right) for the relator application
-    whose fields after the position are ``key``, checked and cached on the
-    presentation.  ``left`` is the block W when the application is a swap
+    whose fields after the position are ``key``, checked, and cached on the
+    presentation when the relator has at most ``MAX_CACHED_RELATOR``
+    letters.  ``left`` is the block W when the application is a swap
     u = t W -> v = W t (the block moves left past the letter t = u[0]),
     ``right`` the block when it is u = W t -> v = t W (right past t =
     u[-1]); otherwise None.  A single-letter block's swap a b -> b a reads
@@ -117,7 +127,9 @@ def _template(pres, key, index: int):
             left = head
         if u[-1] == v[0] and u[:-1] == tail:
             right = tail
-    template = pres._move_templates[key] = (u, v, len(v) - len(u), left, right)
+    template = (u, v, len(v) - len(u), left, right)
+    if n <= MAX_CACHED_RELATOR:
+        pres._move_templates[key] = template
     return template
 
 
@@ -130,10 +142,11 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
     NotApplicable with its own reason and the move's index within ``moves``.
 
     ``moves`` is a list or tuple.  After a swap, the moves that continue it
-    one position at a time are checked and written as one run
-    (``_continue_run``); the first move that does not continue the run is
-    checked here as any other move, so a refusal has the reason, the index
-    and the word that one move per call gives."""
+    one position at a time, leftwards or rightwards, are checked and
+    written as one run by one loop (``_continue_run``); the first move that
+    does not continue the run is checked here as any other move, so a
+    refusal has the reason, the index and the word that one move per call
+    gives."""
     templates = pres._move_templates
     rank = pres.rank
     n = fl = len(word)
@@ -192,45 +205,40 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
 
 def _continue_run(word, moves, j, p, offset, templates, n, left, right) -> int:
     """How many moves from ``moves[j]`` on continue the swap just applied at
-    ``p``, each checked as it is read, with the whole run then written to
-    ``word`` in one slice assignment.  The next move's position step picks
-    the direction: p - 1 continues a left swap (its block ``left``) and
-    p + 1 a right one.  A move continues the run when it is an ``ar`` one
-    position further the same way, its template is cached, it swaps the
-    same block the same way, the letter it passes is the word's letter
-    there, and it is in range; the first that is not ends the run, and the
-    kernel checks it as any other move."""
-    end = len(moves)
+    ``p``, each checked as it is read; the run is then written to ``word``
+    in one slice assignment.  The next move's position step s picks the
+    swap's reading: -1 a left one (block ``left``, template field 3, passing
+    u[0]), +1 a right one (``right``, field 4, passing u[-1]).  A move
+    continues the run while the index q of the next letter passed is in the
+    word (``stop`` is -1 or n), the move is an ``ar`` at q + d (d takes off
+    ``offset``, and the block's length on a right run), and its cached
+    template swaps the same block the same way past word[q]; the first that
+    does not ends the run, and the kernel checks it as any other move."""
     m = moves[j]
-    if left and m[1] + offset == p - 1:
-        r = p       # the block's position
-        while m[0] == "ar" and m[1] + offset == r - 1 and r > 0:
-            t = templates.get(m[2:])
-            if t is None or t[3] != left or t[0][0] != word[r - 1]:
-                break
-            r -= 1
-            j += 1
-            if j == end:
-                break
-            m = moves[j]
-        if r < p:
-            word[r:p + len(left)] = left + word[r:p]
-        return p - r
-    if right and m[1] + offset == p + 1:
-        r, L = p, len(right)   # the block sits at r + 1
-        while m[0] == "ar" and m[1] + offset == r + 1 and r + L + 2 <= n:
-            t = templates.get(m[2:])
-            if t is None or t[4] != right or t[0][-1] != word[r + L + 1]:
-                break
-            r += 1
-            j += 1
-            if j == end:
-                break
-            m = moves[j]
-        if r > p:
-            word[p + 1:r + L + 1] = word[p + L + 1:r + L + 1] + right
-        return r - p
-    return 0
+    s = m[1] + offset - p
+    if s == -1 and left:
+        block, side, e, q, d, stop = left, 3, 0, p - 1, -offset, -1
+    elif s == 1 and right:
+        block, side, e, q, stop = right, 4, -1, p + 1 + len(right), n
+        d = -len(right) - offset
+    else:
+        return 0
+    first, end = q, len(moves)
+    while q != stop and m[0] == "ar" and m[1] == q + d:
+        t = templates.get(m[2:])
+        if t is None or t[side] != block or t[0][e] != word[q]:
+            break
+        q += s
+        j += 1
+        if j == end:
+            break
+        m = moves[j]
+    if q != first:
+        if s < 0:
+            word[q + 1:p + len(block)] = block + word[q + 1:p]
+        else:
+            word[p + 1:q] = word[first:q] + block
+    return (q - first) * s
 
 
 @dataclass(frozen=True)

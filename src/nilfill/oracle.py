@@ -20,6 +20,13 @@ from .errors import NotInGammaC, OutOfRange
 from .words import Word
 
 
+# A context keeps a monomial for each coefficient: the coefficients and the
+# monomials' letters together are at most this many (two symbols pass up to
+# class 15, one up to class 1,412), so no class asked of the oracle can
+# exhaust memory.
+MAX_SERIES_TABLE = 10**6
+
+
 @lru_cache(maxsize=None)
 def series_context(m: int, c: int) -> "SeriesContext":
     return SeriesContext(m, c)
@@ -31,6 +38,13 @@ class SeriesContext:
     def __init__(self, m: int, c: int):
         if m < 1 or c < 1:
             raise OutOfRange(f"need m >= 1 and c >= 1, got m={m}, c={c}")
+        entries, layer = 0, 1
+        for d in range(c + 1):
+            entries += (d + 1) * layer
+            if entries > MAX_SERIES_TABLE:
+                raise OutOfRange(f"a series at m={m}, c={c} has more than {MAX_SERIES_TABLE} "
+                                 "coefficients and monomial letters")
+            layer *= m
         self.c = c
         monomials: list[tuple] = [()]
         by_degree: list[list[tuple]] = [[()]]

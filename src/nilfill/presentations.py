@@ -23,6 +23,7 @@ from . import oracle
 from .errors import (NilfillError, NoTransportRelator, OutOfRange,
                      PresentationSyntaxError, UnsupportedIndex)
 from .words import (
+    MAX_PRESENTATION_LETTERS,
     NAME_RE,
     Word,
     commutator,
@@ -219,7 +220,13 @@ def _signed(letters) -> list:
 
 def _nested_relators(letter_pool, entries: int):
     """All nested commutators with ``entries`` entries over the signed pool,
-    pruned of freely trivial words and exact duplicates, in enumeration order."""
+    pruned of freely trivial words and exact duplicates, in enumeration order.
+    OutOfRange, before any is built, when the unpruned commutators would
+    pass ``MAX_PRESENTATION_LETTERS``."""
+    letters = len(letter_pool) ** entries * (3 * 2 ** (entries - 1) - 2)
+    if letters > MAX_PRESENTATION_LETTERS:
+        raise OutOfRange(f"{entries}-entry commutators over {len(letter_pool)} letters "
+                         f"would hold more than {MAX_PRESENTATION_LETTERS} letters")
     out = []
     seen = set()
     for combo in itertools.product(letter_pool, repeat=entries):
@@ -343,9 +350,11 @@ def build_filler_presentation(c: int, m: int) -> Presentation:
     """
     if c < 1 or m < 1:
         raise OutOfRange(f"need c >= 1 and m >= 1, got c={c}, m={m}")
+    # the class relators come first, so a set past the letter bound is
+    # refused before the generators, whose count grows as fast, are built
+    class_relators = _nested_relators(_signed(range(1, m + 1)), c + 1)
     names, weights, parents = _filler_generators(c, m)
     skeleton = Presentation(names, weights, [], c, parents)
-    pool1 = _signed(range(1, m + 1))
 
     relators: list[Word] = []
     seen: set = set()
@@ -361,7 +370,7 @@ def build_filler_presentation(c: int, m: int) -> Presentation:
         add((-i,) + commutator((x,), (y,)))
 
     # (b) class relators over the weight-1 alphabet
-    for r in _nested_relators(pool1, c + 1):
+    for r in class_relators:
         add(r)
 
     # (c) centrality of weight-c letters
@@ -425,7 +434,8 @@ def _count(text: str, what: str, number: int) -> int:
 
 def load_presentation(path) -> Presentation:
     """Read a presentation file.  Every line that is not in the grammar
-    raises PresentationSyntaxError naming it."""
+    raises PresentationSyntaxError naming it, as does the first ``rel``
+    line that takes the relators past ``MAX_PRESENTATION_LETTERS``."""
     table: dict = {}            # generator name -> 1-based index
     weights: list[int] = []
     rel_lines: list = []        # (line number, word text)
@@ -462,9 +472,14 @@ def load_presentation(path) -> Presentation:
         raise NilfillError("presentation file lacks a class line")
     relators = []
     runs: dict = {}             # word token -> letters, for this file
+    letters = 0
     for number, rel_text in rel_lines:
         try:
             relators.append(parse_word(rel_text, table, runs))
         except NilfillError as exc:
             raise PresentationSyntaxError(number, str(exc)) from None
+        letters += len(relators[-1])
+        if letters > MAX_PRESENTATION_LETTERS:
+            raise PresentationSyntaxError(
+                number, f"relators hold more than {MAX_PRESENTATION_LETTERS} letters")
     return Presentation(list(table), weights, relators, nclass)

@@ -69,6 +69,10 @@ def nested_commutator(items) -> Word:
 # are allocated, so no file line can ask for an unbounded word.
 
 MAX_WORD_LENGTH = 10**6
+# The relators of one presentation hold at most this many letters together:
+# a file or a builder that asks for more is refused.  The largest
+# presentation built, the class-4 chain, holds 1,130,496.
+MAX_PRESENTATION_LETTERS = 10**7
 _MAX_EXPONENT_DIGITS = len(str(MAX_WORD_LENGTH))
 _TOO_LONG = f"word longer than {MAX_WORD_LENGTH} letters"
 

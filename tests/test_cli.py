@@ -188,6 +188,25 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
                  "word longer than 1000000 letters", id="compress-n-overflow"),
     pytest.param(("compress", "--class", "3", "--n", "2", "--spec", "x1,x2",
                   "--trace", "OUT"), "spec must name 3 letters", id="spec-too-short"),
+    # tables past their bounds are refused before they are allocated
+    pytest.param(("present", "--class", "7", "--chain", "1", "--out", "OUT"),
+                 "8-entry commutators over 14 letters would hold more than 10000000 letters",
+                 id="present-chain-class-7"),
+    pytest.param(("present", "--class", "10", "--gens", "2", "--out", "OUT"),
+                 "11-entry commutators over 4 letters would hold more than 10000000 letters",
+                 id="present-gens-class-10"),
+    pytest.param(("present", "--class", "7", "--gens", "9", "--out", "OUT"),
+                 "8-entry commutators over 18 letters would hold more than 10000000 letters",
+                 id="present-gens-9-class-7"),
+    pytest.param(("compress", "--class", "6", "--n", "2", "--trace", "OUT"),
+                 "7-entry commutators over 12 letters would hold more than 10000000 letters",
+                 id="compress-class-6"),
+    pytest.param(("oracle", "eval", "--class", "30", "x1 x2 x3"),
+                 "a series at m=3, c=30 has more than 1000000 coefficients",
+                 id="oracle-class-30"),
+    pytest.param(("oracle", "check", "--class", "100000", "x1 x1^-1"),
+                 "a series at m=1, c=100000 has more than 1000000 coefficients",
+                 id="oracle-one-symbol-class-100000"),
 ])
 def test_bad_arguments_give_one_error_line(tmp_path, capsys, argv, message):
     out_path = str(tmp_path / "out")

@@ -19,7 +19,8 @@ from nilfill.engine import (
     validate_null,
 )
 from nilfill.errors import NotApplicable, NotNull
-from nilfill.presentations import build_chain_presentation, build_filler_presentation
+from nilfill.presentations import (Presentation, build_chain_presentation,
+                                  build_filler_presentation)
 from nilfill.words import inverse_word
 
 
@@ -349,10 +350,10 @@ def test_replay_reports_index_in_the_whole_sequence(chain22):
 # -- swap runs: a batch against the same moves one per kernel call ----------
 
 
-def _as_one_batch(pres, initial, moves):
+def _as_one_batch(pres, initial, moves, offset=0):
     word = list(initial)
     try:
-        area, fl = apply_moves(word, moves, pres)
+        area, fl = apply_moves(word, moves, pres, offset)
     except NotApplicable as exc:
         return "refused", exc.move_index, exc.reason, word
     return "ok", area, fl, word
@@ -480,3 +481,80 @@ def test_a_run_ends_at_a_swap_of_another_letter_or_block(right):
         bad[k] = bad[k][:2] + (pres.relator_id(swap),) + bad[k][3:]
         result = _same_as_one_per_call(pres, initial, bad)
         assert result[:3] == ("refused", k, f"word does not carry relator prefix at {bad[k][1]}")
+
+
+def _swap(pres, a, b):
+    """The fields after the position of an application of ``pres`` that
+    turns a b into b a."""
+    for rid, r in enumerate(pres.relators):
+        for inv in (0, 1):
+            rv = inverse_word(r) if inv else r
+            for shift in range(len(r)):
+                if rv[shift:] + rv[:shift] == (a, b, -a, -b):
+                    return rid, shift, inv, 2
+    raise AssertionError(f"no swap of {a} and {b}")
+
+
+@pytest.mark.parametrize("initial,positions,past,fresh", [
+    # a single-letter swap reads both ways: the swap at p moves z left past
+    # 1, and the one at p + 1 continues it as 1 moving right past y
+    pytest.param((1, "z", "y"), (0, 1), None, False, id="left-then-right"),
+    pytest.param(("z", "y", 1), (1, 0), None, False, id="right-then-left"),
+    pytest.param((1, 2, -1, 2, "z"), (3, 2, 1, 0), None, False, id="left-end-to-0"),
+    pytest.param(("z", 1, 2, -1, 2), (0, 1, 2, 3), None, False, id="right-0-to-end"),
+    # then one swap past the word, of the letter at its other end
+    pytest.param((1, 2, -1, 2, "z"), (3, 2, 1, 0), -1, False, id="left-past-0"),
+    pytest.param(("z", 1, 2, -1, 2), (0, 1, 2, 3), 4, False, id="right-past-end"),
+    # on a fresh presentation the run meets templates not yet cached
+    pytest.param(("z", 1, 2, -1, 2, 1), (0, 1, 2, 3, 4), None, True, id="uncached"),
+    pytest.param((1, 2, -2, 1, -1, "z"), (4, 3, 2, 1, 0), None, True, id="uncached-left"),
+])
+@pytest.mark.parametrize("offset", (0, -3))
+def test_one_run_loop_serves_both_directions(initial, positions, past, fresh, offset,
+                                             monkeypatch):
+    run, continued = engine._continue_run, []
+
+    def counted(*args):
+        continued.append(run(*args))
+        return continued[-1]
+
+    monkeypatch.setattr(engine, "_continue_run", counted)
+    pres = build_filler_presentation(3, 2)
+    z, y = pres.letters_of_weight(3)[:2]
+    start = tuple({"z": z, "y": y}.get(a, a) for a in initial)
+    word, moves = list(start), []
+    for p in positions:
+        moves.append(("ar", p) + _swap(pres, word[p], word[p + 1]))
+        word[p:p + 2] = word[p + 1], word[p]
+    if past is not None:
+        moves.append(("ar", past) + _swap(pres, word[-1], word[0]))
+    given = engine._shifted(moves, -offset)     # the kernel shifts them back
+    if fresh:
+        pres = Presentation(pres.names, pres.weights, pres.relators, pres.nclass, pres.parents)
+        result = _as_one_batch(pres, start, given, offset)
+        assert result == one_move_per_call(pres, start, moves)
+        # an uncached template ends a run, and a later cached one starts one
+        assert 0 < sum(continued) < len(positions) - 1
+    else:
+        result = one_move_per_call(pres, start, moves)
+        assert _as_one_batch(pres, start, given, offset) == result
+        assert sum(continued) == len(positions) - 1   # every swap after the first
+    if past is None:
+        assert result == ("ok", len(positions), len(start), word)
+    else:
+        assert result == ("refused", len(positions),
+                          f"relator application at {past} out of range", word)
+
+
+@pytest.mark.parametrize("extra", (0, 1))
+def test_a_template_is_cached_only_for_a_short_relator(extra):
+    # a relator one letter past the limit is applied from a template built
+    # per move, with the verdict a cached template gives
+    n = engine.MAX_CACHED_RELATOR + extra
+    pres = Presentation(["x1", "x2"], [1, 1], [((1, 2, -1, -2) * n)[:n]], 2)
+    insert, delete = ("ar", 0, 0, 0, 0, 0), ("ar", 0, 0, 0, 1, n)
+    seq = PSequence(pres, (), [insert, delete] * 2)
+    assert validate_null(seq) == engine.Metrics(4, n, 4, 0)
+    assert sorted(pres._move_templates) == ([] if extra else sorted([insert[2:], delete[2:]]))
+    with pytest.raises(NotApplicable, match="word does not carry relator prefix at 0"):
+        replay(PSequence(pres, (), [insert, ("ar", 0, 0, 1, 1, n)]))

@@ -3,7 +3,9 @@ import itertools
 import pytest
 from helpers import longest_relator, witt_number
 
-from nilfill.errors import NilfillError, NoTransportRelator, OutOfRange
+from nilfill import presentations
+from nilfill.errors import (NilfillError, NoTransportRelator, OutOfRange,
+                            PresentationSyntaxError)
 from nilfill.presentations import (
     Presentation,
     build_chain_presentation,
@@ -99,6 +101,19 @@ def test_loaded_filler_letter_has_no_definition(tmp_path):
     pres = load_presentation(path)
     with pytest.raises(NilfillError, match="generator g12 has weight 2 but no defining pair"):
         pres.is_identity((pres.name_to_index["g12"],))
+
+
+def test_load_refuses_relators_past_the_letter_bound(tmp_path, monkeypatch):
+    # five 4-letter relators on lines 4-8: the fourth takes 16 letters past
+    # a bound of 12, and is named before the fifth is read
+    path = tmp_path / "p.pres"
+    path.write_text("class 2\ngen x1 1\ngen x2 1\n" + "rel x1 x2 x1^-1 x2^-1\n" * 5)
+    monkeypatch.setattr(presentations, "MAX_PRESENTATION_LETTERS", 12)
+    with pytest.raises(PresentationSyntaxError) as exc:
+        load_presentation(path)
+    assert (exc.value.line, exc.value.reason) == (7, "relators hold more than 12 letters")
+    monkeypatch.setattr(presentations, "MAX_PRESENTATION_LETTERS", 20)
+    assert len(load_presentation(path).relators) == 5
 
 
 def test_relator_id_names_a_transport_relator():
