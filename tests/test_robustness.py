@@ -29,6 +29,9 @@ PRESENTATION_DIGESTS = {
     ("filler", 4, 3): "887aedbcc0cfd8fa",
     ("chain", 2, 1): "ba8f0e04b9ad80b9",
     ("chain", 3, 1): "894271d15d0d5819",
+    ("chain", 4, 1): "3d049caa87714a6d",
+    ("chain", 4, 2): "f44295e7b686c08e",
+    ("chain", 3, 2): "f895f2dee06f9670",
 }
 
 
