@@ -15,7 +15,6 @@ recursion run on the literal projection.
 
 from __future__ import annotations
 
-import itertools
 import re
 from functools import cached_property, lru_cache
 
@@ -218,23 +217,61 @@ def _signed(letters) -> list:
     return out
 
 
-def _nested_relators(letter_pool, entries: int):
-    """All nested commutators with ``entries`` entries over the signed pool,
-    pruned of freely trivial words and exact duplicates, in enumeration order.
-    OutOfRange, before any is built, when the unpruned commutators would
-    pass ``MAX_PRESENTATION_LETTERS``."""
-    letters = len(letter_pool) ** entries * (3 * 2 ** (entries - 1) - 2)
-    if letters > MAX_PRESENTATION_LETTERS:
-        raise OutOfRange(f"{entries}-entry commutators over {len(letter_pool)} letters "
-                         f"would hold more than {MAX_PRESENTATION_LETTERS} letters")
+def _commuting_letters(reduced: Word, pool) -> tuple:
+    """The letters a of ``pool`` whose commutator a^-1 W^-1 a W with a word
+    W of free reduction ``reduced`` freely reduces to the empty word.  That
+    holds exactly when W is a power of a, since the centralizer of a
+    generator of a free group is the cyclic group it generates."""
+    if not reduced:
+        return tuple(pool)
+    x = reduced[0]
+    if reduced.count(x) < len(reduced):
+        return ()
+    return (x, -x)
+
+
+def _nested_relators(rank: int, entries: int):
+    """All nested commutators [a_1, [a_2, ..., a_entries]] over the signed
+    letters +-1..+-rank, pruned of freely trivial words and exact
+    duplicates, in ``itertools.product`` order of (a_1, ..., a_entries).
+
+    The words are built one suffix level at a time: every word W of j
+    entries gives the word (-a, *W^-1, a, *W) of j + 1 entries for each
+    letter a, a in the outer loop and W in the order of its own level, so
+    the order is that of the product.  Each suffix is inverted once, and
+    keeps its free reduction, which is short: the last level builds only
+    the words that do not reduce to the empty word, read off the suffix's
+    reduction by ``_commuting_letters``.
+
+    OutOfRange, before any letter or word is built, when the unpruned
+    commutators would pass ``MAX_PRESENTATION_LETTERS``."""
+    size = 2 * rank
+    count = 1
+    for j in range(entries):
+        # count commutators of j + 1 entries, each of 3 * 2^j - 2 letters
+        count *= size
+        if count * (3 * 2**j - 2) > MAX_PRESENTATION_LETTERS:
+            raise OutOfRange(f"{entries}-entry commutators over {size} letters "
+                             f"would hold more than {MAX_PRESENTATION_LETTERS} letters")
+    pool = _signed(range(1, rank + 1))
+    if entries == 1:
+        return [(a,) for a in pool]
+    level = [((a,), (a,)) for a in pool]        # (word, its free reduction)
+    for _ in range(entries - 2):
+        inverted = [(w, inverse_word(w), r, inverse_word(r)) for w, r in level]
+        level = [((-a, *wi, a, *w), free_reduce((-a, *ri, a, *r)))
+                 for a in pool for w, wi, r, ri in inverted]
+    last = [(w, inverse_word(w), _commuting_letters(r, pool)) for w, r in level]
     out = []
     seen = set()
-    for combo in itertools.product(letter_pool, repeat=entries):
-        r = nested_commutator(combo)
-        if r in seen or not free_reduce(r):
-            continue
-        seen.add(r)
-        out.append(r)
+    for a in pool:
+        for w, wi, commuting in last:
+            if a in commuting:
+                continue
+            word = (-a, *wi, a, *w)
+            if word not in seen:
+                seen.add(word)
+                out.append(word)
     return out
 
 
@@ -245,9 +282,10 @@ def build_chain_presentation(c: int, k: int) -> Presentation:
     nilpotent group of class c+1-k."""
     if not 1 <= k <= c:
         raise OutOfRange(f"need 1 <= k <= c, got k={k}, c={c}")
+    # the relators first: a class past the letter bound is refused before
+    # the generator names, as many as the class, are built
+    relators = _nested_relators(c + 1 - k, c + 2 - k)
     names = [f"x{j}" for j in range(k, c + 1)]
-    pool = _signed(range(1, len(names) + 1))
-    relators = _nested_relators(pool, c + 2 - k)
     return Presentation(names, [1] * len(names), relators, c + 1 - k)
 
 
@@ -352,7 +390,7 @@ def build_filler_presentation(c: int, m: int) -> Presentation:
         raise OutOfRange(f"need c >= 1 and m >= 1, got c={c}, m={m}")
     # the class relators come first, so a set past the letter bound is
     # refused before the generators, whose count grows as fast, are built
-    class_relators = _nested_relators(_signed(range(1, m + 1)), c + 1)
+    class_relators = _nested_relators(m, c + 1)
     names, weights, parents = _filler_generators(c, m)
     skeleton = Presentation(names, weights, [], c, parents)
 

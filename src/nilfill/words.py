@@ -8,6 +8,7 @@ so every operation here is pure integer shuffling.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .errors import NilfillError
@@ -21,7 +22,7 @@ _TOKEN_RE = re.compile(r"([a-z][a-z0-9_]*)(?:\^([+-]?[0-9]+))?$")
 
 def inverse_word(w: Word) -> Word:
     """Reverse the word and flip every sign."""
-    return tuple(-a for a in reversed(w))
+    return tuple(map(operator.neg, reversed(w)))
 
 
 def free_reduce(w: Word) -> Word:

@@ -198,6 +198,12 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
     pytest.param(("present", "--class", "7", "--gens", "9", "--out", "OUT"),
                  "8-entry commutators over 18 letters would hold more than 10000000 letters",
                  id="present-gens-9-class-7"),
+    pytest.param(("present", "--class", "100000000", "--chain", "1", "--out", "OUT"),
+                 "100000001-entry commutators over 200000000 letters would hold more than "
+                 "10000000 letters", id="present-chain-class-100000000"),
+    pytest.param(("present", "--class", "100000000", "--gens", "2", "--out", "OUT"),
+                 "100000001-entry commutators over 4 letters would hold more than "
+                 "10000000 letters", id="present-gens-class-100000000"),
     pytest.param(("compress", "--class", "6", "--n", "2", "--trace", "OUT"),
                  "7-entry commutators over 12 letters would hold more than 10000000 letters",
                  id="compress-class-6"),

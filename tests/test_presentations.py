@@ -17,17 +17,22 @@ from nilfill.presentations import (
 from nilfill.words import free_reduce, nested_commutator
 
 
-def brute_chain_relators(c, k):
-    """Independent enumeration of the pruned chain relator set."""
-    letters = list(range(1, c + 1 - k + 1))
-    pool = [s for i in letters for s in (i, -i)]
+def brute_nested_relators(rank, entries):
+    """Independent enumeration of the pruned nested commutators of
+    ``entries`` entries over the signed letters of ``rank`` generators."""
+    pool = [s for i in range(1, rank + 1) for s in (i, -i)]
     seen, out = set(), []
-    for combo in itertools.product(pool, repeat=c + 2 - k):
+    for combo in itertools.product(pool, repeat=entries):
         r = nested_commutator(combo)
         if free_reduce(r) and r not in seen:
             seen.add(r)
             out.append(r)
     return out
+
+
+def brute_chain_relators(c, k):
+    """Independent enumeration of the pruned chain relator set."""
+    return brute_nested_relators(c + 1 - k, c + 2 - k)
 
 
 def test_chain_c2_k2_is_infinite_cyclic():
@@ -50,6 +55,46 @@ def test_chain_c3_counts_match_enumeration():
     p = build_chain_presentation(3, 1)
     assert list(p.relators) == brute_chain_relators(3, 1)
     assert longest_relator(p) == 3 * 2 ** 3 - 2
+
+
+@pytest.mark.parametrize("c,k", [(4, 1), (3, 2), (4, 2), (4, 3)])
+def test_chain_relators_match_enumeration(c, k):
+    assert list(build_chain_presentation(c, k).relators) == brute_chain_relators(c, k)
+
+
+def test_filler_class_relators_match_enumeration():
+    # the class relators of a 3-generator filler at class 3 (4 entries over
+    # 6 letters) follow its definition relators, one per compound letter
+    p = build_filler_presentation(3, 3)
+    brute = brute_nested_relators(3, 4)
+    start = len(p.names) - 3
+    assert list(p.relators[start:start + len(brute)]) == brute
+
+
+@pytest.mark.parametrize("rank,entries", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+def test_few_entries_match_enumeration(rank, entries):
+    assert presentations._nested_relators(rank, entries) == brute_nested_relators(rank, entries)
+
+
+@pytest.mark.parametrize("rank,entries", [(2, 2), (2, 3), (2, 4), (3, 3)])
+def test_commuting_letters_is_free_triviality(rank, entries):
+    # a^-1 W^-1 a W reduces to the empty word exactly when the letters
+    # _commuting_letters reads off W's reduction include a
+    pool = [s for i in range(1, rank + 1) for s in (i, -i)]
+    for combo in itertools.product(pool, repeat=entries):
+        a, w = combo[0], nested_commutator(combo[1:])
+        commuting = presentations._commuting_letters(free_reduce(w), pool)
+        assert (a in commuting) == (not free_reduce(nested_commutator(combo))), combo
+
+
+def test_letter_bound_counts_the_unpruned_commutators(monkeypatch):
+    # 4^3 three-entry commutators over x1, x2 of 10 letters each: 640
+    monkeypatch.setattr(presentations, "MAX_PRESENTATION_LETTERS", 640)
+    assert presentations._nested_relators(2, 3) == brute_nested_relators(2, 3)
+    monkeypatch.setattr(presentations, "MAX_PRESENTATION_LETTERS", 639)
+    with pytest.raises(OutOfRange, match="3-entry commutators over 4 letters "
+                                         "would hold more than 639 letters"):
+        presentations._nested_relators(2, 3)
 
 
 @pytest.mark.parametrize("c,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (4, 2)])
