@@ -238,10 +238,11 @@ def _nested_relators(rank: int, entries: int):
     The words are built one suffix level at a time: every word W of j
     entries gives the word (-a, *W^-1, a, *W) of j + 1 entries for each
     letter a, a in the outer loop and W in the order of its own level, so
-    the order is that of the product.  Each suffix is inverted once, and
-    keeps its free reduction, which is short: the last level builds only
-    the words that do not reduce to the empty word, read off the suffix's
-    reduction by ``_commuting_letters``.
+    the order is that of the product.  Each suffix is inverted once and
+    keeps its free reduction, which is short.  The word a^-1 W^-1 a W
+    freely reduces to the empty word exactly when W's reduction is a power
+    of a (the centralizer rule of ``_commuting_letters``), so the last
+    level is streamed and builds only the words that survive.
 
     OutOfRange, before any letter or word is built, when the unpruned
     commutators would pass ``MAX_PRESENTATION_LETTERS``."""
