@@ -68,7 +68,8 @@ class ChainContext:
     it on the first request: relator ``rid`` is the nested commutator of
     the chain ``chains[rid]``, which the lift reads back to move the
     leftover block.  Like a presentation, too, the context keeps the
-    kernel's move templates and the movers of its blocks (``block_mover``).
+    kernel's move templates and swap tables, and the movers of its blocks
+    (``block_mover``).
 
     The context builds, mirrors and keeps register increments (``record``):
     ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
@@ -106,6 +107,7 @@ class ChainContext:
         self.chains: list = []
         self._index: dict = {}
         self._move_templates: dict = {}
+        self._swap_tables: dict = {}
         self._movers: dict = {}
         self.increments: dict = {}
         self._move_pool: dict = {}

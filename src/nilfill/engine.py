@@ -19,15 +19,16 @@ records the batches it accepts.  It reads a move's u and v from a
 template, cached on the presentation for a relator of at most
 ``MAX_CACHED_RELATOR`` letters.  A transport is a run of swaps, each an
 application that moves a block W one letter (u = t W -> v = W t, or
-u = W t -> v = t W); after the first swap of a run, one loop serves both
-directions: it checks each next swap by its position, its cached
-template's block and direction, the letter it passes and its range, and
-writes the run with one slice assignment.  ``SequenceBuilder.splice``
-applies a batch the kernel has already checked (a ``CheckedMoves``) by its
-recorded effect wherever the subword it was checked on sits, and records
-it as a segment: the record and its offset, with no copy of its moves.  A
-``PSequence`` keeps those segments; its ``moves`` list is built only
-when it is read.
+u = W t -> v = t W).  Caching such a template enters its key in the
+pool's swap table of that block and side, as the letter the swap passes;
+after the first swap of a run, one loop serves both directions: it
+checks each next swap by its position, its range and one lookup in that
+table against the word's letter, and writes the run with one slice
+assignment.  ``SequenceBuilder.splice`` applies a batch the kernel has
+already checked (a ``CheckedMoves``) by its recorded effect wherever the
+subword it was checked on sits, and records it as a segment: the record
+and its offset, with no copy of its moves.  A ``PSequence`` keeps those
+segments; its ``moves`` list is built only when it is read.
 """
 
 from __future__ import annotations
@@ -99,11 +100,14 @@ def _template(pres, key, index: int):
     """(u, v, len(v) - len(u), left, right) for the relator application
     whose fields after the position are ``key``, checked, and cached on the
     presentation when the relator has at most ``MAX_CACHED_RELATOR``
-    letters.  ``left`` is the block W when the application is a swap
-    u = t W -> v = W t (the block moves left past the letter t = u[0]),
-    ``right`` the block when it is u = W t -> v = t W (right past t =
-    u[-1]); otherwise None.  A single-letter block's swap a b -> b a reads
-    both ways."""
+    letters.  A cached template that swaps a block W with a letter t
+    enters its key in the pool's swap table of that block and side, which
+    maps the key of every cached template that swaps the block that way to
+    the letter it passes.  ``left`` is the block's (W, table) pair when
+    the application is u = t W -> v = W t (the block moves left past t =
+    u[0]), ``right`` when it is u = W t -> v = t W (right past t = u[-1]);
+    otherwise None, as for every uncached template.  A single-letter
+    block's swap a b -> b a reads both ways."""
     if len(key) != 4:
         raise NotApplicable("relator application needs five fields", index)
     rid, shift, inv, split = key
@@ -120,16 +124,19 @@ def _template(pres, key, index: int):
     rv = inverse_word(r) if inv else r
     rot = rv[shift:] + rv[:shift]
     u, v = list(rot[:split]), list(inverse_word(rot[split:]))
+    if n > MAX_CACHED_RELATOR:
+        return u, v, len(v) - len(u), None, None
     left = right = None
     if split > 1 and len(v) == split:
+        tables = pres._swap_tables
         head, tail = v[:-1], v[1:]
         if u[0] == v[-1] and u[1:] == head:
-            left = head
+            left = tables.setdefault(("left", *head), (head, {}))
+            left[1][key] = u[0]
         if u[-1] == v[0] and u[:-1] == tail:
-            right = tail
-    template = (u, v, len(v) - len(u), left, right)
-    if n <= MAX_CACHED_RELATOR:
-        pres._move_templates[key] = template
+            right = tables.setdefault(("right", *tail), (tail, {}))
+            right[1][key] = u[-1]
+    template = pres._move_templates[key] = (u, v, len(v) - len(u), left, right)
     return template
 
 
@@ -174,8 +181,7 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
             word[p:q] = v
             area += 1
             if i < last and (left or right):
-                k = _continue_run(word, moves, i + 1, p, offset, templates, n,
-                                  left, right)
+                k = _continue_run(word, moves, i + 1, p, offset, n, left, right)
                 if k:
                     area += k
                     next(islice(steps, k - 1, None))
@@ -203,31 +209,32 @@ def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
     return area, fl
 
 
-def _continue_run(word, moves, j, p, offset, templates, n, left, right) -> int:
+def _continue_run(word, moves, j, p, offset, n, left, right) -> int:
     """How many moves from ``moves[j]`` on continue the swap just applied at
     ``p``, each checked as it is read; the run is then written to ``word``
     in one slice assignment.  The next move's position step s picks the
-    swap's reading: -1 a left one (block ``left``, template field 3, passing
-    u[0]), +1 a right one (``right``, field 4, passing u[-1]).  A move
-    continues the run while the index q of the next letter passed is in the
-    word (``stop`` is -1 or n), the move is an ``ar`` at q + d (d takes off
-    ``offset``, and the block's length on a right run), and its cached
-    template swaps the same block the same way past word[q]; the first that
-    does not ends the run, and the kernel checks it as any other move."""
+    swap's reading: -1 a left one (``left``, passing the letter before the
+    block), +1 a right one (``right``, passing the letter after it); each
+    is the (block, table) pair of the block's swaps that way.  A move
+    continues the run while the index q of the next letter passed is in
+    the word (``stop`` is -1 or n), the move is an ``ar`` at q + d (d takes
+    off ``offset``, and the block's length on a right run), and the table
+    maps its fields after the position to word[q]: one lookup, since a key
+    is in the table exactly when its cached template swaps the same block
+    the same way.  The first move that does not continue the run ends it,
+    and the kernel checks it as any other move."""
     m = moves[j]
     s = m[1] + offset - p
     if s == -1 and left:
-        block, side, e, q, d, stop = left, 3, 0, p - 1, -offset, -1
+        (block, table), q, d, stop = left, p - 1, -offset, -1
     elif s == 1 and right:
-        block, side, e, q, stop = right, 4, -1, p + 1 + len(right), n
-        d = -len(right) - offset
+        block, table = right
+        q, d, stop = p + 1 + len(block), -len(block) - offset, n
     else:
         return 0
+    passes = table.get
     first, end = q, len(moves)
-    while q != stop and m[0] == "ar" and m[1] == q + d:
-        t = templates.get(m[2:])
-        if t is None or t[side] != block or t[0][e] != word[q]:
-            break
+    while q != stop and m[0] == "ar" and m[1] == q + d and passes(m[2:]) == word[q]:
         q += s
         j += 1
         if j == end:
@@ -250,7 +257,8 @@ class CheckedMoves:
     ``splice`` compares with a word slice and writes into one; they are
     never mutated.  ``trace_lines`` belongs to the trace writer: it maps
     a presentation's letter names to the record's trace lines as one
-    format string, built the first time the record is written with them."""
+    format string, kept from the second time the record is written with
+    them (after the first, an empty string marks the names)."""
 
     moves: tuple
     before: list

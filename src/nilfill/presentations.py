@@ -62,10 +62,12 @@ class Presentation:
         self._expansion = {}
         self.lift_table = ()    # set on a quotient by its parent's ``quotient``
         # filled by compression.chain_context (the chain contexts fills
-        # share), compression.block_mover and engine._template
+        # share), compression.block_mover and engine._template (the move
+        # templates, and the swap table of each block and side)
         self._chain_ctxs: dict = {}
         self._movers: dict = {}
         self._move_templates: dict = {}
+        self._swap_tables: dict = {}
 
     # -- basic views --------------------------------------------------------
 
@@ -232,8 +234,11 @@ def _commuting_letters(reduced: Word, pool) -> tuple:
 
 def _nested_relators(rank: int, entries: int):
     """All nested commutators [a_1, [a_2, ..., a_entries]] over the signed
-    letters +-1..+-rank, pruned of freely trivial words and exact
-    duplicates, in ``itertools.product`` order of (a_1, ..., a_entries).
+    letters +-1..+-rank, pruned of freely trivial words, in
+    ``itertools.product`` order of (a_1, ..., a_entries).  No two
+    combinations give the same word: the word's first letter is -a_1, and
+    its last 3 * 2^(entries - 2) - 2 letters are the word of (a_2, ...,
+    a_entries), so the word determines the combination.
 
     The words are built one suffix level at a time: every word W of j
     entries gives the word (-a, *W^-1, a, *W) of j + 1 entries for each
@@ -263,17 +268,8 @@ def _nested_relators(rank: int, entries: int):
         level = [((-a, *wi, a, *w), free_reduce((-a, *ri, a, *r)))
                  for a in pool for w, wi, r, ri in inverted]
     last = [(w, inverse_word(w), _commuting_letters(r, pool)) for w, r in level]
-    out = []
-    seen = set()
-    for a in pool:
-        for w, wi, commuting in last:
-            if a in commuting:
-                continue
-            word = (-a, *wi, a, *w)
-            if word not in seen:
-                seen.add(word)
-                out.append(word)
-    return out
+    return [(-a, *wi, a, *w) for a in pool for w, wi, commuting in last
+            if a not in commuting]
 
 
 @lru_cache(maxsize=None)

@@ -53,12 +53,16 @@ class _LineTemplates(dict):
 
 def _record_lines(record, templates: _LineTemplates) -> str:
     """The trace lines of a record's moves as one format string with a
-    ``{}`` for each position, joined from ``templates`` and kept by the
-    record for these names."""
+    ``{}`` for each position, joined from ``templates``.  The first write
+    with these names leaves a marker on the record and the second keeps
+    the string, so a record written once (as a power compression's are)
+    holds no template."""
     names = templates.names
     text = record.trace_lines.get(names)
-    if text is None:
-        text = record.trace_lines[names] = "\n".join(map(templates.__getitem__, record.moves))
+    if not text:
+        joined = "\n".join(map(templates.__getitem__, record.moves))
+        record.trace_lines[names] = "" if text is None else joined
+        return joined
     return text
 
 

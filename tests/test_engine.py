@@ -546,6 +546,89 @@ def test_one_run_loop_serves_both_directions(initial, positions, past, fresh, of
                           f"relator application at {past} out of range", word)
 
 
+def test_a_run_that_switches_to_an_equal_relator_under_another_id(monkeypatch):
+    # relators 2 and 3 repeat relators 0 and 1 (z past x1, z past x2): a
+    # run of z switching to the second ids ends at the first uncached key,
+    # which the main loop accepts; once every key is cached, the equal
+    # blocks share one swap table and the run goes through the switch
+    run, continued = engine._continue_run, []
+
+    def counted(*args):
+        continued.append(run(*args))
+        return continued[-1]
+
+    monkeypatch.setattr(engine, "_continue_run", counted)
+    swaps = [(1, 3, -1, -3), (2, 3, -2, -3)]
+    pres = Presentation(["x1", "x2", "z"], [1, 1, 2], swaps * 2, 2)
+    start = (1, 2, 1, 2, 3)
+    moves = [("ar", 3, 1, 0, 0, 2), ("ar", 2, 0, 0, 0, 2),
+             ("ar", 1, 3, 0, 0, 2), ("ar", 0, 2, 0, 0, 2)]
+    apply_moves([1, 2, 3], moves[:2], pres, -2)     # caches ids 0 and 1
+    continued.clear()
+    expected = ("ok", 4, 5, [3, 1, 2, 1, 2])
+    assert _as_one_batch(pres, start, moves) == expected
+    assert continued == [1, 0]
+    continued.clear()
+    assert _as_one_batch(pres, start, moves) == expected
+    assert continued == [3]
+    assert one_move_per_call(pres, start, moves) == expected
+    assert len(pres._swap_tables) == 3     # z left; x1 and x2 right past z
+
+
+def _swap_side(u, v):
+    """The side a template's u -> v moves its block, or None."""
+    if len(u) == len(v) > 1:
+        if u == v[-1:] + v[:-1]:
+            return "left"
+        if u == v[1:] + v[:1]:
+            return "right"
+    return None
+
+
+def test_swap_tables_hold_exactly_the_cached_swaps(monkeypatch):
+    # after c = 3 fills and a class-3 compression on fresh pools, each key
+    # of a table names a cached template that swaps the table's block that
+    # way past the table's letter, and each cached swap is in its table
+    from nilfill.compression import power_compression_sequence
+    from nilfill.corpus import corpus_generate
+
+    build, pools = engine._template, {}
+
+    def seen(pres, key, index):
+        pools[id(pres)] = pres
+        return build(pres, key, index)
+
+    monkeypatch.setattr(engine, "_template", seen)
+    f, c = build_filler_presentation(3, 2), build_chain_presentation(3, 1)
+    fpres = Presentation(f.names, f.weights, f.relators, f.nclass, f.parents)
+    cpres = Presentation(c.names, c.weights, c.relators, c.nclass)
+    for w in corpus_generate(fpres, 12, 2, seed=5):
+        validate_null(fill(w, fpres))
+    replay(power_compression_sequence(cpres, (1, 2, 3), 3))
+    assert len(pools) > 2
+    sides = {"left": 3, "right": 4}
+    swaps = 0
+    for pool in pools.values():
+        for (side, *block), pair in pool._swap_tables.items():
+            assert pair[0] == block and pair[1]
+            for key, letter in pair[1].items():
+                t = pool._move_templates[key]
+                assert t[sides[side]] is pair
+                assert t[:2] == (([letter] + block, block + [letter]) if side == "left"
+                                 else (block + [letter], [letter] + block))
+        for key, t in pool._move_templates.items():
+            side = _swap_side(t[0], t[1])
+            for name, slot in sides.items():
+                if name == side or (side and len(t[0]) == 2):
+                    block = t[1][:-1] if name == "left" else t[1][1:]
+                    assert t[slot] is pool._swap_tables[(name, *block)]
+                    assert key in t[slot][1]
+                    swaps += 1
+                else:
+                    assert t[slot] is None
+    assert swaps > 100
+
+
 @pytest.mark.parametrize("extra", (0, 1))
 def test_a_template_is_cached_only_for_a_short_relator(extra):
     # a relator one letter past the limit is applied from a template built

@@ -87,6 +87,15 @@ def test_commuting_letters_is_free_triviality(rank, entries):
         assert (a in commuting) == (not free_reduce(nested_commutator(combo))), combo
 
 
+@pytest.mark.parametrize("rank,entries", [(2, 2), (2, 3), (2, 4), (3, 3), (4, 3)])
+def test_a_nested_commutator_determines_its_combination(rank, entries):
+    # so _nested_relators needs no duplicate check: every combination of a
+    # fixed entry count, pruned or not, gives a word of its own
+    pool = [s for i in range(1, rank + 1) for s in (i, -i)]
+    combos = list(itertools.product(pool, repeat=entries))
+    assert len({nested_commutator(combo) for combo in combos}) == len(combos)
+
+
 def test_letter_bound_counts_the_unpruned_commutators(monkeypatch):
     # 4^3 three-entry commutators over x1, x2 of 10 letters each: 640
     monkeypatch.setattr(presentations, "MAX_PRESENTATION_LETTERS", 640)

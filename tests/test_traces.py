@@ -138,6 +138,21 @@ def test_segmented_trace_writes_as_its_flattened_copy():
     assert all(pres.names in r.trace_lines for r in records.values() if r.moves)
 
 
+def test_a_record_keeps_its_line_template_from_its_second_write():
+    # a power compression's records are each written once, so they keep
+    # only a marker; a second write keeps the template, which writes the
+    # same text
+    pres = build_chain_presentation(3, 1)
+    seq = power_compression_sequence(pres, (1, 2, 3), 2)
+    records = {id(r): r for r, moves, _ in seq.segments if r is not None and moves}
+    text = serialize_trace(seq, "p")
+    assert text == serialize_trace(PSequence(pres, seq.initial, seq.moves), "p")
+    assert records and all(r.trace_lines == {pres.names: ""} for r in records.values())
+    for _ in range(2):
+        assert serialize_trace(seq, "p") == text
+        assert all(r.trace_lines[pres.names] for r in records.values())
+
+
 def test_record_with_no_moves_writes_no_line():
     pres = build_chain_presentation(2, 1)
     empty = check_moves(pres, [1], [])
