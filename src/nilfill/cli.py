@@ -133,6 +133,13 @@ def cmd_compress(args) -> int:
         chain = tuple(pres.name_to_index[nm] for nm in names)
         if len(chain) != args.nclass:
             raise NilfillError(f"spec must name {args.nclass} letters")
+        if len(chain) > 1 and chain[-1] == chain[-2]:
+            # [a, a] freely reduces to nothing, so z_1 does too, and the
+            # chain presentation prunes every freely trivial relator
+            raise NilfillError(
+                f"chain {','.join(names)} ends in a repeated letter: [{names[-2]}, "
+                f"{names[-1]}] freely reduces to nothing, so z_1 does too and no "
+                "transport relator moves it")
     else:
         chain = tuple(range(1, args.nclass + 1))
     seq = power_compression_sequence(pres, chain, args.n)

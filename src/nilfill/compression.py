@@ -24,7 +24,8 @@ Every relator application emitted here is a transport: a central block
 in one move that replaces the block-letter pair.  A block moves this one
 way on the chain presentation (level 0) and on the inner levels, whose
 relator pool is the chain context itself; its mover asks the pool its
-builder writes to for each swap's relator (``relator_id``).  A carry
+builder writes to for each swap's relator (``relator_id``), which the pool
+keeps (``_transport_ids``).  A carry
 lifts an inner sequence one chain level down: the two halves of a
 commutator run it and its mirror side by side, each move mirrored by
 ``engine.mirror_move``, the rule of ``invert_sequence``.  The lift writes
@@ -68,8 +69,8 @@ class ChainContext:
     it on the first request: relator ``rid`` is the nested commutator of
     the chain ``chains[rid]``, which the lift reads back to move the
     leftover block.  Like a presentation, too, the context keeps the
-    kernel's move templates and swap tables, and the movers of its blocks
-    (``block_mover``).
+    kernel's move templates and swap tables, and its blocks' transport ids
+    (``_transport_ids``: block chain -> t -> id of [t, chain]).
 
     The context builds, mirrors and keeps register increments (``record``):
     ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
@@ -108,7 +109,7 @@ class ChainContext:
         self._index: dict = {}
         self._move_templates: dict = {}
         self._swap_tables: dict = {}
-        self._movers: dict = {}
+        self._transport_ids: dict = {}
         self.increments: dict = {}
         self._move_pool: dict = {}
 
@@ -166,43 +167,36 @@ def chain_context(pres: Presentation, chain) -> ChainContext:
     return ctx
 
 
-def block_mover(pool, block_chain) -> "BlockMover":
-    """The mover of the block with this chain on a relator pool (a
-    presentation or a chain context), built on first use and kept by the
-    pool for every fill and compression on it."""
-    key = tuple(block_chain)
-    mover = pool._movers.get(key)
-    if mover is None:
-        mover = pool._movers[key] = BlockMover(key)
-    return mover
-
-
 class BlockMover:
     """Transport of the central block W^s (W the nested commutator of
     ``block_chain``, s = +-1) past single letters, one swap per letter.
-    Each pool keeps one mover per block (``block_mover``).  A mover keeps
-    no reference to its pool: it moves a block on a builder over that pool
-    and reads the pool off the builder (``b.pres``), so a pool and its
-    movers form no reference cycle.
+    A mover is a plain value, made where a block moves: it moves the block
+    on a builder over a relator pool and reads the pool off the builder.
 
     A block moves one way on every pool: each swap with a letter t is one
     split application of the relator [t, chain], whose id the pool names
-    (``relator_id``).  The letters a block passes do not change while it
-    moves, so every swap's moves are known up front and go to the builder
-    as one batch, built by one comprehension over those letters."""
+    (``relator_id``) and keeps (``_transport_ids``).  The letters a block
+    passes do not change while it moves, so every swap's moves are known
+    up front and go to the builder as one batch, built by one comprehension
+    over those letters."""
+
+    __slots__ = ("chain", "length")
 
     def __init__(self, block_chain):
         self.chain = tuple(block_chain)
-        self.length = len(nested_commutator(self.chain))
-        self._rids = {}
+        # the length of the nested commutator of that many letters
+        self.length = 3 * 2 ** (len(self.chain) - 1) - 2
 
     def _split_run(self, pool, positions, letters, sign: int, inv: int,
                    head: int) -> list:
         """Swaps of the block (first letter ``head``) past ``letters``, the
         k-th at ``positions[k]``, built by one comprehension: rids come from
-        the mover's table, which asks ``pool`` once for each letter it
-        lacks."""
-        rids, L = self._rids, self.length
+        the pool's table of the block, which asks ``pool`` once for each
+        relator first letter it lacks."""
+        rids = pool._transport_ids.get(self.chain)
+        if rids is None:
+            rids = pool._transport_ids[self.chain] = {}
+        L = self.length
         shift = L + 1 if sign > 0 else 0
         # a single-letter block meeting its own inverse swaps freely
         stop = -head if L == 1 else None
@@ -299,7 +293,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     t = s // n
     tword = _cword(ctx, level + 1, n, t)
     lt = len(tword)
-    zmover = block_mover(b.pres, chain)
+    zmover = BlockMover(chain)
 
     # Moves are buffered in ``pending`` and flushed before each transport,
     # which reads the word.
@@ -338,7 +332,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
             pending += pair_inverse_moves(here, relators[mv[2]])
             b.extend(pending)
             pending = []
-            block_mover(b.pres, chains[mv[2]]).move_left(b, here, there, 1)
+            BlockMover(chains[mv[2]]).move_left(b, here, there, 1)
         else:
             pending += ((mv[0], here) + mv[2:], (mirrored[0], there) + mirrored[2:])
     b.extend(pending)

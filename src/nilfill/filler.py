@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .compression import CompressedPower, block_mover, chain_context
+from .compression import BlockMover, CompressedPower, chain_context
 from .engine import SequenceBuilder, normalize_insertions, reduction_steps
 from .errors import NotNullHomotopic
 from .presentations import Presentation
@@ -74,7 +74,7 @@ def _abelian_fill(w: Word, pres: Presentation):
             a = b.word[p]
             if abs(a) == g:
                 if p > target:
-                    block_mover(pres, (g,)).move_left(b, p, target, 1 if a > 0 else -1)
+                    BlockMover((g,)).move_left(b, p, target, 1 if a > 0 else -1)
                 target += 1
             p += 1
         _reduce_all(b)
@@ -290,7 +290,7 @@ class _FillRun:
         z = self.b.word[p]
         j = self.slot_of[z]
         target = self.hi - 1 + sum(r.length for r in self.right[:j])
-        block_mover(self.pres, (z,)).move_right(self.b, p, target, +1)
+        BlockMover((z,)).move_right(self.b, p, target, +1)
         self.region_len -= 1
         self._absorb(self.right[j], target)
 
@@ -298,7 +298,7 @@ class _FillRun:
         z = -self.b.word[p]
         j = self.slot_of[z]
         target = self.lo - sum(r.length for r in self.left[:j])
-        block_mover(self.pres, (z,)).move_left(self.b, p, target, -1)
+        BlockMover((z,)).move_left(self.b, p, target, -1)
         self.region_len -= 1
         self._absorb(self.left[j], target)
 

@@ -48,6 +48,14 @@ class Presentation:
         self.parents = tuple(parents) if parents else (None,) * len(self.names)
         if len(self.weights) != len(self.names) or len(self.parents) != len(self.names):
             raise NilfillError("generator annotation lengths disagree")
+        # what the presentation file format carries (``load_presentation``)
+        for name, weight in zip(self.names, self.weights):
+            if not NAME_RE.fullmatch(name):
+                raise NilfillError(f"bad generator name {name!r}")
+            if weight < 1:
+                raise NilfillError(f"weight {weight!r} is not a positive integer")
+        if nclass < 1:
+            raise NilfillError(f"class {nclass!r} is not a positive integer")
         self.rank = rank = len(self.names)
         letters = set().union(*self.relators)
         if letters and (0 in letters or min(letters) < -rank or max(letters) > rank):
@@ -62,10 +70,10 @@ class Presentation:
         self._expansion = {}
         self.lift_table = ()    # set on a quotient by its parent's ``quotient``
         # filled by compression.chain_context (the chain contexts fills
-        # share), compression.block_mover and engine._template (the move
-        # templates, and the swap table of each block and side)
+        # share), compression.BlockMover (transport ids) and engine._template
+        # (the move templates, and the swap table of each block and side)
         self._chain_ctxs: dict = {}
-        self._movers: dict = {}
+        self._transport_ids: dict = {}
         self._move_templates: dict = {}
         self._swap_tables: dict = {}
 

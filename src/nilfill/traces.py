@@ -35,7 +35,8 @@ def _move_line(move, names) -> str:
 class _LineTemplates(dict):
     """Move at offset 0 -> its trace line as a format string with a ``{}``
     for the position, for one ``serialize_trace`` call: a move's line is
-    formatted and brace-escaped at its first lookup only."""
+    formatted at its first lookup only.  A presentation's generator names
+    hold no brace, so a line needs no escaping."""
 
     __slots__ = ("names",)
 
@@ -46,7 +47,6 @@ class _LineTemplates(dict):
     def __missing__(self, move):
         # the line written at position 0, which is its fourth character
         line = _move_line((move[0], 0) + move[2:], self.names)
-        line = line.replace("{", "{{").replace("}", "}}")
         template = self[move] = line[:3] + "{}" + line[4:]
         return template
 

@@ -188,6 +188,20 @@ def test_bench_compression_csv_deterministic(tmp_path, capsys):
                  "word longer than 1000000 letters", id="compress-n-overflow"),
     pytest.param(("compress", "--class", "3", "--n", "2", "--spec", "x1,x2",
                   "--trace", "OUT"), "spec must name 3 letters", id="spec-too-short"),
+    # a chain ending in a repeated letter has a freely trivial z_1
+    pytest.param(("compress", "--class", "2", "--n", "2", "--spec", "x1,x1",
+                  "--trace", "OUT"), "chain x1,x1 ends in a repeated letter: [x1, x1] "
+                 "freely reduces to nothing", id="spec-repeated-x1x1"),
+    pytest.param(("compress", "--class", "3", "--n", "2", "--spec", "x1,x2,x2",
+                  "--trace", "OUT"), "chain x1,x2,x2 ends in a repeated letter: [x2, x2] "
+                 "freely reduces to nothing", id="spec-repeated-x1x2x2"),
+    pytest.param(("compress", "--class", "3", "--n", "2", "--spec", "x2 x1 x1",
+                  "--trace", "OUT"), "chain x2,x1,x1 ends in a repeated letter",
+                 id="spec-repeated-x2x1x1"),
+    pytest.param(("compress", "--class", "4", "--n", "2", "--spec", "x1,x1,x2,x2",
+                  "--trace", "OUT"), "chain x1,x1,x2,x2 ends in a repeated letter: [x2, x2] "
+                 "freely reduces to nothing, so z_1 does too and no transport relator "
+                 "moves it", id="spec-repeated-x1x1x2x2"),
     # tables past their bounds are refused before they are allocated
     pytest.param(("present", "--class", "7", "--chain", "1", "--out", "OUT"),
                  "8-entry commutators over 14 letters would hold more than 10000000 letters",

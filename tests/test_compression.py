@@ -11,7 +11,6 @@ from nilfill.compression import (
     BlockMover,
     ChainContext,
     CompressedPower,
-    block_mover,
     compression_word,
     chain_context,
     power_compression_sequence,
@@ -172,6 +171,12 @@ def _transport(pres, w, chain, sign, start, target):
     else:
         mover.move_right(b, start, target, sign)
     return b.finish()
+
+
+@pytest.mark.parametrize("letters", range(1, 7))
+def test_block_mover_length_is_its_block_length(letters):
+    chain = tuple(range(1, letters + 1))
+    assert BlockMover(chain).length == len(nested_commutator(chain))
 
 
 def test_transport_block_costs_length():
@@ -586,7 +591,7 @@ def test_transport_exact_shape_matches_split_shape():
         ctx = ChainContext(pres, chain)
         for pool in (pres, ctx):
             b = SequenceBuilder(pool, w)
-            block_mover(pool, chain).move_left(b, 4, 0, sign)
+            BlockMover(chain).move_left(b, 4, 0, sign)
             seq = b.finish()
             assert tuple(b.word) == block + (1, -2, 2, 1)
             assert seq.metrics.area == 4

@@ -432,12 +432,12 @@ def _transport(pres, chain, letters, right: bool):
     """The word and the moves of one block move on ``pres``: the block of
     ``chain`` left from past ``letters`` to position 0, or right from 0 to
     the word's end."""
-    from nilfill.compression import block_mover
+    from nilfill.compression import BlockMover
     from nilfill.words import nested_commutator
 
     W, letters = list(nested_commutator(chain)), list(letters)
     b = SequenceBuilder(pres, W + letters if right else letters + W)
-    mover = block_mover(pres, chain)
+    mover = BlockMover(chain)
     if right:
         mover.move_right(b, 0, len(letters), 1)
     else:

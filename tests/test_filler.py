@@ -3,8 +3,7 @@ import random
 import pytest
 from helpers import fill, longest_relator, witt_number
 
-from nilfill import compression
-from nilfill.compression import block_mover, chain_context
+from nilfill.compression import ChainContext
 from nilfill.corpus import corpus_generate
 from nilfill.engine import replay, validate_null
 from nilfill.errors import NotNullHomotopic
@@ -133,38 +132,29 @@ def test_fill_intermediate_words_stay_trivial(p2):
             assert p2.is_identity(tuple(word) + inverse_word(w))
 
 
-def test_each_pool_keeps_one_mover_per_block(p3, monkeypatch):
-    # a fresh copy, so that no earlier test has built its movers
+def test_each_pool_keeps_the_transport_ids_of_its_blocks(p3):
+    # a fresh copy, so that its pools hold only this test's tables
     pres = Presentation(p3.names, p3.weights, p3.relators, 3, p3.parents)
-    built = []
-    init = compression.BlockMover.__init__
-
-    def counting_init(self, chain):
-        built.append(self)
-        init(self, chain)
-
-    monkeypatch.setattr(compression.BlockMover, "__init__", counting_init)
     w = pres.parse_word("x2^-1 g12^-1 g112^-1 x2^-1 x1 x2 x1^-1 x2^-1 "
                         "x1^-1 x2 x1 g12 x2")
     fill(w, pres)
     fill(inverse_word(w), pres)
-    assert pres._movers and len(built) > len(pres._movers)
-    # every (pool, block) mover is built once and kept by its pool, the
-    # presentations of the recursion and their chain contexts
+    # a carrying increment on a context of its own, whose inner carry
+    # moves blocks on the context
+    ctx = ChainContext(pres, pres.defining_chain(pres.basis[0][0]))
+    ctx.record(2, 3, False)
     levels = [pres]
     while levels[-1].nclass > 1:
         levels.append(levels[-1].quotient)
-    pools = levels + [ctx for level in levels for ctx in level._chain_ctxs.values()]
-    kept = [(pool, chain, mover) for pool in pools
-            for chain, mover in pool._movers.items()]
-    assert sorted(map(id, built)) == sorted(id(mover) for _, _, mover in kept)
-    assert all(mover.chain == chain for _, chain, mover in kept)
-    z = pres.basis[0][0]
-    assert block_mover(pres, (z,)) is block_mover(pres, (z,))
-    chain = pres.defining_chain(z)
-    ctx = chain_context(pres, chain)
-    assert block_mover(ctx, chain) is block_mover(ctx, chain)
-    assert block_mover(ctx, chain) is not block_mover(pres, chain)
+    pools = levels + [ctx] + [c for level in levels for c in level._chain_ctxs.values()]
+    assert pres._transport_ids and ctx._transport_ids
+    assert not any(hasattr(pool, "_movers") for pool in pools)
+    # the presentations of the recursion and their chain contexts: each
+    # table maps a block chain and a letter t to the id of [t, chain]
+    for pool in pools:
+        for chain, ids in pool._transport_ids.items():
+            for t, rid in ids.items():
+                assert pool.relators[rid] == nested_commutator((t,) + chain)
 
 
 def test_register_memo_holds_only_records_that_move_letters(p3):

@@ -136,10 +136,24 @@ def test_presentation_rejects_letters_naming_no_generator(relators, bad):
 @pytest.mark.parametrize("names,weights,message", [
     (["x1"], [1, 1], "generator annotation lengths disagree"),
     (["x1", "x1"], [1, 1], "duplicate generator names"),
+    # names and weights the presentation file format cannot carry
+    (["a b"], [1], "bad generator name 'a b'"),
+    (["x1", "x{"], [1, 1], r"bad generator name 'x\{'"),
+    (["X1"], [1], "bad generator name 'X1'"),
+    (["x1\n"], [1], r"bad generator name 'x1\\n'"),
+    ([""], [1], "bad generator name ''"),
+    (["x1", "g11"], [1, 0], "weight 0 is not a positive integer"),
+    (["x1"], [-1], "weight -1 is not a positive integer"),
 ])
 def test_presentation_rejects_bad_generators(names, weights, message):
     with pytest.raises(NilfillError, match=message):
         Presentation(names, weights, [], 1)
+
+
+@pytest.mark.parametrize("nclass", (0, -2))
+def test_presentation_rejects_a_class_below_1(nclass):
+    with pytest.raises(NilfillError, match=f"class {nclass} is not a positive integer"):
+        Presentation(["x1"], [1], [], nclass)
 
 
 def test_quotient_needs_class_2_and_top_weight_last():
@@ -288,8 +302,27 @@ def test_expand_letter():
     assert p.expand_letter(-g12) == (-2, -1, 2, 1)
 
 
-def test_presentation_file_roundtrip(tmp_path):
-    p = build_filler_presentation(2, 2)
+def _every_presentation():
+    """Every chain presentation of class c <= 4, every filler presentation
+    of class c <= 3 on m <= 3 generators and each quotient of the filler
+    ones, with a test id."""
+    for c in range(1, 5):
+        for k in range(1, c + 1):
+            yield pytest.param(("chain", c, k), id=f"chain-{c}-{k}")
+    for c in range(1, 4):
+        for m in range(1, 4):
+            for level in range(c, 0, -1):
+                yield pytest.param(("filler", c, m, level), id=f"filler-{c}-{m}-class-{level}")
+
+
+@pytest.mark.parametrize("which", _every_presentation())
+def test_presentation_file_roundtrip(tmp_path, which):
+    if which[0] == "chain":
+        p = build_chain_presentation(*which[1:])
+    else:
+        p = build_filler_presentation(*which[1:3])
+        while p.nclass > which[3]:
+            p = p.quotient
     path = tmp_path / "p.pres"
     save_presentation(p, path)
     q = load_presentation(path)

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -9,8 +10,8 @@ from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import PSequence, check_moves, replay
 from nilfill.errors import TraceSyntaxError
-from nilfill.presentations import (build_chain_presentation, build_filler_presentation,
-                                   save_presentation)
+from nilfill.presentations import (Presentation, build_chain_presentation,
+                                   build_filler_presentation, save_presentation)
 from nilfill.traces import parse_trace, serialize_trace, verdict_line
 
 from helpers import fill, random_valid_sequence
@@ -122,20 +123,36 @@ def test_roundtrip_bit_exact_long_traces(kind):
 
 def test_segmented_trace_writes_as_its_flattened_copy():
     # fills splice memoized register increments; each spliced record is
-    # written from its line template, at the segment's offset
-    pres = build_filler_presentation(3, 2)
+    # written from its line template, at the segment's offset.  The fills
+    # run on a fresh copy of the presentation, so no earlier test has
+    # written their records.
+    base = build_filler_presentation(3, 2)
+    pres = Presentation(base.names, base.weights, base.relators, 3, base.parents)
     seqs = [fill(w, pres) for w in corpus_generate(pres, 12, 4, seed=5)]
     seqs = [seq for seq in seqs if sum(r is not None for r, _, _ in seq.segments) >= 2]
     assert seqs
+    records, writes = {}, Counter()
     for seq in seqs:
         flat = PSequence(pres, seq.initial, seq.moves)
         text = serialize_trace(seq, "p.pres")
+        for r, moves, _ in seq.segments:
+            if r is not None and moves:
+                records[id(r)] = r
+                writes[id(r)] += 1
         assert text == serialize_trace(flat, "p.pres")
         assert replay(seq)[0] == replay(flat)[0] == seq.metrics
         back, _ = parse_trace(text, pres)
         assert replay(back)[0] == seq.metrics
-    records = {id(r): r for seq in seqs for r, _, _ in seq.segments if r is not None}
-    assert all(pres.names in r.trace_lines for r in records.values() if r.moves)
+    # the first write leaves a marker, the second keeps the template
+    assert sorted(set(writes.values()))[:2] == [1, 2]
+    for key, r in records.items():
+        template = r.trace_lines[pres.names]
+        assert template == "" if writes[key] == 1 else template
+    for seq in seqs:
+        serialize_trace(seq, "p.pres")
+    for r in records.values():
+        lines = "\n".join(traces._move_line(mv, pres.names) for mv in r.moves)
+        assert r.trace_lines[pres.names].format(*[mv[1] for mv in r.moves]) == lines
 
 
 def test_a_record_keeps_its_line_template_from_its_second_write():
