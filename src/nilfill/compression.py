@@ -69,8 +69,9 @@ class ChainContext:
     it on the first request: relator ``rid`` is the nested commutator of
     the chain ``chains[rid]``, which the lift reads back to move the
     leftover block.  Like a presentation, too, the context keeps the
-    kernel's move templates and swap tables, and its blocks' transport ids
-    (``_transport_ids``: block chain -> t -> id of [t, chain]).
+    kernel's move templates, swap tables and last long relator, and its
+    blocks' transport ids (``_transport_ids``: block chain -> t -> id of
+    [t, chain]).
 
     The context builds, mirrors and keeps register increments (``record``):
     ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
@@ -108,6 +109,7 @@ class ChainContext:
         self.chains: list = []
         self._index: dict = {}
         self._move_templates: dict = {}
+        self._long_relator = None       # engine._long_template: (rid, r, r^-1)
         self._swap_tables: dict = {}
         self._transport_ids: dict = {}
         self.increments: dict = {}

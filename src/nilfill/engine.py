@@ -42,8 +42,9 @@ from .words import MAX_WORD_LENGTH, Word, inverse_word
 
 # A template is cached only for a relator of at most this many letters (the
 # longest relator built, on the class-4 chain, has 46): a longer relator's
-# template is built per move, at the cost of applying it, so the cache holds
-# at most twice this many letters per trace line.
+# template is cut per move from the relator and its inverse, which the pool
+# keeps for its last long relator, at the cost of applying it, so the cache
+# holds at most twice this many letters per trace line.
 MAX_CACHED_RELATOR = 64
 
 
@@ -107,7 +108,8 @@ def _template(pres, key, index: int):
     the application is u = t W -> v = W t (the block moves left past t =
     u[0]), ``right`` when it is u = W t -> v = t W (right past t = u[-1]);
     otherwise None, as for every uncached template.  A single-letter
-    block's swap a b -> b a reads both ways."""
+    block's swap a b -> b a reads both ways.  A longer relator's u and v
+    are cut by ``_long_template``."""
     if len(key) != 4:
         raise NotApplicable("relator application needs five fields", index)
     rid, shift, inv, split = key
@@ -121,11 +123,12 @@ def _template(pres, key, index: int):
         raise NotApplicable(f"inversion flag {inv} is not 0 or 1", index)
     if not 0 <= split <= n:
         raise NotApplicable(f"split {split} out of range for relator {rid}", index)
+    if n > MAX_CACHED_RELATOR:
+        u, v = _long_template(pres, rid, shift, inv, split)
+        return u, v, len(v) - len(u), None, None
     rv = inverse_word(r) if inv else r
     rot = rv[shift:] + rv[:shift]
     u, v = list(rot[:split]), list(inverse_word(rot[split:]))
-    if n > MAX_CACHED_RELATOR:
-        return u, v, len(v) - len(u), None, None
     left = right = None
     if split > 1 and len(v) == split:
         tables = pres._swap_tables
@@ -138,6 +141,25 @@ def _template(pres, key, index: int):
             right[1][key] = u[-1]
     template = pres._move_templates[key] = (u, v, len(v) - len(u), left, right)
     return template
+
+
+def _long_template(pres, rid: int, shift: int, inv: int, split: int):
+    """(u, v) of a checked key of the long relator ``rid``, cut from the
+    relator r and its inverse, which the pool keeps as lists for the last
+    long relator it used (``_long_relator``).  With rv the relator read
+    (r, or r^-1 when ``inv``) and rw its inverse, u is rv[shift:] followed
+    by its start, and v, the inverse of the rest of the rotation, is the
+    slice of rw that mirrors it: no inverse and no rotated copy is built
+    per move."""
+    slot = pres._long_relator
+    if slot is None or slot[0] != rid:
+        r = pres.relators[rid]
+        slot = pres._long_relator = (rid, list(r), list(inverse_word(r)))
+    rv, rw = (slot[2], slot[1]) if inv else (slot[1], slot[2])
+    n, end = len(rv), shift + split
+    if end <= n:
+        return rv[shift:end], rw[n - shift:] + rw[:n - end]
+    return rv[shift:] + rv[:end - n], rw[n - shift:2 * n - end]
 
 
 def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):

@@ -38,7 +38,10 @@ class Presentation:
     """Immutable generators + relators + class, with derived lookups.
 
     The derived tables (``relator_index``, ``basis``, ``quotient``,
-    ``text`` and the counts) are built on first use and kept."""
+    ``text`` and the counts) are built on first use and kept.
+    ``load_presentation`` hands one object to every load of the same text,
+    so a caller that needs a presentation of its own (a cold one, or one
+    per worker) builds it with ``Presentation(...)``."""
 
     def __init__(self, names, weights, relators, nclass, parents=None):
         self.names = tuple(names)
@@ -75,6 +78,7 @@ class Presentation:
         self._chain_ctxs: dict = {}
         self._transport_ids: dict = {}
         self._move_templates: dict = {}
+        self._long_relator = None       # engine._long_template: (rid, r, r^-1)
         self._swap_tables: dict = {}
 
     # -- basic views --------------------------------------------------------
@@ -475,15 +479,35 @@ def _count(text: str, what: str, number: int) -> int:
     return value
 
 
+# The last presentation ``load_presentation`` built, with the exact text it
+# was parsed from: (text, presentation), (None, None) before the first load.
+# It is read once per load, so a load in another thread that replaces it
+# cannot pair one text with another's presentation.
+_last_load = (None, None)
+
+
 def load_presentation(path) -> Presentation:
     """Read a presentation file.  Every line that is not in the grammar
     raises PresentationSyntaxError naming it, as does the first ``rel``
-    line that takes the relators past ``MAX_PRESENTATION_LETTERS``."""
+    line that takes the relators past ``MAX_PRESENTATION_LETTERS``.
+
+    The loader keeps the last presentation it built together with the
+    text it read.  A load that reads the same text again returns that same
+    object, with every table it has built since: a presentation, and all
+    it derives from its relators, is a function of its text.  So a process
+    that loads one file many times (validating many certificates of one
+    presentation in process, or a write and load round trip per job)
+    parses it once; a process that loads a file once pays one string
+    comparison.  A file that fails to load is never kept."""
+    global _last_load
+    text = read_text(path, PresentationSyntaxError)
+    last_text, last = _last_load
+    if text == last_text:
+        return last
     table: dict = {}            # generator name -> 1-based index
     weights: list[int] = []
     rel_lines: list = []        # (line number, word text)
     nclass = None
-    text = read_text(path, PresentationSyntaxError)
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -525,4 +549,6 @@ def load_presentation(path) -> Presentation:
         if letters > MAX_PRESENTATION_LETTERS:
             raise PresentationSyntaxError(
                 number, f"relators hold more than {MAX_PRESENTATION_LETTERS} letters")
-    return Presentation(list(table), weights, relators, nclass)
+    pres = Presentation(list(table), weights, relators, nclass)
+    _last_load = text, pres
+    return pres

@@ -2,8 +2,12 @@ import os
 
 import pytest
 
+from nilfill import engine, presentations
 from nilfill.cli import main
-from nilfill.presentations import load_presentation
+from nilfill.corpus import corpus_generate
+from nilfill.presentations import (Presentation, build_chain_presentation,
+                                   build_filler_presentation, load_presentation)
+from nilfill.traces import load_trace, verdict_line
 
 
 def run(capsys, *argv):
@@ -416,3 +420,94 @@ def test_validate_presentation_comments_and_missing_class(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: presentation file lacks a class line\n"
+
+
+def _corrupt_run(trace, step):
+    """A copy of ``trace`` with a transport run broken, as the console
+    checks break one: in the first run of ``ar`` lines whose positions go
+    by ``step``, the fifth line past the run's second (or its last, if it
+    is shorter) names the next relator id."""
+    lines = trace.read_text().splitlines()
+    moves = [line.split() for line in lines]
+
+    def continues(n):
+        return (moves[n][0] == moves[n - 1][0] == "ar"
+                and int(moves[n][1]) == int(moves[n - 1][1]) + step)
+
+    start = n = next(n for n in range(3, len(lines)) if continues(n))
+    while n < start + 5 and continues(n + 1):
+        n += 1
+    lines[n] = " ".join(moves[n][:2] + [str(int(moves[n][2]) + 1)] + moves[n][3:])
+    out = trace.with_name("run-" + trace.name)
+    out.write_text("\n".join(lines) + "\n")
+    return out
+
+
+def test_validating_twice_in_process_gives_the_fresh_verdicts(tmp_path, capsys):
+    # the loader hands one presentation to every load of one text, so the
+    # second pass validates against warm tables; each verdict is the one a
+    # cold presentation of its own, built with Presentation(...), gives
+    filler = build_filler_presentation(3, 2)
+    chain = build_chain_presentation(3, 1)
+    jobs = []
+    for i, w in enumerate(corpus_generate(filler, 12, 5, seed=1)):
+        trace = tmp_path / f"f{i}.trace"
+        assert run(capsys, "fill", "--class", "3", "--gens", "2",
+                   "--word", filler.format_word(w), "--trace", str(trace))[0] == 0
+        jobs += [(t, f"{trace}.pres", filler) for t in (trace, _corrupt_run(trace, 1))]
+    for i, spec in enumerate(("x1,x2,x3", "x2,x1,x3")):
+        trace = tmp_path / f"c{i}.trace"
+        assert run(capsys, "compress", "--class", "3", "--n", "3", "--spec", spec,
+                   "--trace", str(trace))[0] == 0
+        jobs += [(t, f"{trace}.pres", chain) for t in (trace, _corrupt_run(trace, -1))]
+    expected = []
+    for trace, _, built in jobs:
+        fresh = Presentation(built.names, built.weights, built.relators, built.nclass)
+        code, line = verdict_line(load_trace(trace, fresh)[0], require_null=False)
+        expected.append((code, line + "\n"))
+    assert [code for code, _ in expected] == [0, 1] * 7
+    for _ in range(2):
+        got = [run(capsys, "validate", "--trace", str(trace), "--presentation", pres)
+               for trace, pres, _ in jobs]
+        assert got == expected
+
+
+def test_a_second_validation_builds_no_template(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "f.trace"
+    assert run(capsys, "fill", "--class", "3", "--gens", "2",
+               "--word", "x1^-1 x2^-1 x1^-1 x2 x1^2 x1^-1 x2^-1 x1 x2 g112^-1",
+               "--trace", str(trace))[0] == 0
+    monkeypatch.setattr(presentations, "_last_load", (None, None))
+    build, built = engine._template, []
+
+    def counted(pres, key, index):
+        built.append(key)
+        return build(pres, key, index)
+
+    monkeypatch.setattr(engine, "_template", counted)
+    argv = ["validate", "--null", "--trace", str(trace), "--presentation", f"{trace}.pres"]
+    first = run(capsys, *argv)
+    assert first[0] == 0 and built
+    built.clear()
+    assert run(capsys, *argv) == first
+    assert built == []
+
+
+def test_an_edited_presentation_file_is_loaded_anew(tmp_path, capsys, monkeypatch):
+    # one rel line edited, the file keeping its length: the next load
+    # builds a new presentation, and a trace valid under the old file gets
+    # the verdict that a fresh process, whose loader holds nothing, gives
+    pres, trace = tmp_path / "p.pres", tmp_path / "t.trace"
+    pres.write_text("class 2\ngen x1 1\ngen x2 1\nrel x1 x2 x1^-1 x2^-1\n")
+    trace.write_text("word: x1 x2 x1^-1 x2^-1\npresentation: p.pres\nar 0 0 0 0 4\nqed\n")
+    argv = ["validate", "--trace", str(trace), "--presentation", str(pres)]
+    assert run(capsys, *argv) == (0, "ok area=1 fl=4 height=1\n")
+    old = load_presentation(pres)
+    assert old._move_templates
+    pres.write_text("class 2\ngen x1 1\ngen x2 1\nrel x2 x1 x2^-1 x1^-1\n")
+    new = load_presentation(pres)
+    assert new is not old and new.relators == ((2, 1, -2, -1),)
+    verdict = run(capsys, *argv)
+    assert verdict == (1, "error line=3 word does not carry relator prefix at 0\n")
+    monkeypatch.setattr(presentations, "_last_load", (None, None))
+    assert run(capsys, *argv) == verdict

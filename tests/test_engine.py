@@ -641,3 +641,24 @@ def test_a_template_is_cached_only_for_a_short_relator(extra):
     assert sorted(pres._move_templates) == ([] if extra else sorted([insert[2:], delete[2:]]))
     with pytest.raises(NotApplicable, match="word does not carry relator prefix at 0"):
         replay(PSequence(pres, (), [insert, ("ar", 0, 0, 1, 1, n)]))
+
+
+def test_a_long_relator_template_is_cut_from_the_relator_and_its_inverse():
+    # every key of two 70-letter relators, each key read against the
+    # rotation formula; the pool keeps the last long relator it used
+    n = 70
+    r0 = tuple((i * 7 % 5 + 1) * (-1) ** (i // 3) for i in range(n))
+    r1 = tuple(-a for a in reversed(r0[5:] + r0[:5]))
+    pres = Presentation([f"x{i}" for i in range(1, 6)], [1] * 5, [r0, r1], 2)
+    for rid in (0, 1, 0):
+        r = pres.relators[rid]
+        for shift in range(n):
+            for inv in (0, 1):
+                rv = inverse_word(r) if inv else r
+                rot = rv[shift:] + rv[:shift]
+                for split in range(n + 1):
+                    u, v = list(rot[:split]), list(inverse_word(rot[split:]))
+                    key = (rid, shift, inv, split)
+                    assert engine._template(pres, key, 0) == (u, v, n - 2 * split, None, None)
+        assert pres._long_relator == (rid, list(r), list(inverse_word(r)))
+    assert pres._move_templates == {}

@@ -184,6 +184,32 @@ def test_load_refuses_relators_past_the_letter_bound(tmp_path, monkeypatch):
     assert len(load_presentation(path).relators) == 5
 
 
+SQUARE = "class 2\ngen x1 1\ngen x2 1\nrel x1 x2 x1^-1 x2^-1\n"
+
+
+def test_a_repeated_load_of_one_text_returns_the_presentation_it_built(tmp_path):
+    path, copy = tmp_path / "a.pres", tmp_path / "b.pres"
+    save_presentation(build_filler_presentation(3, 2), path)
+    copy.write_bytes(path.read_bytes())
+    first = load_presentation(path)
+    assert load_presentation(path) is first
+    assert load_presentation(copy) is first
+    path.write_text(SQUARE)
+    assert load_presentation(path).relators == ((1, 2, -1, -2),)
+
+
+def test_a_file_that_fails_to_load_is_never_kept(tmp_path):
+    good, bad = tmp_path / "good.pres", tmp_path / "bad.pres"
+    good.write_text(SQUARE)
+    bad.write_text(SQUARE + "rel x1 x3\n")
+    kept = load_presentation(good)
+    for _ in range(2):
+        with pytest.raises(PresentationSyntaxError) as exc:
+            load_presentation(bad)
+        assert (exc.value.line, exc.value.reason) == (5, "unknown generator 'x3'")
+        assert load_presentation(good) is kept
+
+
 def test_relator_id_names_a_transport_relator():
     p = build_chain_presentation(2, 1)
     for chain in [(1, 1, 2), (-2, 1, 2), (2, -1, -2)]:
