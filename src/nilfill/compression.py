@@ -178,9 +178,12 @@ class BlockMover:
     A block moves one way on every pool: each swap with a letter t is one
     split application of the relator [t, chain], whose id the pool names
     (``relator_id``) and keeps (``_transport_ids``).  The letters a block
-    passes do not change while it moves, so every swap's moves are known
-    up front and go to the builder as one batch, built by one comprehension
-    over those letters."""
+    passes do not change while it moves, so the relator id of each
+    distinct letter is known up front, and the builder's kernel checks the
+    whole move once per distinct letter (``SequenceBuilder.transport``).  A
+    single-letter block meeting its own inverse, and a move the kernel's
+    checks refuse, go to the builder as a batch of one move per letter
+    (``_split_run``), which the kernel checks one swap at a time."""
 
     __slots__ = ("chain", "length")
 
@@ -189,48 +192,60 @@ class BlockMover:
         # the length of the nested commutator of that many letters
         self.length = 3 * 2 ** (len(self.chain) - 1) - 2
 
-    def _split_run(self, pool, positions, letters, sign: int, inv: int,
-                   head: int) -> list:
-        """Swaps of the block (first letter ``head``) past ``letters``, the
-        k-th at ``positions[k]``, built by one comprehension: rids come from
-        the pool's table of the block, which asks ``pool`` once for each
-        relator first letter it lacks."""
+    def _move(self, b, start: int, target: int, sign: int, right: bool) -> None:
+        """Move the block W^sign at ``start`` to ``target``.  Every relator
+        id the move needs is read from the pool's table of the block, which
+        asks the pool once for each relator first letter it lacks, before
+        any move is applied."""
+        pool, w, L = b.pres, b.word, self.length
         rids = pool._transport_ids.get(self.chain)
         if rids is None:
             rids = pool._transport_ids[self.chain] = {}
-        L = self.length
-        shift = L + 1 if sign > 0 else 0
+        head = w[start]
+        letters = w[start + L:target + L] if right else w[target:start]
         # a single-letter block meeting its own inverse swaps freely
         stop = -head if L == 1 else None
-        for t in set(letters):
+        # the set is filled in the order the block meets its letters, and a
+        # chain context numbers the relators it adds in the set's order
+        passed = set(letters if right else reversed(letters))
+        for t in passed:
             if t != stop and sign * t not in rids:
                 rids[sign * t] = pool.relator_id((sign * t,) + self.chain)
-        if stop not in letters:
-            return [("ar", p, rids[sign * t], shift, inv, L + 1)
-                    for p, t in zip(positions, letters)]
-        # the free expansion puts back the letter that ends up at p
-        freed = stop if inv else head
+        # (shift, inv, split) of every swap of the block this way
+        swap = (L + 1 if sign > 0 else 0, int(right), L + 1)
+        ids = {t: rids[sign * t] for t in passed if t != stop}
+        if stop not in passed and b.transport(start, target, ids, swap, right):
+            return
+        if right:
+            positions = range(start, target)
+        else:
+            positions, letters = range(start - 1, target - 1, -1), letters[::-1]
+        b.extend(self._split_run(positions, letters, ids, swap, stop,
+                                 stop if right else head))
+
+    @staticmethod
+    def _split_run(positions, letters, ids, swap, stop, freed) -> list:
+        """One move per letter passed, the k-th at ``positions[k]``: the swap
+        ("ar", p, ids[t], *swap), or for the letter ``stop`` a free
+        reduction and the free expansion of ``freed``, the letter that ends
+        up at p."""
         moves = []
         for p, t in zip(positions, letters):
             if t == stop:
                 moves += (("fr", p), ("fe", p, freed))
             else:
-                moves.append(("ar", p, rids[sign * t], shift, inv, L + 1))
+                moves.append(("ar", p, ids[t], *swap))
         return moves
 
     def move_left(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` left to ``target``, swapping it with
         the letter t at each p it passes."""
-        w = b.word
-        b.extend(self._split_run(b.pres, range(start - 1, target - 1, -1),
-                                 w[target:start][::-1], sign, 0, w[start]))
+        self._move(b, start, target, sign, False)
 
     def move_right(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` right to ``target``, swapping it with
         the letter t at each p + L it passes."""
-        w, L = b.word, self.length
-        b.extend(self._split_run(b.pres, range(start, target),
-                                 w[start + L:target + L], sign, 1, w[start]))
+        self._move(b, start, target, sign, True)
 
 
 def compression_word(pres: Presentation, chain, n: int, s: int) -> Word:

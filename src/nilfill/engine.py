@@ -13,28 +13,33 @@ so that u v^-1 is a cyclic conjugate of the relator or its inverse.
 Positions are 0-based letter indices into the current word; a stale
 position makes the trace invalid, it is never repaired.
 
-``apply_moves`` is the only code that checks a move: the validator's
-replay and every builder emission go through it, and ``SequenceBuilder``
-records the batches it accepts.  It reads a move's u and v from a
-template, cached on the presentation for a relator of at most
-``MAX_CACHED_RELATOR`` letters.  A transport is a run of swaps, each an
-application that moves a block W one letter (u = t W -> v = W t, or
-u = W t -> v = t W).  Caching such a template enters its key in the
-pool's swap table of that block and side, as the letter the swap passes;
-after the first swap of a run, one loop serves both directions: it
-checks each next swap by its position, its range and one lookup in that
-table against the word's letter, and writes the run with one slice
-assignment.  ``SequenceBuilder.splice`` applies a batch the kernel has
-already checked (a ``CheckedMoves``) by its recorded effect wherever the
-subword it was checked on sits, and records it as a segment: the record
-and its offset, with no copy of its moves.  A ``PSequence`` keeps those
-segments; its ``moves`` list is built only when it is read.
+``apply_moves`` checks moves: the validator's replay and every builder
+batch go through it, and ``SequenceBuilder`` records the batches it
+accepts.  It reads a move's u and v from a template, cached on the
+presentation for a relator of at most ``MAX_CACHED_RELATOR`` letters.  A
+transport is a run of swaps, each an application that moves a block W
+one letter (u = t W -> v = W t, or u = W t -> v = t W).  Caching such a
+template enters its key in the pool's swap table of that block and side,
+as the letter the swap passes; after the first swap of a run, one loop
+serves both directions: it checks each next swap of a trace by its
+position, its range and one lookup in that table against the word's
+letter, and writes the run with one slice assignment.
+
+A builder's block transport (``SequenceBuilder.transport``) is checked
+by ``apply_transport`` from the block and the letters it passes, once per
+distinct letter, and its moves are built from the fields it checked;
+replay still checks every line.  ``SequenceBuilder.splice`` applies a
+batch the kernel has already checked (a ``CheckedMoves``) by its
+recorded effect wherever the subword it was checked on sits, and records
+it as a segment: the record and its offset, with no copy of its moves.
+A ``PSequence`` keeps those segments; its ``moves`` list is built only
+when it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 from .errors import NotApplicable, NotNull
 from .presentations import Presentation
@@ -270,6 +275,68 @@ def _continue_run(word, moves, j, p, offset, n, left, right) -> int:
     return (q - first) * s
 
 
+def apply_transport(word: list, pres, start: int, target: int, rids: dict,
+                    swap: tuple, right: bool):
+    """Move the block at ``start`` to ``target`` by one swap per letter it
+    passes, rightwards when ``right``, and return the swaps as moves
+    ("ar", p, rids[t], *swap); None, with ``word`` untouched, when a check
+    fails or a letter passed has no relator id.  ``swap`` holds the fields
+    after the relator id, (shift, inv, split), which every swap of the
+    block on that side shares.
+
+    A swap does not change the word's length, and the letters passed stay
+    where they are until the block meets them, so each distinct letter t
+    is checked once: the template of its key (rids[t], *swap), cached or
+    built by ``_template`` with all of its checks, has the side's (block,
+    table) pair that every letter of the transport shares, and that table
+    maps the key to t.  With the block's letters found at ``start`` and
+    the run inside the word, this proves each swap that ``apply_moves``
+    proves, and the word is written with one slice assignment."""
+    lo, hi = (start, target) if right else (target, start)
+    if lo > hi or lo < 0:
+        return None
+    if lo == hi:
+        return []
+    templates = pres._move_templates
+    side = 4 if right else 3
+    pair = None
+    for t, rid in rids.items():
+        key = (rid, *swap)
+        template = templates.get(key)
+        if template is None:
+            try:
+                template = _template(pres, key, 0)
+            except NotApplicable:
+                return None
+        if pair is None:
+            pair = template[side]
+        if pair is None or template[side] is not pair or pair[1].get(key) != t:
+            return None
+    if pair is None:
+        return None
+    block = pair[0]
+    L = len(block)
+    if word[start:start + L] != block or hi + L > len(word):
+        return None
+    if right:
+        letters = word[start + L:target + L]
+        positions, order = range(start, target), letters
+    else:
+        letters = word[target:start]
+        positions, order = range(start - 1, target - 1, -1), reversed(letters)
+    shift, inv, split = swap
+    try:
+        moves = list(zip(repeat("ar"), positions, map(rids.__getitem__, order),
+                         repeat(shift), repeat(inv), repeat(split)))
+    except KeyError:
+        return None
+    if right:
+        word[start:target + L] = letters + block
+    else:
+        word[target:start + L] = block + letters
+    return moves
+
+
 @dataclass(frozen=True)
 class CheckedMoves:
     """A move batch at offset 0 and its effect, as the kernel found it on
@@ -421,15 +488,16 @@ def block_reduction_moves(pos: int, length: int) -> list:
 
 class SequenceBuilder:
     """Mutable word + emitted move segments.  Every move goes through the
-    kernel as it is emitted (``extend``), or is part of a batch the kernel
-    checked on the very subword it lands on (``splice``), so a finished
-    builder yields a valid sequence; the builder keeps the area and FL the
-    kernel returns, so its ``metrics`` equal those of a replay.  ``extend``
-    records a batch it accepts, shifted by ``_shifted``, in the open flat
-    segment; ``splice`` records the record and its offset as a segment of
-    their own and opens a fresh flat one.  The builder has no move
-    semantics of its own; compound emissions are move lists built by the
-    functions above."""
+    kernel as it is emitted (``extend``, or ``transport`` for a block
+    transport), or is part of a batch the kernel checked on the very
+    subword it lands on (``splice``), so a finished builder yields a valid
+    sequence; the builder keeps the area and FL the kernel returns, so its
+    ``metrics`` equal those of a replay.  ``extend`` records a batch it
+    accepts, shifted by ``_shifted``, and ``transport`` the swaps it
+    accepts, in the open flat segment; ``splice`` records the record and
+    its offset as a segment of their own and opens a fresh flat one.  The
+    builder has no move semantics of its own; compound emissions are move
+    lists built by the functions above."""
 
     __slots__ = ("pres", "initial", "word", "segments", "flat", "area", "fl")
 
@@ -451,6 +519,18 @@ class SequenceBuilder:
         if fl > self.fl:
             self.fl = fl
         self.flat += _shifted(moves, offset)
+
+    def transport(self, start: int, target: int, rids: dict, swap: tuple,
+                  right: bool) -> bool:
+        """Move the block at ``start`` to ``target`` through
+        ``apply_transport`` and record its swaps; False, with nothing
+        applied or recorded, when the kernel's checks fail."""
+        moves = apply_transport(self.word, self.pres, start, target, rids, swap, right)
+        if moves is None:
+            return False
+        self.area += len(moves)
+        self.flat += moves
+        return True
 
     def splice(self, record: CheckedMoves, offset: int = 0) -> None:
         """Apply ``record.moves`` at ``offset`` by their effect, and record

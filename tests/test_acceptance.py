@@ -1,19 +1,22 @@
 """Acceptance suite: one test and one printed verdict line per criterion.
 
-Run with `pytest tests/test_acceptance.py -s` to see the verdict lines.
+Run with `pytest tests/test_acceptance.py -s` to see the verdict lines;
+criterion 3 has a second test, which pins its exact cost laws.
 All tolerances are fixed here; the theory only asserts that the constants
 exist, so each ceiling was measured on this implementation and frozen
 with headroom.
 """
 
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from helpers import increment_sequence, longest_relator, random_valid_sequence, witt_number
 
 from nilfill import oracle
 from nilfill.bench import bench_compression, bench_fill, fit_exponent
-from nilfill.compression import compression_word
+from nilfill.compression import compression_word, power_compression_sequence
 from nilfill.corpus import corpus_generate
 from nilfill.engine import replay, validate_null, normalize_insertions
 from nilfill.filler import fill_with_report
@@ -28,6 +31,21 @@ KAPPA = {1: 1.0, 2: 16.0, 3: 48.0}
 FL_SURPLUS = {1: 1.0, 2: 8.0, 3: 24.0}
 SLOPE_WINDOW = {2: (2.6, 3.2), 3: (3.4, 4.3)}
 LAMBDA_CEIL = {2: 12.0, 3: 80.0}
+
+# exact cost laws of the power compression z_1^(n^c) -> [a_1^n, ..., a_c^n],
+# measured on this implementation and the same for every ordering of the
+# chain letters: area and height are polynomials in n of degree c + 1, and
+# FL exceeds the starting length |z_1| n^c by (2^c - 2)(n + 3)
+AREA_LAW = {
+    2: lambda n: 2 * n**2 * (n + 1),
+    3: lambda n: Fraction(n**2 * (5 * n + 3) * (8 * n + 7), 2),
+    4: lambda n: Fraction(1974 * n**5 + 6101 * n**4 + 6354 * n**3 + 2155 * n**2, 6),
+}
+HEIGHT_LAW = {
+    2: lambda n: 2 * n**3 + 8 * n**2 + 2 * n,
+    3: lambda n: 20 * n**4 + Fraction(169, 2) * n**3 + Fraction(133, 2) * n**2 + 5 * n,
+}
+LAW_GRID = {2: range(2, 11), 3: range(2, 7), 4: range(2, 3)}
 
 COMPRESSION_GRID = [(c, n) for c in (1, 2, 3) for n in (2, 3, 4)]
 
@@ -103,6 +121,21 @@ def test_criterion_3_power_compression_scaling():
     assert all(r.area == 0 for r in records)
     _announce(3, "fitted area exponents inside the windows, "
                  "filling-length surplus linear")
+
+
+@pytest.mark.parametrize("c", sorted(LAW_GRID))
+def test_criterion_3_exact_compression_laws(c):
+    pres = build_chain_presentation(c, 1)
+    for chain in itertools.permutations(range(1, c + 1)):
+        lz = len(nested_commutator(chain))
+        for n in LAW_GRID[c]:
+            m = power_compression_sequence(pres, chain, n).metrics
+            assert m.area == AREA_LAW[c](n), (chain, n, m.area)
+            if c in HEIGHT_LAW:
+                assert m.height == HEIGHT_LAW[c](n), (chain, n, m.height)
+            assert m.fl - lz * n**c == (2**c - 2) * (n + 3), (chain, n, m.fl)
+    _announce(3, f"exact area, height and FL laws at class {c} for every "
+                 f"chain ordering up to n = {LAW_GRID[c][-1]}")
 
 
 def test_criterion_4_filler_soundness_and_bounds(fill_cells):

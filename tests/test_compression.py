@@ -1,10 +1,11 @@
 import functools
 import gc
 import itertools
+import random
 import weakref
 
 import pytest
-from helpers import increment_sequence, insert_trivial_word
+from helpers import increment_sequence, insert_trivial_word, one_move_per_call
 
 from nilfill import compression, engine, oracle
 from nilfill.compression import (
@@ -17,7 +18,11 @@ from nilfill.compression import (
 )
 from nilfill.engine import PSequence, SequenceBuilder, apply_moves, replay, validate_null
 from nilfill.errors import NoTransportRelator, NotApplicable, OutOfRange
-from nilfill.presentations import Presentation, build_chain_presentation
+from nilfill.presentations import (
+    Presentation,
+    build_chain_presentation,
+    build_filler_presentation,
+)
 from nilfill.traces import serialize_trace
 from nilfill.words import free_reduce, inverse_word, nested_commutator
 
@@ -222,6 +227,138 @@ def test_transport_missing_relator():
         # a chain of c letters needs a (c+1)-entry relator, which P_1 has,
         # but a (c+1)-chain needs (c+2) entries, which it lacks
         _transport(pres, (1,) + nested_commutator((1, 2, 2)), (1, 2, 2), +1, 1, 0)
+
+
+def _per_swap_moves(pool, chain, word, start, target, sign):
+    """The moves of a block transport, one per letter passed, read from the
+    pool's transport ids: a split swap ("ar", p, id of [sign t, chain],
+    L + 1 or 0, inv, L + 1), or for a single-letter block meeting its own
+    inverse a free reduction and the free expansion that puts the letters
+    back swapped."""
+    L = len(nested_commutator(chain))
+    head, rids = word[start], pool._transport_ids[tuple(chain)]
+    inv = int(target > start)
+    if inv:
+        positions, letters = range(start, target), word[start + L:target + L]
+    else:
+        positions, letters = range(start - 1, target - 1, -1), word[target:start][::-1]
+    moves = []
+    for p, t in zip(positions, letters):
+        if L == 1 and t == -head:
+            moves += [("fr", p), ("fe", p, -head if inv else head)]
+        else:
+            moves.append(("ar", p, rids[sign * t], L + 1 if sign > 0 else 0, inv, L + 1))
+    return moves
+
+
+def _transport_pool(name):
+    """(pool, block chain, letters the block passes) of a presentation
+    ("pres-k") or a fresh chain context ("ctx-k") for a block of k chain
+    letters; a presentation's single-letter block is a central letter of a
+    filler presentation."""
+    kind, k = name.split("-")
+    if kind == "ctx":
+        chain = {"1": (2,), "2": (1, 3), "3": (2, 3, 1)}[k]
+        letters = [1, 3] if k == "1" else [1, 2, 3]
+        return ChainContext(build_chain_presentation(3, 1), (1, 2, 3)), chain, letters
+    if k == "1":
+        fpres = build_filler_presentation(2, 2)
+        g = fpres.letters_of_weight(2)[1]
+        return fpres, (g,), [a for a in range(1, fpres.rank + 1) if a != g]
+    chain = (2, 1) if k == "2" else (3, 1, 2)
+    return build_chain_presentation(len(chain), 1), chain, sorted(set(chain))
+
+
+@pytest.mark.parametrize("name", ("pres-1", "pres-2", "pres-3", "ctx-1", "ctx-2", "ctx-3"))
+@pytest.mark.parametrize("right", (False, True), ids=("left", "right"))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_a_transport_equals_its_swaps_one_per_call(name, right, sign, monkeypatch):
+    # a builder's transport, checked once per distinct letter passed, gives
+    # the word, area, FL, height and moves of its per-swap moves applied
+    # one per kernel call; only a single-letter block meeting its own
+    # inverse takes the per-swap batch
+    pool, chain, letters = _transport_pool(name)
+    split, calls = BlockMover._split_run, []
+
+    def counted(*args):
+        calls.append(args)
+        return split(*args)
+
+    monkeypatch.setattr(BlockMover, "_split_run", staticmethod(counted))
+    block = nested_commutator(chain)
+    if sign < 0:
+        block = inverse_word(block)
+    signed = [a for a in letters for a in (a, -a)]
+    rng = random.Random(f"{name} {right} {sign}")
+    for k in range(40):
+        before = [rng.choice(signed) for _ in range(rng.randrange(9))]
+        after = [rng.choice(signed) for _ in range(rng.randrange(9))]
+        if len(chain) == 1 and k % 4 == 3:
+            (before if right else after).insert(0, -block[0])
+            (after if right else before).insert(rng.randrange(len(before) + 1), -block[0])
+        initial = before + list(block) + after
+        start = len(before)
+        if right:
+            end = start + len(after)
+            target = end if k % 2 else rng.randint(start, end)
+        else:
+            target = 0 if k % 2 else rng.randint(0, start)
+        b = SequenceBuilder(pool, initial)
+        del calls[:]
+        BlockMover(chain)._move(b, start, target, sign, right)
+        moves = _per_swap_moves(pool, chain, initial, start, target, sign)
+        assert one_move_per_call(pool, initial, moves) == ("ok", b.area, b.fl, b.word)
+        assert b.moves == moves and b.metrics.height == len(moves)
+        assert bool(calls) == any(m[0] == "fe" for m in moves), (k, initial, target)
+
+
+@pytest.mark.parametrize("right", (False, True), ids=("left", "right"))
+@pytest.mark.parametrize("fault", ("block-not-at-start", "key-of-another-block"))
+def test_a_refused_transport_fails_as_its_per_swap_moves(right, fault):
+    # the kernel writes nothing when a check fails; the per-swap batch
+    # then refuses the move with the reason, index and word of ``extend``
+    pres = build_chain_presentation.__wrapped__(3, 1)
+    chain, letters = (1, 2, 3), [1, 2, -1, 3, 1, -2]
+    W = list(nested_commutator(chain))
+    initial = W + letters if right else letters + W
+    start, target = (0, len(letters)) if right else (len(letters), 0)
+    if fault == "block-not-at-start":
+        start += 1 if right else -1
+    else:
+        # the id of [t, W'] for another block W' of the same length
+        t = letters[3]
+        pres._transport_ids[chain] = {t: pres.relator_id((t, 2, 1, 3))}
+    b = SequenceBuilder(pres, initial)
+    with pytest.raises(NotApplicable) as got:
+        BlockMover(chain)._move(b, start, target, 1, right)
+    parent = SequenceBuilder(pres, initial)
+    with pytest.raises(NotApplicable) as want:
+        parent.extend(_per_swap_moves(pres, chain, initial, start, target, 1))
+    assert want.value.reason.startswith("word does not carry relator prefix")
+    assert (got.value.reason, got.value.move_index) == (want.value.reason,
+                                                        want.value.move_index)
+    assert b.word == parent.word and b.moves == parent.moves == []
+
+
+@pytest.mark.parametrize("right,start,target", [(True, -9, -6), (False, 5, -3)],
+                         ids=["right-from-a-negative-start", "left-to-a-negative-target"])
+def test_a_transport_with_a_negative_end_moves_as_its_per_swap_moves(right, start, target):
+    # a negative index reads the word from its end: the per-swap batch is
+    # refused (right) or has no move (left), and the transport does the same
+    pres, chain, letters = build_chain_presentation(2, 1), (1, 2), [1, 2, -1, 2, 1]
+    W = list(nested_commutator(chain))
+    initial = W + letters if right else letters + W
+    outcomes = []
+    for run in (lambda b: BlockMover(chain)._move(b, start, target, 1, right),
+                lambda b: b.extend(_per_swap_moves(pres, chain, initial, start, target, 1))):
+        b, error = SequenceBuilder(pres, initial), None
+        try:
+            run(b)
+        except NotApplicable as exc:
+            error = (exc.reason, exc.move_index)
+        outcomes.append((error, b.word, b.moves))
+    assert outcomes[0] == outcomes[1]
+    assert (outcomes[0][0] is not None) == right
 
 
 def test_context_relator_id_adds_a_relator_once():
