@@ -23,9 +23,10 @@ Every relator application emitted here is a transport: a central block
 (a nested commutator word or its inverse) swaps with an adjacent letter,
 in one move that replaces the block-letter pair.  A block moves this one
 way on the chain presentation (level 0) and on the inner levels, whose
-relator pool is the chain context itself; its mover asks the pool its
-builder writes to for each swap's relator (``relator_id``), which the pool
-keeps (``_transport_ids``).  A carry
+relator pool is the chain context itself: its builder's one transport
+entry (``SequenceBuilder.transport``, reached through a ``BlockMover``)
+asks the pool it writes to for each swap's relator (``relator_id``),
+which the pool keeps (``_transport_ids``).  A carry
 lifts an inner sequence one chain level down: the two halves of a
 commutator run it and its mirror side by side, each move mirrored by
 ``engine.mirror_move``, the rule of ``invert_sequence``.  The lift writes
@@ -171,81 +172,27 @@ def chain_context(pres: Presentation, chain) -> ChainContext:
 
 class BlockMover:
     """Transport of the central block W^s (W the nested commutator of
-    ``block_chain``, s = +-1) past single letters, one swap per letter.
-    A mover is a plain value, made where a block moves: it moves the block
-    on a builder over a relator pool and reads the pool off the builder.
+    ``block_chain``, s = +-1) past single letters, one swap per letter,
+    made where a block moves.  The whole move, from the relator ids it
+    reads off the pool to the per-letter batch it falls back on, is
+    ``SequenceBuilder.transport``; the mover only names the block's chain
+    and the direction.  Its two methods remain as the entry points that
+    perfbench's ``compression.transport`` span wraps by name."""
 
-    A block moves one way on every pool: each swap with a letter t is one
-    split application of the relator [t, chain], whose id the pool names
-    (``relator_id``) and keeps (``_transport_ids``).  The letters a block
-    passes do not change while it moves, so the relator id of each
-    distinct letter is known up front, and the builder's kernel checks the
-    whole move once per distinct letter (``SequenceBuilder.transport``).  A
-    single-letter block meeting its own inverse, and a move the kernel's
-    checks refuse, go to the builder as a batch of one move per letter
-    (``_split_run``), which the kernel checks one swap at a time."""
-
-    __slots__ = ("chain", "length")
+    __slots__ = ("chain",)
 
     def __init__(self, block_chain):
         self.chain = tuple(block_chain)
-        # the length of the nested commutator of that many letters
-        self.length = 3 * 2 ** (len(self.chain) - 1) - 2
-
-    def _move(self, b, start: int, target: int, sign: int, right: bool) -> None:
-        """Move the block W^sign at ``start`` to ``target``.  Every relator
-        id the move needs is read from the pool's table of the block, which
-        asks the pool once for each relator first letter it lacks, before
-        any move is applied."""
-        pool, w, L = b.pres, b.word, self.length
-        rids = pool._transport_ids.get(self.chain)
-        if rids is None:
-            rids = pool._transport_ids[self.chain] = {}
-        head = w[start]
-        letters = w[start + L:target + L] if right else w[target:start]
-        # a single-letter block meeting its own inverse swaps freely
-        stop = -head if L == 1 else None
-        # the set is filled in the order the block meets its letters, and a
-        # chain context numbers the relators it adds in the set's order
-        passed = set(letters if right else reversed(letters))
-        for t in passed:
-            if t != stop and sign * t not in rids:
-                rids[sign * t] = pool.relator_id((sign * t,) + self.chain)
-        # (shift, inv, split) of every swap of the block this way
-        swap = (L + 1 if sign > 0 else 0, int(right), L + 1)
-        ids = {t: rids[sign * t] for t in passed if t != stop}
-        if stop not in passed and b.transport(start, target, ids, swap, right):
-            return
-        if right:
-            positions = range(start, target)
-        else:
-            positions, letters = range(start - 1, target - 1, -1), letters[::-1]
-        b.extend(self._split_run(positions, letters, ids, swap, stop,
-                                 stop if right else head))
-
-    @staticmethod
-    def _split_run(positions, letters, ids, swap, stop, freed) -> list:
-        """One move per letter passed, the k-th at ``positions[k]``: the swap
-        ("ar", p, ids[t], *swap), or for the letter ``stop`` a free
-        reduction and the free expansion of ``freed``, the letter that ends
-        up at p."""
-        moves = []
-        for p, t in zip(positions, letters):
-            if t == stop:
-                moves += (("fr", p), ("fe", p, freed))
-            else:
-                moves.append(("ar", p, ids[t], *swap))
-        return moves
 
     def move_left(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` left to ``target``, swapping it with
         the letter t at each p it passes."""
-        self._move(b, start, target, sign, False)
+        b.transport(self.chain, start, target, sign, False)
 
     def move_right(self, b, start: int, target: int, sign: int) -> None:
         """Move the block at ``start`` right to ``target``, swapping it with
         the letter t at each p + L it passes."""
-        self._move(b, start, target, sign, True)
+        b.transport(self.chain, start, target, sign, True)
 
 
 def compression_word(pres: Presentation, chain, n: int, s: int) -> Word:

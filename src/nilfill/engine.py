@@ -25,9 +25,10 @@ serves both directions: it checks each next swap of a trace by its
 position, its range and one lookup in that table against the word's
 letter, and writes the run with one slice assignment.
 
-A builder's block transport (``SequenceBuilder.transport``) is checked
-by ``apply_transport`` from the block and the letters it passes, once per
-distinct letter, and its moves are built from the fields it checked;
+A builder's block transport has one entry, ``SequenceBuilder.transport``:
+it reads the relator ids of the letters the block passes off the pool,
+checks the move once per distinct letter and builds its moves from the
+fields it checked, or else hands ``apply_moves`` one move per letter;
 replay still checks every line.  ``SequenceBuilder.splice`` applies a
 batch the kernel has already checked (a ``CheckedMoves``) by its
 recorded effect wherever the subword it was checked on sits, and records
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
+from operator import neg
 
 from .errors import NotApplicable, NotNull
 from .presentations import Presentation
@@ -275,68 +277,6 @@ def _continue_run(word, moves, j, p, offset, n, left, right) -> int:
     return (q - first) * s
 
 
-def apply_transport(word: list, pres, start: int, target: int, rids: dict,
-                    swap: tuple, right: bool):
-    """Move the block at ``start`` to ``target`` by one swap per letter it
-    passes, rightwards when ``right``, and return the swaps as moves
-    ("ar", p, rids[t], *swap); None, with ``word`` untouched, when a check
-    fails or a letter passed has no relator id.  ``swap`` holds the fields
-    after the relator id, (shift, inv, split), which every swap of the
-    block on that side shares.
-
-    A swap does not change the word's length, and the letters passed stay
-    where they are until the block meets them, so each distinct letter t
-    is checked once: the template of its key (rids[t], *swap), cached or
-    built by ``_template`` with all of its checks, has the side's (block,
-    table) pair that every letter of the transport shares, and that table
-    maps the key to t.  With the block's letters found at ``start`` and
-    the run inside the word, this proves each swap that ``apply_moves``
-    proves, and the word is written with one slice assignment."""
-    lo, hi = (start, target) if right else (target, start)
-    if lo > hi or lo < 0:
-        return None
-    if lo == hi:
-        return []
-    templates = pres._move_templates
-    side = 4 if right else 3
-    pair = None
-    for t, rid in rids.items():
-        key = (rid, *swap)
-        template = templates.get(key)
-        if template is None:
-            try:
-                template = _template(pres, key, 0)
-            except NotApplicable:
-                return None
-        if pair is None:
-            pair = template[side]
-        if pair is None or template[side] is not pair or pair[1].get(key) != t:
-            return None
-    if pair is None:
-        return None
-    block = pair[0]
-    L = len(block)
-    if word[start:start + L] != block or hi + L > len(word):
-        return None
-    if right:
-        letters = word[start + L:target + L]
-        positions, order = range(start, target), letters
-    else:
-        letters = word[target:start]
-        positions, order = range(start - 1, target - 1, -1), reversed(letters)
-    shift, inv, split = swap
-    try:
-        moves = list(zip(repeat("ar"), positions, map(rids.__getitem__, order),
-                         repeat(shift), repeat(inv), repeat(split)))
-    except KeyError:
-        return None
-    if right:
-        word[start:target + L] = letters + block
-    else:
-        word[target:start + L] = block + letters
-    return moves
-
-
 @dataclass(frozen=True)
 class CheckedMoves:
     """A move batch at offset 0 and its effect, as the kernel found it on
@@ -488,16 +428,17 @@ def block_reduction_moves(pos: int, length: int) -> list:
 
 class SequenceBuilder:
     """Mutable word + emitted move segments.  Every move goes through the
-    kernel as it is emitted (``extend``, or ``transport`` for a block
-    transport), or is part of a batch the kernel checked on the very
-    subword it lands on (``splice``), so a finished builder yields a valid
-    sequence; the builder keeps the area and FL the kernel returns, so its
-    ``metrics`` equal those of a replay.  ``extend`` records a batch it
-    accepts, shifted by ``_shifted``, and ``transport`` the swaps it
-    accepts, in the open flat segment; ``splice`` records the record and
-    its offset as a segment of their own and opens a fresh flat one.  The
-    builder has no move semantics of its own; compound emissions are move
-    lists built by the functions above."""
+    kernel as it is emitted (``extend``), is a block transport checked
+    once per distinct letter it passes (``transport``, the one place a
+    transport's moves are built), or is part of a batch the kernel checked
+    on the very subword it lands on (``splice``), so a finished builder
+    yields a valid sequence; the builder keeps the area and FL the kernel
+    returns, so its ``metrics`` equal those of a replay.  ``extend``
+    records a batch it accepts, shifted by ``_shifted``, and ``transport``
+    the swaps it checked, in the open flat segment; ``splice`` records the
+    record and its offset as a segment of their own and opens a fresh flat
+    one.  Other compound emissions are move lists built by the functions
+    above."""
 
     __slots__ = ("pres", "initial", "word", "segments", "flat", "area", "fl")
 
@@ -520,17 +461,87 @@ class SequenceBuilder:
             self.fl = fl
         self.flat += _shifted(moves, offset)
 
-    def transport(self, start: int, target: int, rids: dict, swap: tuple,
-                  right: bool) -> bool:
-        """Move the block at ``start`` to ``target`` through
-        ``apply_transport`` and record its swaps; False, with nothing
-        applied or recorded, when the kernel's checks fail."""
-        moves = apply_transport(self.word, self.pres, start, target, rids, swap, right)
-        if moves is None:
-            return False
-        self.area += len(moves)
-        self.flat += moves
-        return True
+    def transport(self, chain: tuple, start: int, target: int, sign: int,
+                  right: bool) -> None:
+        """Move the block W^sign at ``start`` (W the nested commutator of
+        ``chain``) to ``target``, rightwards when ``right``, by one swap
+        per letter t it passes: a split application of the relator
+        [sign t, chain], whose id the pool names (``relator_id``) and keeps
+        (``_transport_ids[chain]``).  Every id the move lacks is asked for
+        before any move, so a missing relator raises ``NoTransportRelator``
+        first.
+
+        A swap does not change the word's length, and the letters passed
+        stay where they are until the block meets them, so each distinct
+        letter t is checked once: the template of its key, cached or built
+        by ``_template`` with all of its checks, has the side's (block,
+        table) pair that every letter of the transport shares, and that
+        table maps the key to t.  With the block's letters found at
+        ``start`` and the run inside the word, this proves each swap that
+        ``apply_moves`` proves: the word is written with one slice, and the
+        moves are built from the ids and fields checked.  A single-letter
+        block meeting its own inverse (which passes it by a free reduction
+        and a free expansion), and a move whose checks fail, go to
+        ``extend`` instead as one move per letter passed, so a refusal has
+        the reason, index and word of that batch."""
+        pool, word = self.pres, self.word
+        # the length of the nested commutator of ``chain``
+        L = 3 * 2 ** (len(chain) - 1) - 2
+        ids = pool._transport_ids.get(chain)
+        if ids is None:
+            ids = pool._transport_ids[chain] = {}
+        lo, hi = (start, target) if right else (target, start)
+        if lo >= hi:
+            return
+        if right:
+            letters = word[start + L:target + L]
+            positions, order = range(start, target), letters
+        else:
+            letters = word[target:start]
+            positions, order = range(start - 1, target - 1, -1), letters[::-1]
+        # a single-letter block meeting its own inverse swaps freely
+        stop = -word[start] if L == 1 else None
+        # the set is filled in the order the block meets its letters, and a
+        # chain context numbers the relators it adds in the set's order
+        passed = set(order)
+        for t in passed:
+            if t != stop and sign * t not in ids:
+                ids[sign * t] = pool.relator_id((sign * t,) + chain)
+        shift, inv, split = L + 1 if sign > 0 else 0, int(right), L + 1
+        block = None
+        if stop not in passed and lo >= 0 and hi + L <= len(word):
+            templates, side, pair = pool._move_templates, 4 if right else 3, None
+            for t in passed:
+                key = (ids[sign * t], shift, inv, split)
+                template = templates.get(key)
+                if template is None:
+                    try:
+                        template = _template(pool, key, 0)
+                    except NotApplicable:
+                        break
+                if pair is None:
+                    pair = template[side]
+                if pair is None or template[side] is not pair or pair[1].get(key) != t:
+                    break
+            else:
+                block = pair[0]
+        if block is not None and word[start:start + L] == block:
+            self.area += hi - lo
+            self.flat += zip(repeat("ar"), positions,
+                             map(ids.__getitem__, order if sign > 0 else map(neg, order)),
+                             repeat(shift), repeat(inv), repeat(split))
+            if right:
+                word[start:target + L] = letters + block
+            else:
+                word[target:start + L] = block + letters
+            return
+        moves = []
+        for p, t in zip(positions, order):
+            if t == stop:
+                moves += (("fr", p), ("fe", p, stop if right else -stop))
+            else:
+                moves.append(("ar", p, ids[sign * t], shift, inv, split))
+        self.extend(moves)
 
     def splice(self, record: CheckedMoves, offset: int = 0) -> None:
         """Apply ``record.moves`` at ``offset`` by their effect, and record

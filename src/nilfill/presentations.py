@@ -73,8 +73,9 @@ class Presentation:
         self._expansion = {}
         self.lift_table = ()    # set on a quotient by its parent's ``quotient``
         # filled by compression.chain_context (the chain contexts fills
-        # share), compression.BlockMover (transport ids) and engine._template
-        # (the move templates, and the swap table of each block and side)
+        # share), engine.SequenceBuilder.transport (transport ids) and
+        # engine._template (the move templates, and the swap table of each
+        # block and side)
         self._chain_ctxs: dict = {}
         self._transport_ids: dict = {}
         self._move_templates: dict = {}
@@ -103,7 +104,7 @@ class Presentation:
 
     def relator_id(self, chain) -> int:
         """Id of the nested commutator of ``chain``, the relator of a block's
-        swap with a letter (``compression.BlockMover``)."""
+        swap with a letter (``engine.SequenceBuilder.transport``)."""
         rid = self.relator_index.get(nested_commutator(chain))
         if rid is None:
             raise NoTransportRelator(

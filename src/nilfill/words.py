@@ -13,7 +13,6 @@ import re
 
 from .errors import NilfillError
 
-Letter = int
 Word = tuple  # tuple[int, ...]
 
 NAME_RE = re.compile(r"[a-z][a-z0-9_]*$")

@@ -180,8 +180,17 @@ def _transport(pres, w, chain, sign, start, target):
 
 @pytest.mark.parametrize("letters", range(1, 7))
 def test_block_mover_length_is_its_block_length(letters):
+    # a one-letter move of the block of a chain of 1..6 letters on a chain
+    # context, which adds any relator it is asked for: the block's letters
+    # all move, and the swap's shift and split are its length plus one
+    pres = Presentation([f"x{i}" for i in range(1, 8)], [1] * 7, [], 1)
     chain = tuple(range(1, letters + 1))
-    assert BlockMover(chain).length == len(nested_commutator(chain))
+    W = list(nested_commutator(chain))
+    for right, initial, final in ((False, [7] + W, W + [7]), (True, W + [7], [7] + W)):
+        b = SequenceBuilder(ChainContext(pres, chain), initial)
+        b.transport(chain, int(not right), int(right), 1, right)
+        assert b.word == final
+        assert b.moves == [("ar", 0, 0, len(W) + 1, int(right), len(W) + 1)]
 
 
 def test_transport_block_costs_length():
@@ -223,10 +232,29 @@ def test_transport_level2_relator_past_x1():
 
 def test_transport_missing_relator():
     pres, chain = chain_setup(2)
+    W = nested_commutator((1, 2, 2))
     with pytest.raises(NoTransportRelator):
         # a chain of c letters needs a (c+1)-entry relator, which P_1 has,
         # but a (c+1)-chain needs (c+2) entries, which it lacks
-        _transport(pres, (1,) + nested_commutator((1, 2, 2)), (1, 2, 2), +1, 1, 0)
+        _transport(pres, (1,) + W, (1, 2, 2), +1, 1, 0)
+    with pytest.raises(NoTransportRelator):
+        _transport(pres, W + (1,), (1, 2, 2), +1, 0, 1)
+    # a pool with the relators [t, x1, x2] of t = x1 and x1^-1 only: the
+    # block meets x1 letters first and x2 last, and every id is asked for
+    # before any move, so the refused builder is as it was
+    chain = (1, 2)
+    pres = Presentation(["x1", "x2"], [1, 1],
+                        [nested_commutator((t,) + chain) for t in (1, -1)], 2)
+    W = list(nested_commutator(chain))
+    for right, initial, start, step, target in ((False, [2, 1, -1, 1] + W, 4, -1, 0),
+                                                (True, W + [1, -1, 1, 2], 0, 1, 4)):
+        b = SequenceBuilder(pres, initial)
+        b.transport(chain, start, start + step, 1, right)
+        before = (list(b.word), list(b.moves), b.area, b.fl)
+        assert before[2] == 1
+        with pytest.raises(NoTransportRelator):
+            b.transport(chain, start + step, target, 1, right)
+        assert (b.word, b.moves, b.area, b.fl) == before
 
 
 def _per_swap_moves(pool, chain, word, start, target, sign):
@@ -278,13 +306,13 @@ def test_a_transport_equals_its_swaps_one_per_call(name, right, sign, monkeypatc
     # one per kernel call; only a single-letter block meeting its own
     # inverse takes the per-swap batch
     pool, chain, letters = _transport_pool(name)
-    split, calls = BlockMover._split_run, []
+    extend, calls = SequenceBuilder.extend, []
 
-    def counted(*args):
+    def counted(self, *args):
         calls.append(args)
-        return split(*args)
+        return extend(self, *args)
 
-    monkeypatch.setattr(BlockMover, "_split_run", staticmethod(counted))
+    monkeypatch.setattr(SequenceBuilder, "extend", counted)
     block = nested_commutator(chain)
     if sign < 0:
         block = inverse_word(block)
@@ -305,7 +333,7 @@ def test_a_transport_equals_its_swaps_one_per_call(name, right, sign, monkeypatc
             target = 0 if k % 2 else rng.randint(0, start)
         b = SequenceBuilder(pool, initial)
         del calls[:]
-        BlockMover(chain)._move(b, start, target, sign, right)
+        b.transport(tuple(chain), start, target, sign, right)
         moves = _per_swap_moves(pool, chain, initial, start, target, sign)
         assert one_move_per_call(pool, initial, moves) == ("ok", b.area, b.fl, b.word)
         assert b.moves == moves and b.metrics.height == len(moves)
@@ -330,7 +358,7 @@ def test_a_refused_transport_fails_as_its_per_swap_moves(right, fault):
         pres._transport_ids[chain] = {t: pres.relator_id((t, 2, 1, 3))}
     b = SequenceBuilder(pres, initial)
     with pytest.raises(NotApplicable) as got:
-        BlockMover(chain)._move(b, start, target, 1, right)
+        b.transport(tuple(chain), start, target, 1, right)
     parent = SequenceBuilder(pres, initial)
     with pytest.raises(NotApplicable) as want:
         parent.extend(_per_swap_moves(pres, chain, initial, start, target, 1))
@@ -349,7 +377,7 @@ def test_a_transport_with_a_negative_end_moves_as_its_per_swap_moves(right, star
     W = list(nested_commutator(chain))
     initial = W + letters if right else letters + W
     outcomes = []
-    for run in (lambda b: BlockMover(chain)._move(b, start, target, 1, right),
+    for run in (lambda b: b.transport(tuple(chain), start, target, 1, right),
                 lambda b: b.extend(_per_swap_moves(pres, chain, initial, start, target, 1))):
         b, error = SequenceBuilder(pres, initial), None
         try:
