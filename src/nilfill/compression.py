@@ -25,9 +25,8 @@ in one move that replaces the block-letter pair.  A block moves this one
 way on the chain presentation (level 0) and on the inner levels, whose
 relator pool is the chain context itself: its builder's one transport
 entry (``SequenceBuilder.transport``, reached through a ``BlockMover``)
-asks the pool it writes to for each swap's relator (``relator_id``),
-which the pool keeps (``_transport_ids``).  A carry
-lifts an inner sequence one chain level down: the two halves of a
+asks the pool it writes to for each swap's relator (``relator_id``).  A
+carry lifts an inner sequence one chain level down: the two halves of a
 commutator run it and its mirror side by side, each move mirrored by
 ``engine.mirror_move``, the rule of ``invert_sequence``.  The lift writes
 each inner swap as the insertion of the inverse of its whole unrotated
@@ -42,6 +41,7 @@ from __future__ import annotations
 from .engine import (
     CheckedMoves,
     PSequence,
+    RelatorPool,
     SequenceBuilder,
     block_reduction_moves,
     check_moves,
@@ -55,7 +55,7 @@ from .presentations import Presentation
 from .words import MAX_WORD_LENGTH, Word, commutator, inverse_word, nested_commutator
 
 
-class ChainContext:
+class ChainContext(RelatorPool):
     """A commutator chain bound to a presentation holding its transport
     relators, and the relator pool of the chain's inner levels.  Letters
     are weight-1 generator indices and may repeat.
@@ -65,14 +65,10 @@ class ChainContext:
     presentation, whose relators are not relators of the ambient group.
     Those inner sequences are scaffolding: each of their applications is
     re-created in the ambient presentation by free expansions plus
-    transports, so the pool only has to name the inserted words.  Like a
-    presentation, it names the relator of a swap (``relator_id``), adding
-    it on the first request: relator ``rid`` is the nested commutator of
-    the chain ``chains[rid]``, which the lift reads back to move the
-    leftover block.  Like a presentation, too, the context keeps the
-    kernel's move templates, swap tables and last long relator, and its
-    blocks' transport ids (``_transport_ids``: block chain -> t -> id of
-    [t, chain]).
+    transports, so the pool only has to name the inserted words.  It adds
+    the relator of a swap on the first request (``_name``): relator ``rid``
+    is the nested commutator of the chain ``chains[rid]``, which the lift
+    reads back to move the leftover block.
 
     The context builds, mirrors and keeps register increments (``record``):
     ``increments`` maps (n, s, mirrored), with s = q mod n^c, to the
@@ -105,27 +101,16 @@ class ChainContext:
                 raise OutOfRange(f"chain letter {a} is not a weight-1 generator")
         self.c = len(self.chain)
         self.z_words = [nested_commutator(self.chain[k:]) for k in range(self.c)]
-        self.rank = pres.rank
-        self.relators: list = []
+        super().__init__([], pres.rank)
         self.chains: list = []
-        self._index: dict = {}
-        self._move_templates: dict = {}
-        self._long_relator = None       # engine._long_template: (rid, r, r^-1)
-        self._swap_tables: dict = {}
-        self._transport_ids: dict = {}
         self.increments: dict = {}
         self._move_pool: dict = {}
 
-    def relator_id(self, chain) -> int:
-        """Id of the nested commutator of ``chain`` in the inner pool, added
-        on the first request."""
-        rid = self._index.get(chain)
-        if rid is None:
-            rid = len(self.relators)
-            self.relators.append(nested_commutator(chain))
-            self.chains.append(chain)
-            self._index[chain] = rid
-        return rid
+    def _name(self, chain) -> int:
+        """Add the nested commutator of ``chain`` to the inner pool."""
+        self.relators.append(nested_commutator(chain))
+        self.chains.append(chain)
+        return len(self.relators) - 1
 
     def intern(self, moves) -> tuple:
         """``moves`` as a tuple whose equal moves are one shared object."""

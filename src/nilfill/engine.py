@@ -15,26 +15,23 @@ position makes the trace invalid, it is never repaired.
 
 ``apply_moves`` checks moves: the validator's replay and every builder
 batch go through it, and ``SequenceBuilder`` records the batches it
-accepts.  It reads a move's u and v from a template, cached on the
-presentation for a relator of at most ``MAX_CACHED_RELATOR`` letters.  A
-transport is a run of swaps, each an application that moves a block W
-one letter (u = t W -> v = W t, or u = W t -> v = t W).  Caching such a
-template enters its key in the pool's swap table of that block and side,
-as the letter the swap passes; after the first swap of a run, one loop
-serves both directions: it checks each next swap of a trace by its
-position, its range and one lookup in that table against the word's
-letter, and writes the run with one slice assignment.
+accepts.  It reads a move's u and v from a template, and a run of swaps
+(each an application that moves a block W one letter: u = t W -> v = W t,
+or u = W t -> v = t W) from the swap tables of the relator pool
+(``RelatorPool``): after the first swap of a run, one loop serves both
+directions, checking each next swap by its position, its range and one
+table lookup against the word's letter, and writes the run with one
+slice assignment.
 
 A builder's block transport has one entry, ``SequenceBuilder.transport``:
-it reads the relator ids of the letters the block passes off the pool,
-checks the move once per distinct letter and builds its moves from the
-fields it checked, or else hands ``apply_moves`` one move per letter;
-replay still checks every line.  ``SequenceBuilder.splice`` applies a
-batch the kernel has already checked (a ``CheckedMoves``) by its
-recorded effect wherever the subword it was checked on sits, and records
-it as a segment: the record and its offset, with no copy of its moves.
-A ``PSequence`` keeps those segments; its ``moves`` list is built only
-when it is read.
+it checks the move once per distinct letter passed and builds its moves
+from the fields it checked, or else hands ``apply_moves`` one move per
+letter; replay still checks every line.  ``SequenceBuilder.splice``
+applies a batch the kernel has already checked (a ``CheckedMoves``) by
+its recorded effect wherever the subword it was checked on sits, and
+records it as a segment: the record and its offset, with no copy of its
+moves.  A ``PSequence`` keeps those segments; its ``moves`` list is built
+only when it is read.
 """
 
 from __future__ import annotations
@@ -44,15 +41,48 @@ from itertools import chain, islice, repeat
 from operator import neg
 
 from .errors import NotApplicable, NotNull
-from .presentations import Presentation
 from .words import MAX_WORD_LENGTH, Word, inverse_word
 
 # A template is cached only for a relator of at most this many letters (the
 # longest relator built, on the class-4 chain, has 46): a longer relator's
-# template is cut per move from the relator and its inverse, which the pool
-# keeps for its last long relator, at the cost of applying it, so the cache
-# holds at most twice this many letters per trace line.
+# template is cut again for each move, at the cost of applying it, so the
+# cache holds at most twice this many letters per trace line.
 MAX_CACHED_RELATOR = 64
+
+
+class RelatorPool:
+    """A relator set, by id, and the tables the kernel keeps for it: the
+    presentation's relators (``Presentation``) at a filling's outer level,
+    the commutators a ``ChainContext`` names on a carry's inner levels.
+    The tables fill as moves are checked, and every builder and replay on
+    the pool shares them:
+
+    - ``_move_templates``: key (rid, shift, inv, split) of an ``ar`` move
+      -> its template (``_template``), for relators of at most
+      ``MAX_CACHED_RELATOR`` letters;
+    - ``_swap_tables``: (side, *block) -> (block, {key: letter passed}),
+      the cached templates that swap the block that way;
+    - ``_last_relator``: (rid, r, r^-1), as lists, of the last relator a
+      template was cut from;
+    - ``_transport_ids``: block chain -> t -> id of [t, chain], kept by
+      ``relator_id``; a subclass's ``_name(chain)`` supplies a missing id."""
+
+    def __init__(self, relators, rank: int):
+        self.relators = relators
+        self.rank = rank
+        self._move_templates: dict = {}
+        self._swap_tables: dict = {}
+        self._last_relator = None
+        self._transport_ids: dict = {}
+
+    def relator_id(self, chain) -> int:
+        """Id of the nested commutator of ``chain``, the relator of a block's
+        swap with a letter."""
+        rid = self._transport_ids.get(chain[1:], {}).get(chain[0])
+        if rid is None:
+            rid = self._name(chain)
+            self._transport_ids.setdefault(chain[1:], {})[chain[0]] = rid
+        return rid
 
 
 @dataclass(frozen=True)
@@ -75,7 +105,7 @@ class PSequence:
 
     __slots__ = ("presentation", "initial", "segments", "metrics")
 
-    def __init__(self, presentation: Presentation, initial: Word, moves=(),
+    def __init__(self, presentation: RelatorPool, initial: Word, moves=(),
                  metrics: "Metrics | None" = None, segments=None):
         self.presentation = presentation
         self.initial = initial
@@ -104,25 +134,25 @@ def _flatten(segments):
                                     for _, moves, offset in segments))
 
 
-def _template(pres, key, index: int):
+def _template(pool, key, index: int):
     """(u, v, len(v) - len(u), left, right) for the relator application
-    whose fields after the position are ``key``, checked, and cached on the
-    presentation when the relator has at most ``MAX_CACHED_RELATOR``
-    letters.  A cached template that swaps a block W with a letter t
-    enters its key in the pool's swap table of that block and side, which
-    maps the key of every cached template that swaps the block that way to
-    the letter it passes.  ``left`` is the block's (W, table) pair when
-    the application is u = t W -> v = W t (the block moves left past t =
-    u[0]), ``right`` when it is u = W t -> v = t W (right past t = u[-1]);
-    otherwise None, as for every uncached template.  A single-letter
-    block's swap a b -> b a reads both ways.  A longer relator's u and v
-    are cut by ``_long_template``."""
+    whose fields after the position are ``key``, checked.  With rv the
+    relator read (r, or r^-1 when ``inv``) and rw its inverse, u is
+    rv[shift:] followed by its start, and v, the inverse of the rest of
+    the rotation, is the slice of rw that mirrors it, both cut from the
+    pool's ``_last_relator``.  A cached template that swaps a block W with
+    a letter t enters its key in the swap table of that block and side:
+    ``left`` is the block's (W, table) pair when the application is
+    u = t W -> v = W t (the block moves left past t = u[0]), ``right``
+    when it is u = W t -> v = t W (right past t = u[-1]); otherwise None,
+    as for every uncached template.  A single-letter block's swap a b ->
+    b a reads both ways."""
     if len(key) != 4:
         raise NotApplicable("relator application needs five fields", index)
     rid, shift, inv, split = key
-    if not 0 <= rid < len(pres.relators):
+    if not 0 <= rid < len(pool.relators):
         raise NotApplicable(f"relator id {rid} out of range", index)
-    r = pres.relators[rid]
+    r = pool.relators[rid]
     n = len(r)
     if not 0 <= shift < n:
         raise NotApplicable(f"shift {shift} out of range for relator {rid}", index)
@@ -130,15 +160,20 @@ def _template(pres, key, index: int):
         raise NotApplicable(f"inversion flag {inv} is not 0 or 1", index)
     if not 0 <= split <= n:
         raise NotApplicable(f"split {split} out of range for relator {rid}", index)
+    slot = pool._last_relator
+    if slot is None or slot[0] != rid:
+        slot = pool._last_relator = (rid, list(r), list(inverse_word(r)))
+    rv, rw = (slot[2], slot[1]) if inv else (slot[1], slot[2])
+    end = shift + split
+    if end <= n:
+        u, v = rv[shift:end], rw[n - shift:] + rw[:n - end]
+    else:
+        u, v = rv[shift:] + rv[:end - n], rw[n - shift:2 * n - end]
     if n > MAX_CACHED_RELATOR:
-        u, v = _long_template(pres, rid, shift, inv, split)
         return u, v, len(v) - len(u), None, None
-    rv = inverse_word(r) if inv else r
-    rot = rv[shift:] + rv[:shift]
-    u, v = list(rot[:split]), list(inverse_word(rot[split:]))
     left = right = None
     if split > 1 and len(v) == split:
-        tables = pres._swap_tables
+        tables = pool._swap_tables
         head, tail = v[:-1], v[1:]
         if u[0] == v[-1] and u[1:] == head:
             left = tables.setdefault(("left", *head), (head, {}))
@@ -146,30 +181,11 @@ def _template(pres, key, index: int):
         if u[-1] == v[0] and u[:-1] == tail:
             right = tables.setdefault(("right", *tail), (tail, {}))
             right[1][key] = u[-1]
-    template = pres._move_templates[key] = (u, v, len(v) - len(u), left, right)
+    template = pool._move_templates[key] = (u, v, len(v) - len(u), left, right)
     return template
 
 
-def _long_template(pres, rid: int, shift: int, inv: int, split: int):
-    """(u, v) of a checked key of the long relator ``rid``, cut from the
-    relator r and its inverse, which the pool keeps as lists for the last
-    long relator it used (``_long_relator``).  With rv the relator read
-    (r, or r^-1 when ``inv``) and rw its inverse, u is rv[shift:] followed
-    by its start, and v, the inverse of the rest of the rotation, is the
-    slice of rw that mirrors it: no inverse and no rotated copy is built
-    per move."""
-    slot = pres._long_relator
-    if slot is None or slot[0] != rid:
-        r = pres.relators[rid]
-        slot = pres._long_relator = (rid, list(r), list(inverse_word(r)))
-    rv, rw = (slot[2], slot[1]) if inv else (slot[1], slot[2])
-    n, end = len(rv), shift + split
-    if end <= n:
-        return rv[shift:end], rw[n - shift:] + rw[:n - end]
-    return rv[shift:] + rv[:end - n], rw[n - shift:2 * n - end]
-
-
-def apply_moves(word: list, moves, pres: Presentation, offset: int = 0):
+def apply_moves(word: list, moves, pres: RelatorPool, offset: int = 0):
     """Apply ``moves``, each position shifted by ``offset``, to ``word`` in
     place; returns (area, fl) of the batch, fl counting the starting word.
 
@@ -297,7 +313,7 @@ class CheckedMoves:
     trace_lines: dict = field(default_factory=dict, compare=False, repr=False)
 
 
-def check_moves(pres: Presentation, before, moves) -> CheckedMoves:
+def check_moves(pres: RelatorPool, before, moves) -> CheckedMoves:
     """Run ``moves`` through the kernel on ``before`` and record the effect."""
     word = list(before)
     area, fl = apply_moves(word, moves, pres)
@@ -442,7 +458,7 @@ class SequenceBuilder:
 
     __slots__ = ("pres", "initial", "word", "segments", "flat", "area", "fl")
 
-    def __init__(self, pres: Presentation, initial: Word):
+    def __init__(self, pres: RelatorPool, initial: Word):
         self.pres = pres
         self.initial = tuple(initial)
         self.word = list(initial)
@@ -466,10 +482,11 @@ class SequenceBuilder:
         """Move the block W^sign at ``start`` (W the nested commutator of
         ``chain``) to ``target``, rightwards when ``right``, by one swap
         per letter t it passes: a split application of the relator
-        [sign t, chain], whose id the pool names (``relator_id``) and keeps
-        (``_transport_ids[chain]``).  Every id the move lacks is asked for
-        before any move, so a missing relator raises ``NoTransportRelator``
-        first.
+        [sign t, chain] (``relator_id``).  Every id the move lacks is asked
+        for before any move, so a missing relator raises
+        ``NoTransportRelator`` first.  A ``target`` on the other side of
+        ``start`` raises NotApplicable and leaves the builder as it was;
+        ``target == start`` moves nothing.
 
         A swap does not change the word's length, and the letters passed
         stay where they are until the block meets them, so each distinct
@@ -487,11 +504,12 @@ class SequenceBuilder:
         pool, word = self.pres, self.word
         # the length of the nested commutator of ``chain``
         L = 3 * 2 ** (len(chain) - 1) - 2
-        ids = pool._transport_ids.get(chain)
-        if ids is None:
-            ids = pool._transport_ids[chain] = {}
+        ids = pool._transport_ids.setdefault(chain, {})
         lo, hi = (start, target) if right else (target, start)
         if lo >= hi:
+            if lo > hi:
+                raise NotApplicable(f"{'rightward' if right else 'leftward'} transport "
+                                    f"from {start} cannot end at {target}")
             return
         if right:
             letters = word[start + L:target + L]
@@ -506,7 +524,7 @@ class SequenceBuilder:
         passed = set(order)
         for t in passed:
             if t != stop and sign * t not in ids:
-                ids[sign * t] = pool.relator_id((sign * t,) + chain)
+                pool.relator_id((sign * t,) + chain)
         shift, inv, split = L + 1 if sign > 0 else 0, int(right), L + 1
         block = None
         if stop not in passed and lo >= 0 and hi + L <= len(word):

@@ -19,6 +19,7 @@ import re
 from functools import cached_property, lru_cache
 
 from . import oracle
+from .engine import RelatorPool
 from .errors import (NilfillError, NoTransportRelator, OutOfRange,
                      PresentationSyntaxError, UnsupportedIndex)
 from .words import (
@@ -34,11 +35,13 @@ from .words import (
 )
 
 
-class Presentation:
-    """Immutable generators + relators + class, with derived lookups.
+class Presentation(RelatorPool):
+    """Generators + relators + class, with derived lookups; the relator
+    pool of a filling's outer level.
 
-    The derived tables (``relator_index``, ``basis``, ``quotient``,
-    ``text`` and the counts) are built on first use and kept.
+    The generators and relators never change.  The derived tables
+    (``relator_index``, ``basis``, ``quotient``, ``text`` and the counts)
+    are built on first use and kept.
     ``load_presentation`` hands one object to every load of the same text,
     so a caller that needs a presentation of its own (a cold one, or one
     per worker) builds it with ``Presentation(...)``."""
@@ -46,7 +49,6 @@ class Presentation:
     def __init__(self, names, weights, relators, nclass, parents=None):
         self.names = tuple(names)
         self.weights = tuple(weights)
-        self.relators = tuple(tuple(r) for r in relators)
         self.nclass = nclass
         self.parents = tuple(parents) if parents else (None,) * len(self.names)
         if len(self.weights) != len(self.names) or len(self.parents) != len(self.names):
@@ -59,7 +61,8 @@ class Presentation:
                 raise NilfillError(f"weight {weight!r} is not a positive integer")
         if nclass < 1:
             raise NilfillError(f"class {nclass!r} is not a positive integer")
-        self.rank = rank = len(self.names)
+        rank = len(self.names)
+        super().__init__(tuple(tuple(r) for r in relators), rank)
         letters = set().union(*self.relators)
         if letters and (0 in letters or min(letters) < -rank or max(letters) > rank):
             # scan in relator order, so the error names the first bad letter
@@ -72,15 +75,7 @@ class Presentation:
             raise NilfillError("duplicate generator names")
         self._expansion = {}
         self.lift_table = ()    # set on a quotient by its parent's ``quotient``
-        # filled by compression.chain_context (the chain contexts fills
-        # share), engine.SequenceBuilder.transport (transport ids) and
-        # engine._template (the move templates, and the swap table of each
-        # block and side)
-        self._chain_ctxs: dict = {}
-        self._transport_ids: dict = {}
-        self._move_templates: dict = {}
-        self._long_relator = None       # engine._long_template: (rid, r, r^-1)
-        self._swap_tables: dict = {}
+        self._chain_ctxs: dict = {}     # compression.chain_context
 
     # -- basic views --------------------------------------------------------
 
@@ -102,9 +97,9 @@ class Presentation:
             idx.setdefault(r, rid)
         return idx
 
-    def relator_id(self, chain) -> int:
-        """Id of the nested commutator of ``chain``, the relator of a block's
-        swap with a letter (``engine.SequenceBuilder.transport``)."""
+    def _name(self, chain) -> int:
+        """The id of the nested commutator of ``chain`` among the relators
+        (``RelatorPool.relator_id``)."""
         rid = self.relator_index.get(nested_commutator(chain))
         if rid is None:
             raise NoTransportRelator(

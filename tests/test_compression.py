@@ -389,6 +389,28 @@ def test_a_transport_with_a_negative_end_moves_as_its_per_swap_moves(right, star
     assert (outcomes[0][0] is not None) == right
 
 
+@pytest.mark.parametrize("right", (False, True), ids=("left", "right"))
+def test_a_transport_toward_the_wrong_side_is_refused(right):
+    # a target past the block's far side names the direction and leaves
+    # the builder as it was; a target at the start moves nothing
+    pres, chain, letters = build_chain_presentation(2, 1), (1, 2), [1, 2, -1]
+    W = list(nested_commutator(chain))
+    initial = letters + W + letters
+    start = len(letters)
+    b = SequenceBuilder(pres, initial)
+    b.transport(chain, start, start + (1 if right else -1), 1, right)
+    before = (list(b.word), list(b.moves), b.area, b.fl)
+    start += 1 if right else -1
+    b.transport(chain, start, start, 1, right)
+    assert (b.word, b.moves, b.area, b.fl) == before
+    direction = "rightward" if right else "leftward"
+    wrong = start - 1 if right else start + 1
+    with pytest.raises(NotApplicable, match=f"{direction} transport from {start} "
+                                            f"cannot end at {wrong}"):
+        b.transport(chain, start, wrong, 1, right)
+    assert (b.word, b.moves, b.area, b.fl) == before
+
+
 def test_context_relator_id_adds_a_relator_once():
     pres, chain = chain_setup(2)
     ctx = ChainContext(pres, chain)

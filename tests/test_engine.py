@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import random
 
 import pytest
@@ -5,6 +7,7 @@ from helpers import (apply_move, fill, longest_relator, one_move_per_call,
                      random_valid_sequence)
 
 from nilfill import engine, oracle
+from nilfill.compression import ChainContext
 from nilfill.engine import (
     CheckedMoves,
     PSequence,
@@ -18,10 +21,10 @@ from nilfill.engine import (
     replay,
     validate_null,
 )
-from nilfill.errors import NotApplicable, NotNull
+from nilfill.errors import NoTransportRelator, NotApplicable, NotNull
 from nilfill.presentations import (Presentation, build_chain_presentation,
                                   build_filler_presentation)
-from nilfill.words import inverse_word
+from nilfill.words import inverse_word, nested_commutator
 
 
 @pytest.fixture(scope="module")
@@ -660,5 +663,76 @@ def test_a_long_relator_template_is_cut_from_the_relator_and_its_inverse():
                     u, v = list(rot[:split]), list(inverse_word(rot[split:]))
                     key = (rid, shift, inv, split)
                     assert engine._template(pres, key, 0) == (u, v, n - 2 * split, None, None)
-        assert pres._long_relator == (rid, list(r), list(inverse_word(r)))
+        assert pres._last_relator == (rid, list(r), list(inverse_word(r)))
     assert pres._move_templates == {}
+
+
+def _fresh_pool(name):
+    """A pool of its own whose relators are those of ``name``: the chain
+    presentation P_1 of class 2, every seventh relator of the class-3
+    filler presentation on two letters, or a chain context that has named
+    the commutators of its subchains with every signed letter."""
+    if name == "chain-2-1":
+        p = build_chain_presentation(2, 1)
+        return Presentation(p.names, p.weights, p.relators, p.nclass)
+    if name == "filler-3-2":
+        p = build_filler_presentation(3, 2)
+        return Presentation(p.names, p.weights, p.relators[::7], p.nclass, p.parents)
+    ctx = ChainContext(build_chain_presentation(3, 1), (1, 2, 3))
+    for chain in ((3,), (2, 3), (1, 2, 3)):
+        for t in (1, -1, 2, -2, 3, -3):
+            ctx.relator_id((t,) + chain)
+    return ctx
+
+
+@pytest.mark.parametrize("name", ("chain-2-1", "filler-3-2", "context"))
+def test_every_template_is_cut_by_the_rotation_formula(name):
+    # every key of every relator of a fresh pool, short relators whose
+    # templates are cached, read against u = r'[:split] and
+    # v = (r'[split:])^-1 for the rotation r' of the relator read
+    pool = _fresh_pool(name)
+    assert pool.relators and pool._move_templates == {}
+    for rid, r in enumerate(pool.relators):
+        n = len(r)
+        assert n <= engine.MAX_CACHED_RELATOR
+        for shift in range(n):
+            for inv in (0, 1):
+                rv = inverse_word(r) if inv else r
+                rot = rv[shift:] + rv[:shift]
+                for split in range(n + 1):
+                    u, v = list(rot[:split]), list(inverse_word(rot[split:]))
+                    key = (rid, shift, inv, split)
+                    assert engine._template(pool, key, 0)[:3] == (u, v, n - 2 * split)
+                    assert pool._move_templates[key][:2] == (u, v)
+        assert pool._last_relator == (rid, list(r), list(inverse_word(r)))
+
+
+def test_each_pool_keeps_a_relator_id_by_block_chain_and_letter():
+    # a presentation looks the relator up, a chain context adds it; both
+    # keep the id at _transport_ids[chain[1:]][chain[0]], and a relator the
+    # presentation lacks raises and is kept nowhere
+    pres, ctx = _fresh_pool("chain-2-1"), _fresh_pool("context")
+    for pool, chains in ((pres, [(1, 1, 2), (-2, 1, 2)]), (ctx, [(1, 2, 1), (-3, 3)])):
+        for chain in chains:
+            rid = pool.relator_id(chain)
+            assert pool.relators[rid] == nested_commutator(chain)
+            assert pool._transport_ids[chain[1:]][chain[0]] == rid
+            assert pool.relator_id(chain) == rid
+    named = len(ctx.relators)
+    ctx.relator_id((2, 1, 2, 1))
+    assert len(ctx.relators) == named + 1 and ctx.chains[-1] == (2, 1, 2, 1)
+    tables = {chain: dict(ids) for chain, ids in pres._transport_ids.items()}
+    with pytest.raises(NoTransportRelator):
+        pres.relator_id((1, 1, 2, 2))
+    assert pres._transport_ids == tables
+
+
+def test_the_kernel_imports_only_errors_and_words():
+    # the kernel is the bottom layer: the pools it checks moves on are its
+    # own ``RelatorPool`` subclasses, and it imports no module that does
+    tree = ast.parse(pathlib.Path(engine.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names if alias.name.startswith("nilfill")}
+    assert imported == {"errors", "words"}
