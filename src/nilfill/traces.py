@@ -103,10 +103,11 @@ def save_trace(seq: PSequence, path, presentation_path: str) -> None:
 
 
 class _MoveMemo(dict):
-    """Trace body line -> its move, for one parse.  A line is parsed at its
-    first lookup, so each distinct line is parsed once and equal lines
-    share one move tuple.  A line that is not in the grammar raises
-    NilfillError with its reason and is not stored: an integer field must
+    """Trace body line -> its move, for the parses against one
+    presentation (``pres``).  A line is parsed at its first lookup, so
+    each distinct line is parsed once and equal lines share one move
+    tuple.  A line that is not in the grammar raises NilfillError with
+    its reason and is not stored: an integer field must
     be an ASCII decimal integer (``-?[0-9]+``) that ``int()`` takes,
     fields are separated by single spaces and an ``fe`` letter is written
     ``NAME`` or ``NAME^-1``.
@@ -118,10 +119,11 @@ class _MoveMemo(dict):
     ``letters``, or no tail for ``fr``.  The grammar reads every other
     line, so it alone gives the refusals."""
 
-    __slots__ = ("letters", "tails")
+    __slots__ = ("letters", "pres", "tails")
 
     def __init__(self, pres: Presentation):
         super().__init__()
+        self.pres = pres
         # each letter in the one form the trace writer gives it
         self.letters = {format_letter(a, pres.names): a
                         for i in range(1, pres.rank + 1) for a in (i, -i)}
@@ -180,6 +182,16 @@ class _MoveMemo(dict):
         return move
 
 
+# A parse's line memo is kept for the next parse while it holds at most
+# this many lines (1-3 MB).
+MAX_KEPT_LINES = 1 << 13
+
+# The line memo of the last parse, or None.  A parse takes it out while it
+# runs, starts afresh if it was made against another presentation, and
+# puts its own back if that is small enough.
+_kept_memo = None
+
+
 def _pieces(text: str):
     """``text.splitlines()`` one bounded piece at a time, as (lines, last)
     pairs.  Each cut follows a "\\n", so the pieces' lists join to
@@ -194,10 +206,16 @@ def _pieces(text: str):
 def parse_trace(text: str, pres: Presentation):
     """Parse trace text against a presentation; returns (PSequence, pres path).
 
-    Each distinct line is parsed once per call, and equal lines share one
-    move tuple.  Raises TraceSyntaxError with the 1-based line number of
-    the first line that is not in the grammar.  The text is split in
-    pieces, so only one piece's lines are held at a time."""
+    Each distinct line is parsed once, and equal lines share one move
+    tuple.  The line memo outlives the call while it holds at most
+    ``MAX_KEPT_LINES`` lines, so the next parse against the same
+    presentation object starts from it: a process that checks many
+    certificates of one presentation parses a line they share once.  A
+    bad line is never stored, so a warm memo gives the same moves and
+    refusals as a cold one.  Raises TraceSyntaxError with the 1-based line
+    number of the first line that is not in the grammar.  The text is
+    split in pieces, so only one piece's lines are held at a time."""
+    global _kept_memo
     pieces = _pieces(text)
     lines, last = next(pieces, ([], True))
     while len(lines) < 2 and not last:      # a long first line fills a piece
@@ -211,7 +229,9 @@ def parse_trace(text: str, pres: Presentation):
     except NilfillError as exc:
         raise TraceSyntaxError(1, str(exc)) from None
     pres_path = lines[1][len("presentation:"):].strip()
-    move_of = _MoveMemo(pres)
+    move_of, _kept_memo = _kept_memo, None
+    if move_of is None or move_of.pres is not pres:
+        move_of = _MoveMemo(pres)
     moves = []
     bad = None          # (line number, reason) of the first bad body line
     before, start = 0, 2    # file lines ahead of `lines`; its first body line
@@ -219,16 +239,20 @@ def parse_trace(text: str, pres: Presentation):
         end = len(lines)
         if last:        # a header line is never "qed", so a "qed" here ends the body
             if lines[-1] != "qed":
-                raise TraceSyntaxError(before + end + 1, "missing final qed line")
+                bad = before + end + 1, "missing final qed line"
+                break
             end -= 1
         if bad is None:
             try:
                 moves += map(move_of.__getitem__, islice(lines, start, end))
             except NilfillError as exc:
-                # every line ahead of the bad one is in the memo by now
+                # every line ahead of the bad one is in the memo by now,
+                # and a bad line never is
                 index = next(i for i in range(start, end) if lines[i] not in move_of)
                 bad = before + index + 1, str(exc)
         before, start = before + len(lines), 0
+    if len(move_of) <= MAX_KEPT_LINES:
+        _kept_memo = move_of
     if bad is not None:
         raise TraceSyntaxError(*bad)
     return PSequence(pres, initial, moves), pres_path

@@ -410,3 +410,72 @@ def test_position_after_a_known_tail_reads_as_after_an_unknown_one(
     if pos == "-3":
         code, verdict = verdict_line(PSequence(pres, (1, -1), moves[:1]), require_null=False)
         assert code == 1 and verdict.endswith(" at -3 out of range")
+
+
+# -- the line memo kept between parses ----------------------------------------
+#
+# A parse keeps its line memo for the next parse against the same
+# presentation object while it holds at most MAX_KEPT_LINES lines.  A warm
+# memo must give the moves and refusals of a cold one.
+
+def _cold(monkeypatch, text, pres):
+    """The outcome of ``text`` parsed with no memo kept."""
+    monkeypatch.setattr(traces, "_kept_memo", None)
+    return _outcome(text, pres)
+
+
+def test_a_second_parse_of_a_text_parses_no_line(monkeypatch, c3_trace):
+    text, pres = c3_trace
+    first, _ = parse_trace(text, pres)
+    missing, parsed = traces._MoveMemo.__missing__, []
+
+    def spy(memo, line):
+        parsed.append(line)
+        return missing(memo, line)
+
+    monkeypatch.setattr(traces._MoveMemo, "__missing__", spy)
+    second, _ = parse_trace(text, pres)
+    assert parsed == []
+    assert len(second.moves) == len(first.moves)
+    assert all(a is b for a, b in zip(first.moves, second.moves))
+
+
+def test_a_letter_of_another_presentation_is_refused_after_it(monkeypatch):
+    # x3 is a generator of the class-3 chain presentation only
+    named, other = build_chain_presentation(3, 1), build_chain_presentation(2, 1)
+    text = _chain_trace(CHAIN_BODY[:30] + ["fe 0 x3", "fr 0"] + CHAIN_BODY[30:])
+    cold = _cold(monkeypatch, text, other)
+    assert cold == ("error", 33, "unknown generator 'x3'")
+    assert _outcome(text, named)[0] == ()
+    assert _outcome(text, other) == cold
+
+
+@pytest.mark.parametrize("line,reason", [
+    ("fe 1 x1^-2", "bad fe letter token 'x1^-2'"),
+    (f"fe {'9' * 5000} x1", "bad integer in trace line"),
+    ("", "bad trace line ''"),
+], ids=["bad-field", "huge-position", "blank-line"])
+def test_bad_good_bad_gives_the_same_refusal(monkeypatch, line, reason):
+    pres = build_chain_presentation(2, 1)
+    bad = _chain_trace(CHAIN_BODY[:100] + [line] + CHAIN_BODY[100:])
+    good = _chain_trace(CHAIN_BODY)
+    cold = _cold(monkeypatch, bad, pres)
+    assert cold[:2] == ("error", 103) and cold[2].startswith(reason)
+    assert _outcome(bad, pres) == cold
+    assert _outcome(good, pres)[0] == ()
+    assert _outcome(bad, pres) == cold
+
+
+@pytest.mark.parametrize("refused", [False, True], ids=["accepted", "refused"])
+@pytest.mark.parametrize("extra,kept", [(0, True), (1, False)],
+                         ids=["at-the-bound", "past-the-bound"])
+def test_a_memo_past_the_bound_is_not_kept(monkeypatch, refused, extra, kept):
+    pres = build_chain_presentation(2, 1)
+    monkeypatch.setattr(traces, "_kept_memo", None)
+    body = [f"fr {i}" for i in range(traces.MAX_KEPT_LINES + extra)]
+    text = _chain_trace(body + ["fr x"] * refused)
+    assert _outcome(text, pres)[0] == ("error" if refused else ())
+    memo = traces._kept_memo
+    assert (memo is not None) == kept
+    if kept:
+        assert memo.pres is pres and len(memo) == traces.MAX_KEPT_LINES

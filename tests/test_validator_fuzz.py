@@ -1,7 +1,8 @@
 """Mutations of a real certificate never crash the validator: single bytes,
 the position field of a line whose tail came earlier, and one field of a
 line inside a transport run, whose verdict is that of a replay one move at
-a time."""
+a time.  Each mutated trace gets the same verdict parsed cold and parsed
+right after its unmutated trace, from that trace's line memo."""
 
 import contextlib
 import io
@@ -57,12 +58,24 @@ def compression_c3(tmp_path_factory):
     return work, serialize_trace(seq, "p.pres"), (work / "p.pres").read_bytes()
 
 
-def _validate(work, null=True):
+def _validate(work, null=True, trace="m.trace"):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", "--trace", str(work / "m.trace"),
+        code = main(["validate", "--trace", str(work / trace),
                      "--presentation", str(work / "m.pres")] + ["--null"] * null)
     return code, (out.getvalue() + err.getvalue()).splitlines()
+
+
+def _validate_cold_and_warm(work, unmutated, null=True):
+    """The verdict of m.trace parsed with no line memo kept, checked to be
+    its verdict right after the unmutated trace's, whose memo it starts
+    from."""
+    traces._kept_memo = None
+    cold = _validate(work, null)
+    (work / "u.trace").write_bytes(unmutated)
+    _validate(work, null, "u.trace")
+    assert _validate(work, null) == cold
+    return cold
 
 
 def _mutate_and_validate(certificate, target, draw):
@@ -72,7 +85,7 @@ def _mutate_and_validate(certificate, target, draw):
             data = bytearray(data)
             data[draw.draw(st.integers(0, len(data) - 1))] = draw.draw(st.integers(0, 255))
         (work / ("m" + name[name.index("."):])).write_bytes(data)
-    code, lines = _validate(work)
+    code, lines = _validate_cold_and_warm(work, files["t.trace"])
     assert code in (0, 1)
     assert len(lines) == 1
     assert lines[0].startswith("ok area=" if code == 0 else "error")
@@ -151,7 +164,7 @@ def test_position_rewrite_of_class3_certificate(certificate_c3, draw):
     lines = lines[:i] + [f"{kind} {pos}{space}{tail}"] + lines[i + 1:]
     (work / "m.trace").write_text("\n".join(lines), encoding="utf-8")
     (work / "m.pres").write_bytes(files["p.pres"])
-    code, out = _validate(work)
+    code, out = _validate_cold_and_warm(work, files["t.trace"])
     assert code in (0, 1)
     assert len(out) == 1
     assert out[0].startswith("ok area=" if code == 0 else "error")
@@ -194,6 +207,6 @@ def test_field_mutation_inside_a_transport_run(compression_c3, draw):
     mutated = "\n".join(lines)
     (work / "m.trace").write_text(mutated)
     (work / "m.pres").write_bytes(pres_bytes)
-    verdict = _validate(work, null=False)
+    verdict = _validate_cold_and_warm(work, text.encode(), null=False)
     assert verdict == _one_move_per_call(work, mutated)
     assert len(verdict[1]) == 1
