@@ -475,11 +475,17 @@ def _count(text: str, what: str, number: int) -> int:
     return value
 
 
-# The last presentation ``load_presentation`` built, with the exact text it
-# was parsed from: (text, presentation), (None, None) before the first load.
-# It is read once per load, so a load in another thread that replaces it
+# How many presentations ``load_presentation`` keeps.  Certificates of two
+# presentations checked in turn (a word's fill and a power compression,
+# say) then find both warm; a third text pushes the least recent out.
+KEPT_LOADS = 2
+
+# The presentations ``load_presentation`` keeps, most recent first, each
+# with the exact text it was parsed from: a tuple of (text, presentation)
+# pairs, empty before the first load.  It is read once per load and
+# replaced whole, never changed in place, so a load in another thread
 # cannot pair one text with another's presentation.
-_last_load = (None, None)
+_kept_loads = ()
 
 
 def load_presentation(path) -> Presentation:
@@ -487,19 +493,24 @@ def load_presentation(path) -> Presentation:
     raises PresentationSyntaxError naming it, as does the first ``rel``
     line that takes the relators past ``MAX_PRESENTATION_LETTERS``.
 
-    The loader keeps the last presentation it built together with the
-    text it read.  A load that reads the same text again returns that same
-    object, with every table it has built since: a presentation, and all
-    it derives from its relators, is a function of its text.  So a process
-    that loads one file many times (validating many certificates of one
-    presentation in process, or a write and load round trip per job)
-    parses it once; a process that loads a file once pays one string
-    comparison.  A file that fails to load is never kept."""
-    global _last_load
+    The loader keeps the last ``KEPT_LOADS`` presentations it built, each
+    with the text it read, until a newer text pushes the least recent out.
+    A load that reads a kept text again returns that same object, with
+    every table it has built since, and makes it the most recent: a
+    presentation, and all it derives from its relators, is a function of
+    its text.  So a process that loads one or two files many times, in any
+    order (validating certificates of two presentations in process, or a
+    write and load round trip per job), parses each once; a process that
+    loads a file once pays at most ``KEPT_LOADS`` string comparisons, each
+    of which stops at once on texts of unequal length.  A file that fails
+    to load is never kept, and leaves the kept ones as they were."""
+    global _kept_loads
     text = read_text(path, PresentationSyntaxError)
-    last_text, last = _last_load
-    if text == last_text:
-        return last
+    kept = _kept_loads
+    for at, (kept_text, pres) in enumerate(kept):
+        if text == kept_text:
+            _kept_loads = (kept[at], *kept[:at], *kept[at + 1:])
+            return pres
     table: dict = {}            # generator name -> 1-based index
     weights: list[int] = []
     rel_lines: list = []        # (line number, word text)
@@ -546,5 +557,5 @@ def load_presentation(path) -> Presentation:
             raise PresentationSyntaxError(
                 number, f"relators hold more than {MAX_PRESENTATION_LETTERS} letters")
     pres = Presentation(list(table), weights, relators, nclass)
-    _last_load = text, pres
+    _kept_loads = ((text, pres), *kept[:KEPT_LOADS - 1])
     return pres

@@ -444,9 +444,10 @@ def _corrupt_run(trace, step):
 
 
 def test_validating_twice_in_process_gives_the_fresh_verdicts(tmp_path, capsys):
-    # the loader hands one presentation to every load of one text, so the
-    # second pass validates against warm tables; each verdict is the one a
-    # cold presentation of its own, built with Presentation(...), gives
+    # the loader hands one presentation to every load of one text and keeps
+    # two, so the second pass validates against warm tables, its filler
+    # traces coming after the chain ones (A, B, A); each verdict is the one
+    # a cold presentation of its own, built with Presentation(...), gives
     filler = build_filler_presentation(3, 2)
     chain = build_chain_presentation(3, 1)
     jobs = []
@@ -472,12 +473,10 @@ def test_validating_twice_in_process_gives_the_fresh_verdicts(tmp_path, capsys):
         assert got == expected
 
 
-def test_a_second_validation_builds_no_template(tmp_path, capsys, monkeypatch):
-    trace = tmp_path / "f.trace"
-    assert run(capsys, "fill", "--class", "3", "--gens", "2",
-               "--word", "x1^-1 x2^-1 x1^-1 x2 x1^2 x1^-1 x2^-1 x1 x2 g112^-1",
-               "--trace", str(trace))[0] == 0
-    monkeypatch.setattr(presentations, "_last_load", (None, None))
+def _count_templates(monkeypatch):
+    """Empty the loader and return the list of the keys of the templates
+    ``engine._template`` builds from now on."""
+    monkeypatch.setattr(presentations, "_kept_loads", ())
     build, built = engine._template, []
 
     def counted(pres, key, index):
@@ -485,11 +484,40 @@ def test_a_second_validation_builds_no_template(tmp_path, capsys, monkeypatch):
         return build(pres, key, index)
 
     monkeypatch.setattr(engine, "_template", counted)
+    return built
+
+
+def test_a_second_validation_builds_no_template(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "f.trace"
+    assert run(capsys, "fill", "--class", "3", "--gens", "2",
+               "--word", "x1^-1 x2^-1 x1^-1 x2 x1^2 x1^-1 x2^-1 x1 x2 g112^-1",
+               "--trace", str(trace))[0] == 0
+    built = _count_templates(monkeypatch)
     argv = ["validate", "--null", "--trace", str(trace), "--presentation", f"{trace}.pres"]
     first = run(capsys, *argv)
     assert first[0] == 0 and built
     built.clear()
     assert run(capsys, *argv) == first
+    assert built == []
+
+
+def test_switching_presentations_builds_no_template_again(tmp_path, capsys, monkeypatch):
+    # validate an A certificate, then a B one, then the A one again: the
+    # third validation finds A's presentation warm and builds no template
+    fill, chain = tmp_path / "f.trace", tmp_path / "c.trace"
+    assert run(capsys, "fill", "--class", "3", "--gens", "2",
+               "--word", "x1^-1 x2^-1 x1^-1 x2 x1^2 x1^-1 x2^-1 x1 x2 g112^-1",
+               "--trace", str(fill))[0] == 0
+    assert run(capsys, "compress", "--class", "3", "--n", "2", "--trace", str(chain))[0] == 0
+    built = _count_templates(monkeypatch)
+    a = ["validate", "--null", "--trace", str(fill), "--presentation", f"{fill}.pres"]
+    b = ["validate", "--trace", str(chain), "--presentation", f"{chain}.pres"]
+    first = run(capsys, *a)
+    assert first[0] == 0 and built
+    built.clear()
+    assert run(capsys, *b)[0] == 0 and built
+    built.clear()
+    assert run(capsys, *a) == first
     assert built == []
 
 
@@ -509,5 +537,5 @@ def test_an_edited_presentation_file_is_loaded_anew(tmp_path, capsys, monkeypatc
     assert new is not old and new.relators == ((2, 1, -2, -1),)
     verdict = run(capsys, *argv)
     assert verdict == (1, "error line=3 word does not carry relator prefix at 0\n")
-    monkeypatch.setattr(presentations, "_last_load", (None, None))
+    monkeypatch.setattr(presentations, "_kept_loads", ())
     assert run(capsys, *argv) == verdict

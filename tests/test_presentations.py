@@ -198,16 +198,53 @@ def test_a_repeated_load_of_one_text_returns_the_presentation_it_built(tmp_path)
     assert load_presentation(path).relators == ((1, 2, -1, -2),)
 
 
+def _three_texts(tmp_path):
+    """Three presentation files of distinct texts."""
+    paths = [tmp_path / f"{name}.pres" for name in "abc"]
+    for path, rel in zip(paths, ("x1 x2 x1^-1 x2^-1", "x2 x1 x2^-1 x1^-1", "x1 x2^-1 x1^-1 x2")):
+        path.write_text(f"class 2\ngen x1 1\ngen x2 1\nrel {rel}\n")
+    return paths
+
+
 def test_a_file_that_fails_to_load_is_never_kept(tmp_path):
-    good, bad = tmp_path / "good.pres", tmp_path / "bad.pres"
-    good.write_text(SQUARE)
+    # and leaves both kept presentations in place
+    a, b, _ = _three_texts(tmp_path)
+    bad = tmp_path / "bad.pres"
     bad.write_text(SQUARE + "rel x1 x3\n")
-    kept = load_presentation(good)
+    kept = load_presentation(a), load_presentation(b)
     for _ in range(2):
         with pytest.raises(PresentationSyntaxError) as exc:
             load_presentation(bad)
         assert (exc.value.line, exc.value.reason) == (5, "unknown generator 'x3'")
-        assert load_presentation(good) is kept
+        assert load_presentation(b) is kept[1] and load_presentation(a) is kept[0]
+
+
+def test_the_loader_keeps_two_presentations_warm(tmp_path, monkeypatch):
+    # A, B, A, B: each load of a kept text returns the object it built
+    monkeypatch.setattr(presentations, "_kept_loads", ())
+    a, b, _ = _three_texts(tmp_path)
+    first_a, first_b = load_presentation(a), load_presentation(b)
+    assert first_a is not first_b
+    for _ in range(2):
+        assert load_presentation(a) is first_a
+        assert load_presentation(b) is first_b
+
+
+def test_a_third_text_pushes_the_least_recent_out(tmp_path, monkeypatch):
+    # A, B, C, A builds A anew; then B, A, C keeps A, which its load made
+    # the most recent, and pushes B out
+    monkeypatch.setattr(presentations, "_kept_loads", ())
+    a, b, c = _three_texts(tmp_path)
+    first_a = load_presentation(a)
+    load_presentation(b)
+    load_presentation(c)
+    second_a = load_presentation(a)
+    assert second_a is not first_a and second_a.relators == first_a.relators
+    first_b = load_presentation(b)
+    assert load_presentation(a) is second_a
+    load_presentation(c)
+    assert load_presentation(a) is second_a
+    assert load_presentation(b) is not first_b
 
 
 def test_relator_id_names_a_transport_relator():
