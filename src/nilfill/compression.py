@@ -38,6 +38,8 @@ application inserts r.  Any ordering of the chain letters compresses.
 
 from __future__ import annotations
 
+from itertools import tee
+
 from .engine import (
     CheckedMoves,
     PSequence,
@@ -46,6 +48,7 @@ from .engine import (
     block_reduction_moves,
     check_moves,
     invert_sequence,
+    iter_moves,
     mirror_move,
     pair_inverse_moves,
     reduction_steps,
@@ -113,9 +116,10 @@ class ChainContext(RelatorPool):
         return len(self.relators) - 1
 
     def intern(self, moves) -> tuple:
-        """``moves`` as a tuple whose equal moves are one shared object."""
+        """``moves``, read once, as a tuple whose equal moves are one shared
+        object."""
         pool = self._move_pool
-        return tuple(map(pool.setdefault, moves, moves))
+        return tuple(map(pool.setdefault, *tee(moves)))
 
     def record(self, n: int, s: int, mirrored: bool) -> CheckedMoves:
         """The checked record of the increment at s on z_1 ztilde^s (mirrored:
@@ -138,7 +142,7 @@ class ChainContext(RelatorPool):
                 b.extend([("fe", len(zw) + p, a)
                           for p, a in reversed(reduction_steps(_cword(self, 0, n, 0)))])
             _run_increment(self, b, 0, n, s)
-            rec = CheckedMoves(self.intern(b.moves), list(initial), b.word,
+            rec = CheckedMoves(self.intern(iter_moves(b.segments)), list(initial), b.word,
                                b.area, b.fl - len(initial))
         self.increments[n, s, mirrored] = rec
         return rec
@@ -270,7 +274,7 @@ def _carry(ctx: ChainContext, b: SequenceBuilder, level, n, s) -> None:
     _run_increment(ctx, inner, level + 1, n, t)
     relators, chains = ctx.relators, ctx.chains
     lcur = lz2 + lt
-    for mv in _whole_insertions(inner.moves, relators):
+    for mv in _whole_insertions(iter_moves(inner.segments), relators):
         here = n + lcur + n + mv[1]
         mirrored, lcur = mirror_move(mv, lcur, relators)
         there = n + mirrored[1]

@@ -24,14 +24,16 @@ table lookup against the word's letter, and writes the run with one
 slice assignment.
 
 A builder's block transport has one entry, ``SequenceBuilder.transport``:
-it checks the move once per distinct letter passed and builds its moves
-from the fields it checked, or else hands ``apply_moves`` one move per
-letter; replay still checks every line.  ``SequenceBuilder.splice``
-applies a batch the kernel has already checked (a ``CheckedMoves``) by
-its recorded effect wherever the subword it was checked on sits, and
-records it as a segment: the record and its offset, with no copy of its
-moves.  A ``PSequence`` keeps those segments; its ``moves`` list is built
-only when it is read.
+it checks the move once per distinct letter passed and records it as one
+segment entry (a ``Transport``: the positions, each swap's relator id and
+the shared fields), or else hands ``apply_moves`` one move per letter;
+replay expands an entry and still checks every line.
+``SequenceBuilder.splice`` applies a batch the kernel has already checked
+(a ``CheckedMoves``) by its recorded effect wherever the subword it was
+checked on sits, and records it as a segment: the record and its offset,
+with no copy of its moves.  A ``PSequence`` keeps those segments; its
+``moves`` list is built only when it is read, and ``iter_moves`` walks
+them one move at a time for a reader that reads them once.
 """
 
 from __future__ import annotations
@@ -93,11 +95,36 @@ class Metrics:
     final_length: int
 
 
+class Transport:
+    """A checked block transport as one segment entry: swap i is the
+    relator application ("ar", positions[i], ids[i], shift, inv, split).
+    ``positions`` is a range and ``ids`` a tuple, so an entry costs one
+    pointer per swap; its length is its number of swaps, and iterating it
+    builds its moves in order."""
+
+    __slots__ = ("positions", "ids", "shift", "inv", "split")
+
+    def __init__(self, positions: range, ids: tuple, shift: int, inv: int, split: int):
+        self.positions = positions
+        self.ids = ids
+        self.shift = shift
+        self.inv = inv
+        self.split = split
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __iter__(self):
+        return zip(repeat("ar"), self.positions, self.ids,
+                   repeat(self.shift), repeat(self.inv), repeat(self.split))
+
+
 class PSequence:
     """A move sequence from ``initial``, kept as segments.  A segment is a
     triple (record, moves, offset): the moves of a spliced ``CheckedMoves``
     record, which sit at ``offset`` in the word (``moves`` is the record's
-    own tuple), or a flat batch with record None and offset 0.
+    own tuple), or, with record None and offset 0, a flat batch (a list or
+    tuple of moves) or a builder's ``Transport`` entry.
     ``PSequence(pres, initial, moves)`` is one flat segment.  ``metrics``
     is what the builder measured while it checked every move; None for a
     sequence that was not built (parsed or rewritten), whose metrics
@@ -118,8 +145,8 @@ class PSequence:
     @property
     def moves(self) -> list:
         """Every move at its place in the whole sequence.  Built anew on
-        each read, except for a single flat segment, which is returned as
-        it is."""
+        each read, except for a single flat batch, which is returned as it
+        is."""
         return _flatten(self.segments)
 
 
@@ -127,11 +154,19 @@ def _height(segments) -> int:
     return sum(len(moves) for _, moves, _ in segments)
 
 
+def iter_moves(segments):
+    """Every move of ``segments`` at its place, one at a time: a spliced
+    record's moves shifted by its offset, an entry's moves as it builds
+    them."""
+    return chain.from_iterable(_shifted(moves, offset) for _, moves, offset in segments)
+
+
 def _flatten(segments):
-    if len(segments) == 1 and segments[0][0] is None:
-        return segments[0][1]
-    return list(chain.from_iterable(_shifted(moves, offset)
-                                    for _, moves, offset in segments))
+    if len(segments) == 1:
+        record, moves, _ = segments[0]
+        if record is None and type(moves) is not Transport:
+            return moves
+    return list(iter_moves(segments))
 
 
 def _template(pool, key, index: int):
@@ -340,6 +375,8 @@ def replay(seq: PSequence):
     pres = seq.presentation
     area, fl, done = 0, len(word), 0
     for _, moves, offset in seq.segments:
+        if type(moves) is Transport:
+            moves = list(moves)
         try:
             batch_area, batch_fl = apply_moves(word, moves, pres, offset)
         except NotApplicable as exc:
@@ -371,7 +408,7 @@ def normalize_insertions(seq: PSequence) -> PSequence:
     """
     relators = seq.presentation.relators
     out = []
-    for move in seq.moves:
+    for move in iter_moves(seq.segments):
         if move[0] == "ar" and move[5] > 0:
             _, p, rid, shift, inv, split = move
             n = len(relators[rid])
@@ -408,7 +445,7 @@ def invert_sequence(seq: PSequence) -> PSequence:
     relators = seq.presentation.relators
     n = len(seq.initial)
     out = []
-    for move in seq.moves:
+    for move in iter_moves(seq.segments):
         mirrored, n = mirror_move(move, n, relators)
         out.append(mirrored)
     return PSequence(seq.presentation, inverse_word(seq.initial), out)
@@ -445,16 +482,16 @@ def block_reduction_moves(pos: int, length: int) -> list:
 class SequenceBuilder:
     """Mutable word + emitted move segments.  Every move goes through the
     kernel as it is emitted (``extend``), is a block transport checked
-    once per distinct letter it passes (``transport``, the one place a
-    transport's moves are built), or is part of a batch the kernel checked
-    on the very subword it lands on (``splice``), so a finished builder
-    yields a valid sequence; the builder keeps the area and FL the kernel
-    returns, so its ``metrics`` equal those of a replay.  ``extend``
-    records a batch it accepts, shifted by ``_shifted``, and ``transport``
-    the swaps it checked, in the open flat segment; ``splice`` records the
-    record and its offset as a segment of their own and opens a fresh flat
-    one.  Other compound emissions are move lists built by the functions
-    above."""
+    once per distinct letter it passes (``transport``), or is part of a
+    batch the kernel checked on the very subword it lands on (``splice``),
+    so a finished builder yields a valid sequence; the builder keeps the
+    area and FL the kernel returns, so its ``metrics`` equal those of a
+    replay.  ``extend`` records a batch it accepts, shifted by
+    ``_shifted``, in the open flat segment, which it opens when there is
+    none (``flat`` is None); ``transport`` records the swaps it checked
+    as one ``Transport`` entry, and ``splice`` the record and its offset,
+    each a segment of its own that closes the flat one.  Other compound
+    emissions are move lists built by the functions above."""
 
     __slots__ = ("pres", "initial", "word", "segments", "flat", "area", "fl")
 
@@ -462,8 +499,8 @@ class SequenceBuilder:
         self.pres = pres
         self.initial = tuple(initial)
         self.word = list(initial)
-        self.flat: list = []
-        self.segments: list = [(None, self.flat, 0)]
+        self.flat = None
+        self.segments: list = []
         self.area = 0
         self.fl = len(self.initial)
 
@@ -475,6 +512,9 @@ class SequenceBuilder:
         self.area += area
         if fl > self.fl:
             self.fl = fl
+        if self.flat is None:
+            self.flat = []
+            self.segments.append((None, self.flat, 0))
         self.flat += _shifted(moves, offset)
 
     def transport(self, chain: tuple, start: int, target: int, sign: int,
@@ -485,8 +525,9 @@ class SequenceBuilder:
         [sign t, chain] (``relator_id``).  Every id the move lacks is asked
         for before any move, so a missing relator raises
         ``NoTransportRelator`` first.  A ``target`` on the other side of
-        ``start`` raises NotApplicable and leaves the builder as it was;
-        ``target == start`` moves nothing.
+        ``start``, or a block that would run past the word's end at
+        ``start`` or at ``target``, raises NotApplicable and leaves the
+        builder as it was; ``target == start`` moves nothing.
 
         A swap does not change the word's length, and the letters passed
         stay where they are until the block meets them, so each distinct
@@ -496,20 +537,24 @@ class SequenceBuilder:
         table maps the key to t.  With the block's letters found at
         ``start`` and the run inside the word, this proves each swap that
         ``apply_moves`` proves: the word is written with one slice, and the
-        moves are built from the ids and fields checked.  A single-letter
-        block meeting its own inverse (which passes it by a free reduction
-        and a free expansion), and a move whose checks fail, go to
-        ``extend`` instead as one move per letter passed, so a refusal has
-        the reason, index and word of that batch."""
+        swaps are recorded as one ``Transport`` entry of the positions, ids
+        and fields checked.  A single-letter block meeting its own inverse
+        (which passes it by a free reduction and a free expansion), and a
+        move whose checks fail, go to ``extend`` instead as one move per
+        letter passed, so a refusal has the reason, index and word of that
+        batch."""
         pool, word = self.pres, self.word
         # the length of the nested commutator of ``chain``
         L = 3 * 2 ** (len(chain) - 1) - 2
         ids = pool._transport_ids.setdefault(chain, {})
         lo, hi = (start, target) if right else (target, start)
-        if lo >= hi:
-            if lo > hi:
-                raise NotApplicable(f"{'rightward' if right else 'leftward'} transport "
-                                    f"from {start} cannot end at {target}")
+        direction = "rightward" if right else "leftward"
+        if lo > hi:
+            raise NotApplicable(f"{direction} transport from {start} cannot end at {target}")
+        if hi + L > len(word):
+            raise NotApplicable(f"{direction} transport from {start} to {target} runs "
+                                f"past the end of a word of {len(word)} letters")
+        if lo == hi:
             return
         if right:
             letters = word[start + L:target + L]
@@ -527,7 +572,7 @@ class SequenceBuilder:
                 pool.relator_id((sign * t,) + chain)
         shift, inv, split = L + 1 if sign > 0 else 0, int(right), L + 1
         block = None
-        if stop not in passed and lo >= 0 and hi + L <= len(word):
+        if stop not in passed and lo >= 0:
             templates, side, pair = pool._move_templates, 4 if right else 3, None
             for t in passed:
                 key = (ids[sign * t], shift, inv, split)
@@ -545,9 +590,9 @@ class SequenceBuilder:
                 block = pair[0]
         if block is not None and word[start:start + L] == block:
             self.area += hi - lo
-            self.flat += zip(repeat("ar"), positions,
-                             map(ids.__getitem__, order if sign > 0 else map(neg, order)),
-                             repeat(shift), repeat(inv), repeat(split))
+            rids = tuple(map(ids.__getitem__, order if sign > 0 else map(neg, order)))
+            self.segments.append((None, Transport(positions, rids, shift, inv, split), 0))
+            self.flat = None
             if right:
                 word[start:target + L] = letters + block
             else:
@@ -580,8 +625,8 @@ class SequenceBuilder:
         self.area += record.area
         if fl > self.fl:
             self.fl = fl
-        self.flat = []
-        self.segments += ((record, record.moves, offset), (None, self.flat, 0))
+        self.segments.append((record, record.moves, offset))
+        self.flat = None
 
     @property
     def moves(self) -> list:

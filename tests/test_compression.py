@@ -2,6 +2,7 @@ import functools
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -409,6 +410,106 @@ def test_a_transport_toward_the_wrong_side_is_refused(right):
                                             f"cannot end at {wrong}"):
         b.transport(chain, start, wrong, 1, right)
     assert (b.word, b.moves, b.area, b.fl) == before
+
+
+@pytest.mark.parametrize("pres,chain,initial,start,target", [
+    (build_chain_presentation(3, 1), (2, 3), (1,) + nested_commutator((2, 3)) + (1,), 20, 25),
+    (build_chain_presentation(3, 1), (2, 3), (1,) + nested_commutator((2, 3)) + (1,), 25, 20),
+    (build_filler_presentation(1, 2), (1,), (1, 2, 2, 1), 5, 2),
+    (build_filler_presentation(1, 2), (1,), (1, 2, 2, 1), 5, 7),
+    (build_filler_presentation(1, 2), (1,), (1, 2, 2, 1), 0, 5),
+], ids=["block-past-the-end-right", "block-past-the-end-left", "letter-past-the-end-left",
+        "letter-past-the-end-right", "target-past-the-end-right"])
+def test_a_transport_past_the_words_end_is_refused(pres, chain, initial, start, target):
+    # a block at or moved to a place past the word's end is refused before
+    # any move, and the builder stays as it was
+    right = target > start
+    b = SequenceBuilder(pres, initial)
+    b.extend([("fe", 0, 2), ("fr", 0)])
+    before = (list(b.word), list(b.segments), b.area, b.fl)
+    with pytest.raises(NotApplicable, match=f"transport from {start} to {target} runs "
+                                            f"past the end of a word of {len(initial)} letters"):
+        b.transport(chain, start, target, 1, right)
+    assert (b.word, b.segments, b.area, b.fl) == before
+    assert b.moves == [("fe", 0, 2), ("fr", 0)]
+
+
+@pytest.mark.parametrize("name", ("pres-1", "pres-2", "pres-3"))
+@pytest.mark.parametrize("right", (False, True), ids=("left", "right"))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_a_transport_is_one_entry_read_as_its_per_swap_moves(name, right, sign):
+    # a checked transport is recorded as one segment entry, and every reader
+    # of the sequence sees the moves of the same swaps recorded one per swap;
+    # a builder or sequence whose one segment is the entry hands out a fresh
+    # list of its moves, never the entry
+    pool, chain, letters = _transport_pool(name)
+    block = list(nested_commutator(chain))
+    if sign < 0:
+        block = list(inverse_word(block))
+    rng = random.Random(f"{name} {right} {sign}")
+    passed = [rng.choice(letters) * rng.choice((1, -1)) for _ in range(12)]
+    initial = block + passed if right else passed + block
+    start, target = (0, len(passed)) if right else (len(passed), 0)
+    b = SequenceBuilder(pool, initial)
+    b.transport(tuple(chain), start, target, sign, right)
+    [(record, entry, offset)] = b.segments
+    assert (record, type(entry), offset) == (None, engine.Transport, 0)
+    per_swap = SequenceBuilder(pool, initial)
+    per_swap.extend(_per_swap_moves(pool, chain, initial, start, target, sign))
+    seq, want = b.finish(), per_swap.finish()
+    for got in (b, seq):
+        assert type(got.moves) is list and got.moves is not got.moves
+    assert seq.moves == want.moves and len(want.moves) == len(passed)
+    assert len(seq) == len(want) == seq.metrics.height
+    assert serialize_trace(seq, "p.pres") == serialize_trace(want, "p.pres")
+    assert replay(seq) == replay(want)
+    assert replay(seq)[0] == seq.metrics == want.metrics
+
+
+def test_a_long_transport_costs_one_pointer_per_swap():
+    # a transport across thousands of letters grows the builder by its
+    # relator ids, one pointer a swap; a 6-tuple a swap took 88 bytes and
+    # a list slot more
+    pool, chain, letters = _transport_pool("pres-1")
+    passed = [a * s for a in letters for s in (1, -1)] * 500
+    warm = SequenceBuilder(pool, passed + list(chain))
+    warm.transport(chain, len(passed), 0, 1, False)
+    b = SequenceBuilder(pool, passed + list(chain))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        b.transport(chain, len(passed), 0, 1, False)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert b.metrics.height == len(passed) == 5000
+    assert b.word == warm.word == list(chain) + passed
+    assert grown < 10 * len(passed)
+
+
+def test_a_transport_that_is_not_checked_whole_records_per_swap_moves():
+    # a single-letter block meeting its own inverse, and a block whose
+    # relators are too long for a cached template (so the check per
+    # distinct letter fails), are recorded as their per-swap moves in a
+    # flat segment
+    pool, chain, letters = _transport_pool("pres-1")
+    g = chain[0]
+    initial = [letters[0], -g, letters[1], g]
+    b = SequenceBuilder(pool, initial)
+    b.transport(chain, 3, 0, 1, False)
+    moves = _per_swap_moves(pool, chain, initial, 3, 0, 1)
+    assert ("fr", 1) in moves
+    assert [(r, type(m)) for r, m, _ in b.segments] == [(None, list)]
+    assert b.moves == moves
+    chain = (1, 2, 3, 4, 5)
+    ctx = ChainContext(Presentation([f"x{i}" for i in range(1, 8)], [1] * 7, [], 1), chain)
+    W = list(nested_commutator(chain))
+    assert len(nested_commutator((7,) + chain)) > engine.MAX_CACHED_RELATOR
+    b = SequenceBuilder(ctx, [7, 6, -7] + W)
+    b.transport(chain, 3, 0, 1, False)
+    assert b.word == W + [7, 6, -7]
+    assert [(r, type(m)) for r, m, _ in b.segments] == [(None, list)]
+    assert b.moves == _per_swap_moves(ctx, chain, [7, 6, -7] + W, 3, 0, 1)
 
 
 def test_context_relator_id_adds_a_relator_once():
