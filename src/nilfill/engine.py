@@ -29,9 +29,10 @@ segment entry (a ``Transport``: the positions, each swap's relator id and
 the shared fields), or else hands ``apply_moves`` one move per letter;
 replay expands an entry and still checks every line.
 ``SequenceBuilder.splice`` applies a batch the kernel has already checked
-(a ``CheckedMoves``) by its recorded effect wherever the subword it was
-checked on sits, and records it as a segment: the record and its offset,
-with no copy of its moves.  A ``PSequence`` keeps those segments; its
+(a ``CheckedMoves``, which keeps the parts its builder checked: flat
+batches and ``Transport`` entries) by its recorded effect wherever the
+subword it was checked on sits, and records it as a segment: the record,
+its parts and its offset, with no copy.  A ``PSequence`` keeps those segments; its
 ``moves`` list is built only when it is read, and ``iter_moves`` walks
 them one move at a time for a reader that reads them once.
 """
@@ -115,15 +116,25 @@ class Transport:
         return len(self.ids)
 
     def __iter__(self):
-        return zip(repeat("ar"), self.positions, self.ids,
+        return self.at(0)
+
+    def at(self, offset: int):
+        """Its moves in order, each position shifted by ``offset``."""
+        return zip(repeat("ar"), self.positions_at(offset), self.ids,
                    repeat(self.shift), repeat(self.inv), repeat(self.split))
+
+    def positions_at(self, offset: int) -> range:
+        """Its positions, each shifted by ``offset``."""
+        p = self.positions
+        return range(p.start + offset, p.stop + offset, p.step) if offset else p
 
 
 class PSequence:
     """A move sequence from ``initial``, kept as segments.  A segment is a
-    triple (record, moves, offset): the moves of a spliced ``CheckedMoves``
-    record, which sit at ``offset`` in the word (``moves`` is the record's
-    own tuple), or, with record None and offset 0, a flat batch (a list or
+    triple (record, moves, offset): a spliced ``CheckedMoves`` record,
+    whose parts sit at ``offset`` in the word (``moves`` is the record's
+    own ``parts`` tuple, which readers take from the record), or, with
+    record None and offset 0, one part.  A part is a flat batch (a list or
     tuple of moves) or a builder's ``Transport`` entry.
     ``PSequence(pres, initial, moves)`` is one flat segment.  ``metrics``
     is what the builder measured while it checked every move; None for a
@@ -150,15 +161,25 @@ class PSequence:
         return _flatten(self.segments)
 
 
+def _parts(segments):
+    """(part, offset) of every part of ``segments``, in order."""
+    for record, moves, offset in segments:
+        if record is None:
+            yield moves, offset
+        else:
+            for part in record.parts:
+                yield part, offset
+
+
 def _height(segments) -> int:
-    return sum(len(moves) for _, moves, _ in segments)
+    return sum(len(part) for part, _ in _parts(segments))
 
 
 def iter_moves(segments):
     """Every move of ``segments`` at its place, one at a time: a spliced
     record's moves shifted by its offset, an entry's moves as it builds
     them."""
-    return chain.from_iterable(_shifted(moves, offset) for _, moves, offset in segments)
+    return chain.from_iterable(_shifted(part, offset) for part, offset in _parts(segments))
 
 
 def _flatten(segments):
@@ -333,31 +354,42 @@ class CheckedMoves:
     """A move batch at offset 0 and its effect, as the kernel found it on
     ``before`` alone: the batch turns ``before`` into ``after`` with
     ``area`` relator applications, and its peak word length is
-    ``len(before) + grow``.  ``before`` and ``after`` are lists, which
-    ``splice`` compares with a word slice and writes into one; they are
-    never mutated.  ``trace_lines`` belongs to the trace writer: it maps
-    a presentation's letter names to the record's trace lines as one
-    format string, kept from the second time the record is written with
-    them (after the first, an empty string marks the names)."""
+    ``len(before) + grow``.  The batch is kept as the parts its builder
+    checked, in order, none of them empty: flat batches (tuples of moves)
+    and ``Transport`` entries; ``moves`` builds the flat view.  ``before``
+    and ``after`` are lists, which ``splice`` compares with a word slice
+    and writes into one; they are never mutated.  ``trace_lines`` belongs
+    to the trace writer: it maps a presentation's letter names to the
+    record's trace lines as one format string, kept from the second time
+    the record is written with them (after the first, an empty string
+    marks the names)."""
 
-    moves: tuple
+    parts: tuple
     before: list
     after: list
     area: int
     grow: int
     trace_lines: dict = field(default_factory=dict, compare=False, repr=False)
 
+    @property
+    def moves(self) -> tuple:
+        """Every move of the batch in order, built on each read."""
+        return tuple(chain.from_iterable(self.parts))
+
 
 def check_moves(pres: RelatorPool, before, moves) -> CheckedMoves:
     """Run ``moves`` through the kernel on ``before`` and record the effect."""
     word = list(before)
     area, fl = apply_moves(word, moves, pres)
-    return CheckedMoves(moves, list(before), word, area, fl - len(before))
+    return CheckedMoves((moves,) if moves else (), list(before), word, area,
+                        fl - len(before))
 
 
 def _shifted(moves, offset: int):
     """``moves`` with every position shifted by ``offset``; ``moves`` itself
     when ``offset`` is 0."""
+    if type(moves) is Transport:
+        return moves.at(offset)
     if not offset:
         return moves
     return [("ar", m[1] + offset, m[2], m[3], m[4], m[5]) if m[0] == "ar"
@@ -374,7 +406,7 @@ def replay(seq: PSequence):
     word = list(seq.initial)
     pres = seq.presentation
     area, fl, done = 0, len(word), 0
-    for _, moves, offset in seq.segments:
+    for moves, offset in _parts(seq.segments):
         if type(moves) is Transport:
             moves = list(moves)
         try:
@@ -525,9 +557,10 @@ class SequenceBuilder:
         [sign t, chain] (``relator_id``).  Every id the move lacks is asked
         for before any move, so a missing relator raises
         ``NoTransportRelator`` first.  A ``target`` on the other side of
-        ``start``, or a block that would run past the word's end at
-        ``start`` or at ``target``, raises NotApplicable and leaves the
-        builder as it was; ``target == start`` moves nothing.
+        ``start``, a negative ``start`` or ``target``, or a block that
+        would run past the word's end at ``start`` or at ``target`` raises
+        NotApplicable before any relator lookup and leaves the builder as
+        it was; ``target == start`` moves nothing.
 
         A swap does not change the word's length, and the letters passed
         stay where they are until the block meets them, so each distinct
@@ -546,14 +579,17 @@ class SequenceBuilder:
         pool, word = self.pres, self.word
         # the length of the nested commutator of ``chain``
         L = 3 * 2 ** (len(chain) - 1) - 2
-        ids = pool._transport_ids.setdefault(chain, {})
         lo, hi = (start, target) if right else (target, start)
         direction = "rightward" if right else "leftward"
         if lo > hi:
             raise NotApplicable(f"{direction} transport from {start} cannot end at {target}")
+        if lo < 0:
+            raise NotApplicable(f"{direction} transport from {start} to {target} runs "
+                                f"past the start of the word")
         if hi + L > len(word):
             raise NotApplicable(f"{direction} transport from {start} to {target} runs "
                                 f"past the end of a word of {len(word)} letters")
+        ids = pool._transport_ids.setdefault(chain, {})
         if lo == hi:
             return
         if right:
@@ -572,7 +608,7 @@ class SequenceBuilder:
                 pool.relator_id((sign * t,) + chain)
         shift, inv, split = L + 1 if sign > 0 else 0, int(right), L + 1
         block = None
-        if stop not in passed and lo >= 0:
+        if stop not in passed:
             templates, side, pair = pool._move_templates, 4 if right else 3, None
             for t in passed:
                 key = (ids[sign * t], shift, inv, split)
@@ -607,14 +643,15 @@ class SequenceBuilder:
         self.extend(moves)
 
     def splice(self, record: CheckedMoves, offset: int = 0) -> None:
-        """Apply ``record.moves`` at ``offset`` by their effect, and record
-        the segment (record, offset).
+        """Apply the moves of ``record`` at ``offset`` by their effect, and
+        record the segment (record, record.parts, offset).
 
         A batch the kernel checked on ``before`` alone reads only letters of
         ``before``, so wherever ``before`` sits every move passes the same
         checks and the batch leaves ``after``: the word takes ``after`` in
         one splice.  Anywhere else, or past ``MAX_WORD_LENGTH``, the moves go
-        through ``extend``, which refuses them as it would any batch."""
+        through ``extend`` as one flat batch, which it refuses as it would
+        any batch."""
         word, before = self.word, record.before
         end = offset + len(before)
         fl = len(word) + record.grow
@@ -625,7 +662,7 @@ class SequenceBuilder:
         self.area += record.area
         if fl > self.fl:
             self.fl = fl
-        self.segments.append((record, record.moves, offset))
+        self.segments.append((record, record.parts, offset))
         self.flat = None
 
     @property

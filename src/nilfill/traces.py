@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .engine import Metrics, PSequence, replay, validate_null
+from .engine import Metrics, PSequence, Transport, replay, validate_null
 from .errors import NilfillError, NotApplicable, NotNull, TraceSyntaxError
 from .presentations import Presentation, read_text
 from .words import NAME_RE, format_letter, parse_word
@@ -35,14 +35,17 @@ def _move_line(move, names) -> str:
 class _LineTemplates(dict):
     """Move at offset 0 -> its trace line as a format string with a ``{}``
     for the position, for one ``serialize_trace`` call: a move's line is
-    formatted at its first lookup only.  A presentation's generator names
-    hold no brace, so a line needs no escaping."""
+    formatted at its first lookup only.  ``swaps`` keeps, for each (shift,
+    inv, split) of a ``Transport`` entry, the map from a relator id to the
+    line template of its swap.  A presentation's generator names hold no
+    brace, so a line needs no escaping."""
 
-    __slots__ = ("names",)
+    __slots__ = ("names", "swaps")
 
     def __init__(self, names):
         super().__init__()
         self.names = names
+        self.swaps = {}
 
     def __missing__(self, move):
         # the line written at position 0, which is its fourth character
@@ -50,29 +53,68 @@ class _LineTemplates(dict):
         template = self[move] = line[:3] + "{}" + line[4:]
         return template
 
+    def lines(self, part):
+        """The line template of each move of a part, in order: an entry's
+        from its relator ids, with no move built."""
+        if type(part) is not Transport:
+            return map(self.__getitem__, part)
+        key = (part.shift, part.inv, part.split)
+        table = self.swaps.get(key)
+        if table is None:
+            table = self.swaps[key] = _SwapLines(key)
+        return map(table.__getitem__, part.ids)
+
+
+class _SwapLines(dict):
+    """Relator id -> the line template of a swap whose fields after the id
+    are ``fields``, an entry's (shift, inv, split)."""
+
+    __slots__ = ("tail",)
+
+    def __init__(self, fields):
+        super().__init__()
+        self.tail = " ".join(map(str, fields))
+
+    def __missing__(self, rid):
+        template = self[rid] = f"ar {{}} {rid} {self.tail}"
+        return template
+
 
 def _record_lines(record, templates: _LineTemplates) -> str:
     """The trace lines of a record's moves as one format string with a
-    ``{}`` for each position, joined from ``templates``.  The first write
-    with these names leaves a marker on the record and the second keeps
-    the string, so a record written once (as a power compression's are)
-    holds no template."""
+    ``{}`` for each position, joined from its parts' templates.  The first
+    write with these names leaves a marker on the record and the second
+    keeps the string, so a record written once (as a power compression's
+    are) holds no template."""
     names = templates.names
     text = record.trace_lines.get(names)
     if not text:
-        joined = "\n".join(map(templates.__getitem__, record.moves))
+        joined = "\n".join(chain.from_iterable(map(templates.lines, record.parts)))
         record.trace_lines[names] = "" if text is None else joined
         return joined
     return text
 
 
+def _positions(parts, offset: int) -> list:
+    """The position of every move of ``parts``, shifted by ``offset``."""
+    out = []
+    for part in parts:
+        if type(part) is Transport:
+            out += part.positions_at(offset)
+        else:
+            out += [mv[1] + offset for mv in part]
+    return out
+
+
 def serialize_trace(seq: PSequence, presentation_path: str) -> str:
-    """The trace text of a sequence.  Each distinct move of a flat segment
-    is formatted once per call: a certificate repeats few moves many
-    times.  A spliced record's lines are written in one ``str.format`` of
-    its line template, with the positions shifted by the segment's
-    offset; a template is joined from per-move templates, each made once
-    per call."""
+    """The trace text of a sequence.  Each distinct move of a flat batch
+    is formatted once per call, and looked up for each line: a
+    certificate repeats few moves many times.  A ``Transport`` entry, and
+    a spliced record, are written with one ``str.format`` of their line
+    template, filled with their positions shifted by the segment's
+    offset.  A record keeps its template (``_record_lines``); an entry's,
+    and a record's first, is joined from per-move and per-relator-id
+    templates, each made once per call."""
     pres = seq.presentation
     names = pres.names
     lines = [
@@ -84,14 +126,18 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
     get = text_of.get
     templates = _LineTemplates(names)
     for record, moves, offset in seq.segments:
-        if record is None:
+        if record is not None:
+            text = _record_lines(record, templates)
+            if text:
+                append(text.format(*_positions(record.parts, offset)))
+        elif type(moves) is Transport:
+            append("\n".join(templates.lines(moves)).format(*moves.positions))
+        else:
             for move in moves:
                 line = get(move)
                 if line is None:
                     line = text_of[move] = _move_line(move, names)
                 append(line)
-        elif moves:
-            append(_record_lines(record, templates).format(*[mv[1] + offset for mv in moves]))
     append("qed")
     append("")          # the final newline, without a copy of the text
     return "\n".join(lines)

@@ -4,11 +4,12 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 
 import pytest
-from helpers import increment_sequence, insert_trivial_word, one_move_per_call
+from helpers import fill, increment_sequence, insert_trivial_word, one_move_per_call
 
-from nilfill import compression, engine, oracle
+from nilfill import compression, engine, oracle, traces
 from nilfill.compression import (
     BlockMover,
     ChainContext,
@@ -17,7 +18,9 @@ from nilfill.compression import (
     chain_context,
     power_compression_sequence,
 )
-from nilfill.engine import PSequence, SequenceBuilder, apply_moves, replay, validate_null
+from nilfill.corpus import corpus_generate
+from nilfill.engine import (PSequence, SequenceBuilder, apply_moves, invert_sequence, replay,
+                            validate_null)
 from nilfill.errors import NoTransportRelator, NotApplicable, OutOfRange
 from nilfill.presentations import (
     Presentation,
@@ -371,23 +374,24 @@ def test_a_refused_transport_fails_as_its_per_swap_moves(right, fault):
 
 @pytest.mark.parametrize("right,start,target", [(True, -9, -6), (False, 5, -3)],
                          ids=["right-from-a-negative-start", "left-to-a-negative-target"])
-def test_a_transport_with_a_negative_end_moves_as_its_per_swap_moves(right, start, target):
-    # a negative index reads the word from its end: the per-swap batch is
-    # refused (right) or has no move (left), and the transport does the same
+def test_a_transport_with_a_negative_end_is_refused(right, start, target):
+    # a negative index would read the word from its end: the transport is
+    # refused by its direction before any relator lookup, and the builder
+    # stays as it was
     pres, chain, letters = build_chain_presentation(2, 1), (1, 2), [1, 2, -1, 2, 1]
     W = list(nested_commutator(chain))
     initial = W + letters if right else letters + W
-    outcomes = []
-    for run in (lambda b: b.transport(tuple(chain), start, target, 1, right),
-                lambda b: b.extend(_per_swap_moves(pres, chain, initial, start, target, 1))):
-        b, error = SequenceBuilder(pres, initial), None
-        try:
-            run(b)
-        except NotApplicable as exc:
-            error = (exc.reason, exc.move_index)
-        outcomes.append((error, b.word, b.moves))
-    assert outcomes[0] == outcomes[1]
-    assert (outcomes[0][0] is not None) == right
+    pool = Presentation(pres.names, pres.weights, pres.relators, pres.nclass)
+    b = SequenceBuilder(pool, initial)
+    b.extend([("fe", 0, 2), ("fr", 0)])
+    before = (list(b.word), list(b.moves), b.area, b.fl)
+    direction = "rightward" if right else "leftward"
+    with pytest.raises(NotApplicable) as got:
+        b.transport(chain, start, target, 1, right)
+    assert (got.value.reason, got.value.move_index) == (
+        f"{direction} transport from {start} to {target} runs past the start of the word", None)
+    assert (b.word, b.moves, b.area, b.fl) == before
+    assert pool._transport_ids == {}
 
 
 @pytest.mark.parametrize("right", (False, True), ids=("left", "right"))
@@ -604,16 +608,29 @@ def test_power_compression_equals_isolated_increments(c, chain, n):
 _SPLICED_CASES = [(2, (1, 2), 3), (3, (1, 2, 3), 3), (3, (2, 3, 1), 2), (4, (1, 2, 3, 4), 2)]
 
 
+def _part_fields(part):
+    """A record part by value: a flat batch's moves, or an entry's fields."""
+    if type(part) is engine.Transport:
+        return ("entry", part.positions, part.ids, part.shift, part.inv, part.split)
+    return ("flat", tuple(part))
+
+
 @pytest.mark.parametrize("c,chain,n", _SPLICED_CASES)
 def test_power_compression_is_spliced_records(c, chain, n):
     # the moves sit in records, one for s = 0 and one for each carrying s;
-    # the flat segments between them stay empty
+    # each segment holds its record's own parts, with no copy, a record
+    # keeps its transports as entries, and no flat moves sit between
+    # records
     pres = build_chain_presentation(c, 1)
     seq = power_compression_sequence(pres, chain, n)
-    segments = [(r, moves, offset) for r, moves, offset in seq.segments if moves]
-    assert all(r is not None and moves is r.moves for r, moves, _ in segments)
-    assert len(segments) == 1 + n ** (c - 1)
-    assert len(seq) == len(seq.moves) == sum(len(moves) for _, moves, _ in segments)
+    assert all(not parts for r, parts, _ in seq.segments if r is None)
+    spliced = [(r, parts) for r, parts, _ in seq.segments if r is not None and r.parts]
+    assert all(parts is r.parts for r, parts in spliced)
+    assert all(type(part) in (tuple, engine.Transport) and part
+               for r, _ in spliced for part in r.parts)
+    assert any(type(part) is engine.Transport for r, _ in spliced for part in r.parts)
+    assert len(spliced) == 1 + n ** (c - 1)
+    assert len(seq) == len(seq.moves) == sum(len(part) for r, _ in spliced for part in r.parts)
     flat = PSequence(pres, seq.initial, seq.moves)
     assert serialize_trace(seq, "p.pres") == serialize_trace(flat, "p.pres")
     assert replay(seq)[0] == seq.metrics
@@ -622,8 +639,9 @@ def test_power_compression_is_spliced_records(c, chain, n):
 @pytest.mark.parametrize("c,chain,n", _SPLICED_CASES)
 def test_power_compression_records_equal_register_records(c, chain, n):
     # the record spliced at s is the register's forward record at q = s,
-    # spliced at the last z_1 of the word; a power compression runs once per
-    # (chain, n), so it leaves nothing in the context's memo
+    # part for part, spliced at the last z_1 of the word; a power
+    # compression runs once per (chain, n), so it leaves nothing in the
+    # context's memo
     pres, _ = _fresh_chain_presentation(c)
     seq = power_compression_sequence(pres, chain, n)
     assert chain_context(pres, chain).increments == {}
@@ -634,9 +652,64 @@ def test_power_compression_records_equal_register_records(c, chain, n):
         reg.q = s
         forward = reg.local_moves()
         assert offset == (total - s - 1) * lz
+        assert list(map(_part_fields, record.parts)) == list(map(_part_fields, forward.parts))
         assert record.moves == forward.moves
         assert record.before == forward.before
         assert record.after == forward.after
+
+
+def _assert_reads_as_its_flattened_copy(seq):
+    """``seq``, whose records and segments hold transport entries, reads as
+    the one flat batch of its moves to every reader: trace bytes, replay,
+    length and inversion."""
+    flat = PSequence(seq.presentation, seq.initial, seq.moves)
+    assert serialize_trace(seq, "p.pres") == serialize_trace(flat, "p.pres")
+    assert replay(seq) == replay(flat)
+    assert replay(seq)[0] == seq.metrics
+    assert len(seq) == len(flat) == seq.metrics.height
+    assert invert_sequence(seq).moves == invert_sequence(flat).moves
+
+
+@pytest.mark.parametrize("c,chain,n", [
+    *[(3, chain, n) for chain in itertools.permutations((1, 2, 3)) for n in (2, 3)],
+    (4, (1, 2, 3, 4), 2), (4, (3, 1, 4, 2), 2),
+])
+def test_a_power_compression_with_entries_reads_as_its_flattened_copy(c, chain, n):
+    pres = build_chain_presentation(c, 1)
+    seq = power_compression_sequence(pres, chain, n)
+    assert any(type(part) is engine.Transport
+               for r, _, _ in seq.segments if r is not None for part in r.parts)
+    _assert_reads_as_its_flattened_copy(seq)
+
+
+def test_fills_with_entries_read_as_their_flattened_copies():
+    # seeded class-3 fills on a fresh presentation, whose shared chain
+    # contexts splice some records once, some twice and some three times or
+    # more; each fill reads as its flattened copy, and after one write of
+    # every fill a record written once holds the marker and a record
+    # written more often the template of its lines
+    base = build_filler_presentation(3, 2)
+    pres = Presentation(base.names, base.weights, base.relators, 3, base.parents)
+    seqs = [fill(w, pres) for w in corpus_generate(pres, 12, 8, seed=7)]
+    records, writes = {}, Counter()
+    for seq in seqs:
+        for r, _, _ in seq.segments:
+            if r is not None and r.parts:
+                records[id(r)] = r
+                writes[id(r)] += 1
+    assert {min(k, 3) for k in writes.values()} == {1, 2, 3}
+    assert any(type(part) is engine.Transport
+               for seq in seqs for r, part, _ in seq.segments if r is None)
+    assert any(type(part) is engine.Transport for r in records.values() for part in r.parts)
+    for seq in seqs:
+        _assert_reads_as_its_flattened_copy(seq)
+    for key, r in records.items():
+        moves = [mv for part in r.parts for mv in part]
+        if writes[key] == 1:
+            assert r.trace_lines == {pres.names: ""}
+        else:
+            lines = "\n".join(traces._move_line(mv, pres.names) for mv in moves)
+            assert r.trace_lines[pres.names].format(*[mv[1] for mv in moves]) == lines
 
 
 @pytest.mark.parametrize("c,chain,n", _SPLICED_CASES)

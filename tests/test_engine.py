@@ -311,12 +311,17 @@ def test_segmented_length_needs_no_flattening(spliced_fills, monkeypatch):
 
 
 def test_spliced_segment_holds_the_records_own_moves(spliced_fills):
+    # a segment holds its record's own parts, with no copy: flat batches
+    # as interned tuples and transports as entries
+    kinds = set()
     for seq in spliced_fills:
-        spliced = [(r, moves) for r, moves, _ in seq.segments if r is not None]
+        spliced = [(r, parts) for r, parts, _ in seq.segments if r is not None]
         assert len(spliced) >= 2
-        for record, moves in spliced:
+        for record, parts in spliced:
             assert isinstance(record, CheckedMoves)
-            assert moves is record.moves
+            assert parts is record.parts
+            kinds.update(type(part) for part in parts)
+    assert kinds == {tuple, engine.Transport}
 
 
 def test_flattened_moves_sit_at_their_offsets(chain22):

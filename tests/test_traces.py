@@ -8,7 +8,7 @@ from nilfill import traces
 from nilfill.cli import main
 from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
-from nilfill.engine import PSequence, check_moves, replay
+from nilfill.engine import PSequence, Transport, check_moves, replay
 from nilfill.errors import TraceSyntaxError
 from nilfill.presentations import (Presentation, build_chain_presentation,
                                    build_filler_presentation, save_presentation)
@@ -122,7 +122,8 @@ def test_roundtrip_bit_exact_long_traces(kind):
 
 
 def test_segmented_trace_writes_as_its_flattened_copy():
-    # fills splice memoized register increments; each spliced record is
+    # fills splice memoized register increments; each spliced record, whose
+    # segment holds its own parts (flat batches and transport entries), is
     # written from its line template, at the segment's offset.  The fills
     # run on a fresh copy of the presentation, so no earlier test has
     # written their records.
@@ -135,8 +136,9 @@ def test_segmented_trace_writes_as_its_flattened_copy():
     for seq in seqs:
         flat = PSequence(pres, seq.initial, seq.moves)
         text = serialize_trace(seq, "p.pres")
-        for r, moves, _ in seq.segments:
-            if r is not None and moves:
+        for r, parts, _ in seq.segments:
+            if r is not None and parts:
+                assert parts is r.parts
                 records[id(r)] = r
                 writes[id(r)] += 1
         assert text == serialize_trace(flat, "p.pres")
@@ -150,9 +152,11 @@ def test_segmented_trace_writes_as_its_flattened_copy():
         assert template == "" if writes[key] == 1 else template
     for seq in seqs:
         serialize_trace(seq, "p.pres")
+    assert any(type(part) is Transport for r in records.values() for part in r.parts)
     for r in records.values():
-        lines = "\n".join(traces._move_line(mv, pres.names) for mv in r.moves)
-        assert r.trace_lines[pres.names].format(*[mv[1] for mv in r.moves]) == lines
+        moves = [mv for part in r.parts for mv in part]
+        lines = "\n".join(traces._move_line(mv, pres.names) for mv in moves)
+        assert r.trace_lines[pres.names].format(*[mv[1] for mv in moves]) == lines
 
 
 def test_a_record_keeps_its_line_template_from_its_second_write():
