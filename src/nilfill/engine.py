@@ -26,8 +26,11 @@ slice assignment.
 A builder's block transport has one entry, ``SequenceBuilder.transport``:
 it checks the move once per distinct letter passed and records it as one
 segment entry (a ``Transport``: the positions, each swap's relator id and
-the shared fields), or else hands ``apply_moves`` one move per letter;
-replay expands an entry and still checks every line.
+the shared fields), or else hands ``apply_moves`` one move per letter.
+``replay`` proves an entry the same way, reading the letters passed off
+its ids (``_apply_transport``), and expands it into moves for
+``apply_moves`` only when a check fails, so a refusal keeps the kernel's
+reason and index.
 ``SequenceBuilder.splice`` applies a batch the kernel has already checked
 (a ``CheckedMoves``, which keeps the parts its builder checked: flat
 batches and ``Transport`` entries) by its recorded effect wherever the
@@ -349,6 +352,60 @@ def _continue_run(word, moves, j, p, offset, n, left, right) -> int:
     return (q - first) * s
 
 
+def _apply_transport(word: list, entry: Transport, pool: RelatorPool, offset: int) -> bool:
+    """Apply the swaps of ``entry`` at ``offset`` to ``word`` as one move,
+    proved as ``SequenceBuilder.transport`` proves it, read from ids to
+    letters; True when applied.  The positions' step names the side, the
+    template of each distinct key (cached, or built by ``_template`` with
+    all of its checks) must swap one and the same block that way, and its
+    swap table gives the letter each id passes.  With the block at the
+    first position, the run inside the word and the letters passed equal
+    to those of the ids, every swap passes the checks of ``apply_moves``.
+    On a failed check the word is untouched and the caller expands the
+    entry for ``apply_moves``, which names the refusal."""
+    positions, ids = entry.positions, entry.ids
+    k, step = len(ids), positions.step
+    if not k or len(positions) != k or step not in (1, -1):
+        return False
+    side = 4 if step > 0 else 3
+    templates, fields = pool._move_templates, (entry.shift, entry.inv, entry.split)
+    pair, letter_of = None, {}
+    for rid in set(ids):
+        key = (rid, *fields)
+        template = templates.get(key)
+        if template is None:
+            try:
+                template = _template(pool, key, 0)
+            except NotApplicable:
+                return False
+        if pair is None:
+            pair = template[side]
+        if pair is None or template[side] is not pair:
+            return False
+        letter_of[rid] = pair[1][key]
+    block = pair[0]
+    L, n, p = len(block), len(word), positions.start + offset
+    passed = list(map(letter_of.__getitem__, ids))
+    if step > 0:
+        # swap i replaces W t at p + i by t W: the block passes word[p + L + i]
+        if p < 0 or p + L + k > n or word[p:p + L] != block:
+            return False
+        letters = word[p + L:p + L + k]
+        if letters != passed:
+            return False
+        word[p:p + L + k] = letters + block
+    else:
+        # swap i replaces t W at p - i by W t: the block passes word[p - i]
+        lo = p - k + 1
+        if lo < 0 or p + 1 + L > n or word[p + 1:p + 1 + L] != block:
+            return False
+        letters = word[lo:p + 1]
+        if letters[::-1] != passed:
+            return False
+        word[lo:p + 1 + L] = block + letters
+    return True
+
+
 @dataclass(frozen=True)
 class CheckedMoves:
     """A move batch at offset 0 and its effect, as the kernel found it on
@@ -401,13 +458,19 @@ def _shifted(moves, offset: int):
 def replay(seq: PSequence):
     """Apply all moves; return (Metrics, final word).  Deterministic.
 
-    A refused move raises NotApplicable carrying its index in the whole
-    sequence."""
+    A flat batch goes to ``apply_moves`` at its offset; a ``Transport``
+    entry is applied as one checked move (``_apply_transport``), or, when
+    a check fails, expanded into its moves for ``apply_moves``.  A refused
+    move raises NotApplicable carrying its index in the whole sequence."""
     word = list(seq.initial)
     pres = seq.presentation
     area, fl, done = 0, len(word), 0
     for moves, offset in _parts(seq.segments):
         if type(moves) is Transport:
+            if _apply_transport(word, moves, pres, offset):
+                area += len(moves)
+                done += len(moves)
+                continue
             moves = list(moves)
         try:
             batch_area, batch_fl = apply_moves(word, moves, pres, offset)

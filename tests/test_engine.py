@@ -1,8 +1,12 @@
 import ast
+import dataclasses
 import pathlib
 import random
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import (apply_move, fill, longest_relator, one_move_per_call,
                      random_valid_sequence)
 
@@ -291,12 +295,51 @@ def spliced_fills():
     return [seq for seq in seqs if sum(r is not None for r, _, _ in seq.segments) >= 2]
 
 
-def test_segmented_sequence_replays_as_its_flattened_copy(spliced_fills):
+@pytest.fixture(scope="module")
+def built_compressions():
+    """Power compressions whose transports are entries, at the top level
+    and inside records: every class-3 chain ordering at n = 2 and 3,
+    (1, 2, 3) at n = 5, and two class-4 orderings at n = 2."""
+    from nilfill.compression import power_compression_sequence
+
+    c3, c4 = build_chain_presentation(3, 1), build_chain_presentation(4, 1)
+    jobs = [(c3, chain, n) for chain in permutations((1, 2, 3)) for n in (2, 3)]
+    jobs += [(c3, (1, 2, 3), 5), (c4, (1, 2, 3, 4), 2), (c4, (2, 4, 1, 3), 2)]
+    return [power_compression_sequence(pres, chain, n) for pres, chain, n in jobs]
+
+
+def _entry_sites(seq):
+    """(segment index, part index, entry) of every ``Transport`` entry of
+    ``seq``; the part index is None for an entry that is a segment."""
+    sites = []
+    for i, (record, moves, _) in enumerate(seq.segments):
+        parts = enumerate(record.parts) if record is not None else [(None, moves)]
+        sites += [(i, j, part) for j, part in parts if type(part) is engine.Transport]
+    return sites
+
+
+def test_segmented_sequence_replays_as_its_flattened_copy(spliced_fills, built_compressions):
     assert spliced_fills
-    for seq in spliced_fills:
+    seqs = spliced_fills + built_compressions
+    for seq in seqs:
         flat = PSequence(seq.presentation, seq.initial, seq.moves)
         assert len(flat.segments) == 1
         assert replay(seq) == replay(flat)
+        assert replay(seq)[0] == seq.metrics
+    # entries sit at the top level and inside records
+    sites = [site for seq in seqs for site in _entry_sites(seq)]
+    assert {j is None for _, j, _ in sites} == {True, False}
+
+
+def test_passing_sequence_expands_no_entry(spliced_fills, built_compressions, monkeypatch):
+    # the kernel applies every entry of a built sequence as one checked
+    # move, so no entry is expanded into its swaps
+    def refuse(self, offset):
+        raise AssertionError("expanded")
+
+    monkeypatch.setattr(engine.Transport, "at", refuse)
+    for seq in spliced_fills + built_compressions:
+        assert _entry_sites(seq)
         assert replay(seq)[0] == seq.metrics
 
 
@@ -353,6 +396,165 @@ def test_replay_reports_index_in_the_whole_sequence(chain22):
         with pytest.raises(NotApplicable) as flat:
             replay(PSequence(chain22, (), seq.moves))
         assert (flat.value.move_index, flat.value.reason) == (index, exc.value.reason)
+
+
+# -- transport entries: one checked move against their expanded swaps --------
+
+
+@pytest.fixture(scope="module")
+def entry_sequences(spliced_fills, built_compressions):
+    """The shortest built class-3 fill with entries at the top level and
+    inside records, and a built (1, 2, 3) compression at n = 3, each with
+    the entries it holds."""
+    fills = [seq for seq in spliced_fills
+             if len({j is None for _, j, _ in _entry_sites(seq)}) == 2]
+    seqs = [min(fills, key=len), built_compressions[1]]
+    return [(seq, _entry_sites(seq)) for seq in seqs]
+
+
+def _with_entry(seq, site, entry) -> PSequence:
+    """``seq`` with the entry at ``site`` replaced by ``entry``; a record
+    that holds it is copied, never changed."""
+    i, j, _ = site
+    segments = list(seq.segments)
+    record, _, offset = segments[i]
+    if j is None:
+        segments[i] = (None, entry, 0)
+    else:
+        parts = record.parts[:j] + (entry,) + record.parts[j + 1:]
+        segments[i] = (dataclasses.replace(record, parts=parts), parts, offset)
+    return PSequence(seq.presentation, seq.initial, segments=segments)
+
+
+def _replay_verdict(seq):
+    try:
+        return replay(seq)
+    except NotApplicable as exc:
+        return exc.reason, exc.move_index
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw=st.data())
+def test_a_corrupted_entry_replays_as_its_flattened_copy(entry_sequences, draw):
+    # one entry, top level or inside a spliced record, gets another
+    # letter's relator id or one out of range at one swap, a range moved by
+    # one or reversed, or a changed shift, inversion flag or split: replay
+    # refuses it with the reason and index of the flattened copy, or
+    # accepts it with the same metrics and final word
+    seq, sites = draw.draw(st.sampled_from(entry_sequences))
+    site = draw.draw(st.sampled_from(sites))
+    entry = site[2]
+    positions, ids = entry.positions, entry.ids
+    fields = [entry.shift, entry.inv, entry.split]
+    kind = draw.draw(st.sampled_from(["id", "range", "reversed", "field"]))
+    if kind == "id":
+        # most often the id of another letter the same block passes
+        i = draw.draw(st.integers(0, len(ids) - 1))
+        same = {rid for _, _, e in sites for rid in e.ids
+                if (e.shift, e.inv, e.split) == tuple(fields)} - {ids[i]}
+        others = {rid for _, _, e in sites for rid in e.ids} - {ids[i]}
+        bad = len(seq.presentation.relators)
+        rid = draw.draw(st.sampled_from(sorted(same or others) or [bad])
+                        | st.sampled_from(sorted(others) + [-1, bad, bad + 7]))
+        ids = ids[:i] + (rid,) + ids[i + 1:]
+    elif kind == "range":
+        d = draw.draw(st.sampled_from([-1, 1]))
+        positions = range(positions.start + d, positions.stop + d, positions.step)
+    elif kind == "reversed":
+        positions = positions[::-1]
+    else:
+        k = draw.draw(st.integers(0, 2))
+        fields[k] += draw.draw(st.sampled_from([-2, -1, 1, 2]))
+    mutated = _with_entry(seq, site, engine.Transport(positions, ids, *fields))
+    flat = PSequence(seq.presentation, seq.initial, mutated.moves)
+    assert _replay_verdict(mutated) == _replay_verdict(flat)
+
+
+def _entry_and_word(seqs, step):
+    """(pool, entry, offset, word) of the first built entry of more than
+    two swaps whose step is ``step``, on the word it was applied to."""
+    for seq in seqs:
+        pool, word = seq.presentation, seq.initial
+        for part, offset in engine._parts(seq.segments):
+            if type(part) is engine.Transport and part.positions.step == step and len(part) > 2:
+                return pool, part, offset, list(word)
+            word = replay(PSequence(pool, word, segments=[(None, part, offset)]))[1]
+    raise AssertionError(f"no entry of step {step}")
+
+
+@pytest.mark.parametrize("step", [-1, 1])
+def test_the_entry_kernel_refuses_each_failed_check(spliced_fills, built_compressions, step):
+    # a built entry on the word it was applied to, then on that word with a
+    # letter of the block or a letter passed changed, cut short, or with
+    # the run moved past the start, and the entry with its positions two
+    # apart or one fewer than its ids: each leaves the word as it was, and
+    # replay gives the verdict of the flattened copy, a refusal on a changed
+    # word
+    pool, entry, offset, word = _entry_and_word(built_compressions + spliced_fills, step)
+    after = list(word)
+    assert engine._apply_transport(after, entry, pool, offset)
+    positions, k, L = entry.positions_at(offset), len(entry), entry.split - 1
+    p = positions[0]
+    block_at, passed_at = (p, p + L + k - 1) if step > 0 else (p + 1, p - k + 1)
+    fields = entry.ids, entry.shift, entry.inv, entry.split
+    variants = []
+    for at in (block_at, passed_at):
+        w = list(word)
+        w[at] = pool.rank if w[at] != pool.rank else 1
+        variants.append((w, entry, offset))
+    variants.append((word[:max(positions) + L], entry, offset))
+    variants.append((word, entry, offset - min(positions) - 1))
+    start = entry.positions.start
+    for other in (range(start, start + 2 * k * step, 2 * step), entry.positions[:-1]):
+        variants.append((word, engine.Transport(other, *fields), offset))
+    for w, e, at in variants:
+        kept = list(w)
+        assert not engine._apply_transport(w, e, pool, at)
+        assert w == kept
+        got = _replay_verdict(PSequence(pool, tuple(w), segments=[(None, e, at)]))
+        assert got == _replay_verdict(PSequence(pool, tuple(w), list(e.at(at))))
+        if w != word:
+            assert type(got[0]) is str
+
+
+class _NamingPool(engine.RelatorPool):
+    """A relator pool that adds the nested commutator of each chain it is
+    asked for, as a chain context does."""
+
+    def _name(self, chain) -> int:
+        self.relators.append(nested_commutator(chain))
+        return len(self.relators) - 1
+
+
+@pytest.mark.parametrize("right", [True, False])
+def test_an_entry_on_a_long_relator_is_expanded(right, monkeypatch):
+    # a 46-letter block: each swap relator [t, W] has 94 letters, past
+    # MAX_CACHED_RELATOR, so no template has a swap table and the kernel
+    # leaves the entry to apply_moves, one swap at a time
+    chain, letters = (1, 2, 1, 2, 1), [3, -1, 2, 3]
+    block = list(nested_commutator(chain))
+    pool = _NamingPool([], 3)
+    b = SequenceBuilder(pool, block + letters if right else letters + block)
+    b.transport(chain, 0 if right else 4, 4 if right else 0, 1, right)
+    assert b.word == (letters + block if right else block + letters)
+    moves = b.moves
+    assert len(pool.relators[moves[0][2]]) > engine.MAX_CACHED_RELATOR
+    entry = engine.Transport(range(moves[0][1], moves[-1][1] + (1 if right else -1),
+                                   1 if right else -1),
+                             tuple(m[2] for m in moves), *moves[0][3:])
+    assert list(entry) == moves
+    applied = []
+    kernel = engine._apply_transport
+
+    def spy(*args):
+        applied.append(kernel(*args))
+        return applied[-1]
+
+    monkeypatch.setattr(engine, "_apply_transport", spy)
+    seq = PSequence(pool, b.initial, entry)
+    assert replay(seq) == replay(PSequence(pool, b.initial, moves))
+    assert replay(seq)[1] == tuple(b.word)
+    assert applied == [False, False]
 
 
 # -- swap runs: a batch against the same moves one per kernel call ----------
