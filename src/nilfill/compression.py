@@ -46,8 +46,9 @@ from .engine import (
     RelatorPool,
     SequenceBuilder,
     Transport,
+    _parts,
+    _shifted,
     block_reduction_moves,
-    check_moves,
     invert_sequence,
     iter_moves,
     mirror_move,
@@ -80,15 +81,16 @@ class ChainContext(RelatorPool):
     carrying) or of its mirror.  Each record passes the kernel once,
     when it is made, and later absorptions splice in its effect
     (``SequenceBuilder.splice``), sharing its parts; a register reads its
-    length and the mirror's splice offset off the record.  A forward
-    record keeps the parts its builder checked, at offset 0: flat batches
-    of move tuples, each distinct move stored once in ``_move_pool``, and
-    ``Transport`` entries as they are, so no tuple is built or stored for
-    a transport's swaps, with each distinct ids tuple stored once in the
-    same pool (for (1, 2, 3) at n = 10, 60,650 flat moves are 918
-    distinct objects, and 3,200 entries hold 230,550 swaps in 1,850 ids
-    tuples).  A mirror record is one flat batch.  The trace writer keeps
-    each record's line template on the record.
+    length and the mirror's splice offset off the record.  A record keeps
+    the parts of the builder that checked it (a mirror's builder takes
+    ``invert_sequence``'s moves of the forward record), at offset 0: flat
+    batches of move tuples, each distinct move stored once in
+    ``_move_pool``, and ``Transport`` entries as they are, so no tuple is
+    built or stored for a transport's swaps, with each distinct ids tuple
+    stored once in the same pool (for (1, 2, 3) at n = 10, 60,650 flat
+    moves are 918 distinct objects, and 3,200 entries hold 230,550 swaps
+    in 1,850 ids tuples).  The trace writer keeps each record's line
+    template on the record.
 
     Whoever makes a register chooses the context that owns its records.
     Fills share the presentation's context of each chain
@@ -122,8 +124,8 @@ class ChainContext(RelatorPool):
         return len(self.relators) - 1
 
     def intern(self, part):
-        """A builder's part, read once, as a record keeps it: a flat batch
-        as a tuple whose equal moves are one shared object, a ``Transport``
+        """A builder's part, read once, as a record keeps it: flat moves as
+        a tuple whose equal moves are one shared object, a ``Transport``
         entry as it is, its ids tuple shared with every equal one."""
         pool = self._move_pool
         if type(part) is Transport:
@@ -140,21 +142,21 @@ class ChainContext(RelatorPool):
             return rec
         if mirrored:
             forward = self.record(n, s, False)
-            mirror = invert_sequence(PSequence(self.pres, forward.before,
-                                               segments=[(forward, forward.parts, 0)]))
-            rec = check_moves(self.pres, mirror.initial, self.intern(mirror.moves))
-            if rec.after != list(inverse_word(forward.after)):
+            b = SequenceBuilder(self.pres, inverse_word(forward.before))
+            b.extend(invert_sequence(PSequence(self.pres, forward.before,
+                                               segments=[(forward, 0)])).moves)
+            if b.word != list(inverse_word(forward.after)):
                 raise AssertionError(f"mirrored increment endpoint mismatch, s={s}")
         else:
             zw = self.z_words[0]
-            initial = zw + (_cword(self, 0, n, s) if s else ())
-            b = SequenceBuilder(self.pres, initial)
+            b = SequenceBuilder(self.pres, zw + (_cword(self, 0, n, s) if s else ()))
             if s == 0:
                 b.extend([("fe", len(zw) + p, a)
                           for p, a in reversed(reduction_steps(_cword(self, 0, n, 0)))])
             _run_increment(self, b, 0, n, s)
-            parts = tuple(self.intern(moves) for _, moves, _ in b.segments if moves)
-            rec = CheckedMoves(parts, list(initial), b.word, b.area, b.fl - len(initial))
+        parts = tuple(self.intern(_shifted(part, offset))
+                      for part, offset in _parts(b.segments) if part)
+        rec = CheckedMoves(parts, list(b.initial), b.word, b.area, b.fl - len(b.initial))
         self.increments[n, s, mirrored] = rec
         return rec
 

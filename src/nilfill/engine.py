@@ -32,18 +32,18 @@ its ids (``_apply_transport``), and expands it into moves for
 ``apply_moves`` only when a check fails, so a refusal keeps the kernel's
 reason and index.
 ``SequenceBuilder.splice`` applies a batch the kernel has already checked
-(a ``CheckedMoves``, which keeps the parts its builder checked: flat
-batches and ``Transport`` entries) by its recorded effect wherever the
-subword it was checked on sits, and records it as a segment: the record,
-its parts and its offset, with no copy.  A ``PSequence`` keeps those segments; its
-``moves`` list is built only when it is read, and ``iter_moves`` walks
-them one move at a time for a reader that reads them once.
+(a ``CheckedMoves`` record of the flat batches and entries its builder
+checked) by its effect wherever the subword it was checked on sits.  A
+``PSequence`` keeps its moves as (part, offset) segments, a part being a
+flat batch, an entry or a record, each read with its positions shifted
+by the offset; its ``moves`` list is built only when it is read, and
+``iter_moves`` walks them one move at a time for a one-pass reader.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import neg
 
 from .errors import NotApplicable, NotNull
@@ -101,15 +101,16 @@ class Metrics:
 
 class Transport:
     """A checked block transport as one segment entry: swap i is the
-    relator application ("ar", positions[i], ids[i], shift, inv, split).
-    ``positions`` is a range and ``ids`` a tuple, so an entry costs one
-    pointer per swap; its length is its number of swaps, and iterating it
-    builds its moves in order."""
+    relator application ("ar", start + i * step, ids[i], shift, inv,
+    split).  ``positions``, that range, is built from the ids' length, and
+    ``ids`` is a tuple, so an entry costs one pointer per swap; its length
+    is its number of swaps, and iterating it builds its moves in order."""
 
     __slots__ = ("positions", "ids", "shift", "inv", "split")
 
-    def __init__(self, positions: range, ids: tuple, shift: int, inv: int, split: int):
-        self.positions = positions
+    def __init__(self, start: int, step: int, ids: tuple, shift: int, inv: int,
+                 split: int):
+        self.positions = range(start, start + step * len(ids), step)
         self.ids = ids
         self.shift = shift
         self.inv = inv
@@ -134,15 +135,14 @@ class Transport:
 
 class PSequence:
     """A move sequence from ``initial``, kept as segments.  A segment is a
-    triple (record, moves, offset): a spliced ``CheckedMoves`` record,
-    whose parts sit at ``offset`` in the word (``moves`` is the record's
-    own ``parts`` tuple, which readers take from the record), or, with
-    record None and offset 0, one part.  A part is a flat batch (a list or
-    tuple of moves) or a builder's ``Transport`` entry.
-    ``PSequence(pres, initial, moves)`` is one flat segment.  ``metrics``
-    is what the builder measured while it checked every move; None for a
-    sequence that was not built (parsed or rewritten), whose metrics
-    ``replay`` gives."""
+    pair (part, offset): the part's moves act with every position shifted
+    by ``offset``.  A part is a flat batch (a list or tuple of moves), a
+    builder's ``Transport`` entry or a spliced ``CheckedMoves`` record,
+    whose own parts all sit at the segment's offset; ``_parts`` is the one
+    place that opens a record.  ``PSequence(pres, initial, moves)`` is one
+    flat segment at offset 0.  ``metrics`` is what the builder measured
+    while it checked every move; None for a sequence that was not built
+    (parsed or rewritten), whose metrics ``replay`` gives."""
 
     __slots__ = ("presentation", "initial", "segments", "metrics")
 
@@ -150,7 +150,7 @@ class PSequence:
                  metrics: "Metrics | None" = None, segments=None):
         self.presentation = presentation
         self.initial = initial
-        self.segments = [(None, moves, 0)] if segments is None else segments
+        self.segments = [(moves, 0)] if segments is None else segments
         self.metrics = metrics
 
     def __len__(self):
@@ -159,19 +159,20 @@ class PSequence:
     @property
     def moves(self) -> list:
         """Every move at its place in the whole sequence.  Built anew on
-        each read, except for a single flat batch, which is returned as it
-        is."""
+        each read, except for a single flat batch at offset 0, which is
+        returned as it is."""
         return _flatten(self.segments)
 
 
 def _parts(segments):
-    """(part, offset) of every part of ``segments``, in order."""
-    for record, moves, offset in segments:
-        if record is None:
-            yield moves, offset
+    """(part, offset) of every flat batch and ``Transport`` entry of
+    ``segments``, in order, a spliced record's parts at its offset."""
+    for part, offset in segments:
+        if type(part) is CheckedMoves:
+            for inner in part.parts:
+                yield inner, offset
         else:
-            for part in record.parts:
-                yield part, offset
+            yield part, offset
 
 
 def _height(segments) -> int:
@@ -179,17 +180,16 @@ def _height(segments) -> int:
 
 
 def iter_moves(segments):
-    """Every move of ``segments`` at its place, one at a time: a spliced
-    record's moves shifted by its offset, an entry's moves as it builds
-    them."""
+    """Every move of ``segments`` at its place, one at a time: each part's
+    moves shifted by its offset, an entry's moves as it builds them."""
     return chain.from_iterable(_shifted(part, offset) for part, offset in _parts(segments))
 
 
 def _flatten(segments):
     if len(segments) == 1:
-        record, moves, _ = segments[0]
-        if record is None and type(moves) is not Transport:
-            return moves
+        part, offset = segments[0]
+        if not offset and type(part) not in (Transport, CheckedMoves):
+            return part
     return list(iter_moves(segments))
 
 
@@ -365,7 +365,7 @@ def _apply_transport(word: list, entry: Transport, pool: RelatorPool, offset: in
     entry for ``apply_moves``, which names the refusal."""
     positions, ids = entry.positions, entry.ids
     k, step = len(ids), positions.step
-    if not k or len(positions) != k or step not in (1, -1):
+    if not k or step not in (1, -1):
         return False
     side = 4 if step > 0 else 3
     templates, fields = pool._move_templates, (entry.shift, entry.inv, entry.split)
@@ -413,13 +413,13 @@ class CheckedMoves:
     ``area`` relator applications, and its peak word length is
     ``len(before) + grow``.  The batch is kept as the parts its builder
     checked, in order, none of them empty: flat batches (tuples of moves)
-    and ``Transport`` entries; ``moves`` builds the flat view.  ``before``
-    and ``after`` are lists, which ``splice`` compares with a word slice
-    and writes into one; they are never mutated.  ``trace_lines`` belongs
-    to the trace writer: it maps a presentation's letter names to the
-    record's trace lines as one format string, kept from the second time
-    the record is written with them (after the first, an empty string
-    marks the names)."""
+    and ``Transport`` entries, at offset 0.  ``before`` and ``after`` are
+    lists, which ``splice`` compares with a word slice and writes into
+    one; they are never mutated.  ``trace_lines`` belongs to the trace
+    writer: it maps a presentation's letter names to the record's trace
+    lines as one format string, kept from the second time the record is
+    written with them (after the first, an empty string marks the
+    names)."""
 
     parts: tuple
     before: list
@@ -428,27 +428,15 @@ class CheckedMoves:
     grow: int
     trace_lines: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def moves(self) -> tuple:
-        """Every move of the batch in order, built on each read."""
-        return tuple(chain.from_iterable(self.parts))
-
-
-def check_moves(pres: RelatorPool, before, moves) -> CheckedMoves:
-    """Run ``moves`` through the kernel on ``before`` and record the effect."""
-    word = list(before)
-    area, fl = apply_moves(word, moves, pres)
-    return CheckedMoves((moves,) if moves else (), list(before), word, area,
-                        fl - len(before))
-
 
 def _shifted(moves, offset: int):
-    """``moves`` with every position shifted by ``offset``; ``moves`` itself
-    when ``offset`` is 0."""
-    if type(moves) is Transport:
-        return moves.at(offset)
+    """The moves of ``moves``, a flat batch or a ``Transport`` entry, with
+    every position shifted by ``offset``: ``moves`` itself when ``offset``
+    is 0, else a list, or for an entry an iterator of its moves."""
     if not offset:
         return moves
+    if type(moves) is Transport:
+        return moves.at(offset)
     return [("ar", m[1] + offset, m[2], m[3], m[4], m[5]) if m[0] == "ar"
             else ("fr", m[1] + offset) if m[0] == "fr"
             else ("fe", m[1] + offset, m[2])
@@ -581,11 +569,11 @@ class SequenceBuilder:
     batch the kernel checked on the very subword it lands on (``splice``),
     so a finished builder yields a valid sequence; the builder keeps the
     area and FL the kernel returns, so its ``metrics`` equal those of a
-    replay.  ``extend`` records a batch it accepts, shifted by
-    ``_shifted``, in the open flat segment, which it opens when there is
-    none (``flat`` is None); ``transport`` records the swaps it checked
-    as one ``Transport`` entry, and ``splice`` the record and its offset,
-    each a segment of its own that closes the flat one.  Other compound
+    replay.  Of its (part, offset) segments, ``extend`` records a batch it
+    accepts, shifted by ``_shifted``, in the open flat one at offset 0,
+    opened when there is none (``flat`` is None); ``transport`` adds the
+    swaps it checked as one ``Transport`` entry, and ``splice`` the record
+    at its offset, each closing the flat segment.  Other compound
     emissions are move lists built by the functions above."""
 
     __slots__ = ("pres", "initial", "word", "segments", "flat", "area", "fl")
@@ -609,7 +597,7 @@ class SequenceBuilder:
             self.fl = fl
         if self.flat is None:
             self.flat = []
-            self.segments.append((None, self.flat, 0))
+            self.segments.append((self.flat, 0))
         self.flat += _shifted(moves, offset)
 
     def transport(self, chain: tuple, start: int, target: int, sign: int,
@@ -657,10 +645,10 @@ class SequenceBuilder:
             return
         if right:
             letters = word[start + L:target + L]
-            positions, order = range(start, target), letters
+            first, step, order = start, 1, letters
         else:
             letters = word[target:start]
-            positions, order = range(start - 1, target - 1, -1), letters[::-1]
+            first, step, order = start - 1, -1, letters[::-1]
         # a single-letter block meeting its own inverse swaps freely
         stop = -word[start] if L == 1 else None
         # the set is filled in the order the block meets its letters, and a
@@ -690,7 +678,7 @@ class SequenceBuilder:
         if block is not None and word[start:start + L] == block:
             self.area += hi - lo
             rids = tuple(map(ids.__getitem__, order if sign > 0 else map(neg, order)))
-            self.segments.append((None, Transport(positions, rids, shift, inv, split), 0))
+            self.segments.append((Transport(first, step, rids, shift, inv, split), 0))
             self.flat = None
             if right:
                 word[start:target + L] = letters + block
@@ -698,7 +686,7 @@ class SequenceBuilder:
                 word[target:start + L] = block + letters
             return
         moves = []
-        for p, t in zip(positions, order):
+        for p, t in zip(count(first, step), order):
             if t == stop:
                 moves += (("fr", p), ("fe", p, stop if right else -stop))
             else:
@@ -707,7 +695,7 @@ class SequenceBuilder:
 
     def splice(self, record: CheckedMoves, offset: int = 0) -> None:
         """Apply the moves of ``record`` at ``offset`` by their effect, and
-        record the segment (record, record.parts, offset).
+        record the segment (record, offset).
 
         A batch the kernel checked on ``before`` alone reads only letters of
         ``before``, so wherever ``before`` sits every move passes the same
@@ -719,19 +707,14 @@ class SequenceBuilder:
         end = offset + len(before)
         fl = len(word) + record.grow
         if offset < 0 or word[offset:end] != before or fl > MAX_WORD_LENGTH:
-            self.extend(record.moves, offset)
+            self.extend(_flatten([(record, 0)]), offset)
             return
         word[offset:end] = record.after
         self.area += record.area
         if fl > self.fl:
             self.fl = fl
-        self.segments.append((record, record.parts, offset))
+        self.segments.append((record, offset))
         self.flat = None
-
-    @property
-    def moves(self) -> list:
-        """Every recorded move at its place, as ``PSequence.moves``."""
-        return _flatten(self.segments)
 
     @property
     def metrics(self) -> Metrics:

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .engine import Metrics, PSequence, Transport, replay, validate_null
+from .engine import (CheckedMoves, Metrics, PSequence, Transport, _shifted, replay,
+                     validate_null)
 from .errors import NilfillError, NotApplicable, NotNull, TraceSyntaxError
 from .presentations import Presentation, read_text
 from .words import NAME_RE, format_letter, parse_word
@@ -107,14 +108,14 @@ def _positions(parts, offset: int) -> list:
 
 
 def serialize_trace(seq: PSequence, presentation_path: str) -> str:
-    """The trace text of a sequence.  Each distinct move of a flat batch
-    is formatted once per call, and looked up for each line: a
-    certificate repeats few moves many times.  A ``Transport`` entry, and
-    a spliced record, are written with one ``str.format`` of their line
-    template, filled with their positions shifted by the segment's
-    offset.  A record keeps its template (``_record_lines``); an entry's,
-    and a record's first, is joined from per-move and per-relator-id
-    templates, each made once per call."""
+    """The trace text of a sequence.  Every part is read at its segment's
+    offset.  Each distinct move of a flat batch is formatted once per
+    call, and looked up for each line: a certificate repeats few moves
+    many times.  A ``Transport`` entry, and a spliced record, are written
+    with one ``str.format`` of their line template, filled with their
+    shifted positions.  A record keeps its template (``_record_lines``);
+    an entry's, and a record's first, is joined from per-move and
+    per-relator-id templates, each made once per call."""
     pres = seq.presentation
     names = pres.names
     lines = [
@@ -125,15 +126,15 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
     text_of = {}        # move -> its line, for this call
     get = text_of.get
     templates = _LineTemplates(names)
-    for record, moves, offset in seq.segments:
-        if record is not None:
-            text = _record_lines(record, templates)
+    for part, offset in seq.segments:
+        if type(part) is CheckedMoves:
+            text = _record_lines(part, templates)
             if text:
-                append(text.format(*_positions(record.parts, offset)))
-        elif type(moves) is Transport:
-            append("\n".join(templates.lines(moves)).format(*moves.positions))
+                append(text.format(*_positions(part.parts, offset)))
+        elif type(part) is Transport:
+            append("\n".join(templates.lines(part)).format(*part.positions_at(offset)))
         else:
-            for move in moves:
+            for move in _shifted(part, offset):
                 line = get(move)
                 if line is None:
                     line = text_of[move] = _move_line(move, names)

@@ -1,7 +1,8 @@
 """Shared test utilities."""
 
 from nilfill import compression
-from nilfill.engine import SequenceBuilder, apply_moves, reduction_steps
+from nilfill.engine import (CheckedMoves, SequenceBuilder, _flatten, apply_moves,
+                            reduction_steps)
 from nilfill.errors import NotApplicable, OutOfRange
 from nilfill.filler import fill_with_report
 from nilfill.oracle import SeriesContext
@@ -11,6 +12,20 @@ from nilfill.words import inverse_word
 def fill(w, pres):
     """The null-sequence of ``fill_with_report``, without its report."""
     return fill_with_report(w, pres)[0]
+
+
+def check_moves(pres, before, moves):
+    """The record of ``moves`` run through the kernel on ``before``, made
+    as ``ChainContext.record`` makes one: from a builder's parts."""
+    b = SequenceBuilder(pres, before)
+    b.extend(moves)
+    return CheckedMoves(tuple(part for part, _ in b.segments if part), list(b.initial),
+                        b.word, b.area, b.fl - len(b.initial))
+
+
+def record_moves(record) -> list:
+    """Every move of a record in order, as ``splice`` reads them."""
+    return _flatten([(record, 0)])
 
 
 def increment_sequence(pres, chain, n, s):

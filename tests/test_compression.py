@@ -7,7 +7,8 @@ import weakref
 from collections import Counter
 
 import pytest
-from helpers import fill, increment_sequence, insert_trivial_word, one_move_per_call
+from helpers import (fill, increment_sequence, insert_trivial_word, one_move_per_call,
+                     record_moves)
 
 from nilfill import compression, engine, oracle, traces
 from nilfill.compression import (
@@ -19,8 +20,8 @@ from nilfill.compression import (
     power_compression_sequence,
 )
 from nilfill.corpus import corpus_generate
-from nilfill.engine import (PSequence, SequenceBuilder, apply_moves, invert_sequence, replay,
-                            validate_null)
+from nilfill.engine import (CheckedMoves, PSequence, SequenceBuilder, apply_moves,
+                            invert_sequence, replay, validate_null)
 from nilfill.errors import NoTransportRelator, NotApplicable, OutOfRange
 from nilfill.presentations import (
     Presentation,
@@ -194,7 +195,7 @@ def test_block_mover_length_is_its_block_length(letters):
         b = SequenceBuilder(ChainContext(pres, chain), initial)
         b.transport(chain, int(not right), int(right), 1, right)
         assert b.word == final
-        assert b.moves == [("ar", 0, 0, len(W) + 1, int(right), len(W) + 1)]
+        assert b.finish().moves == [("ar", 0, 0, len(W) + 1, int(right), len(W) + 1)]
 
 
 def test_transport_block_costs_length():
@@ -254,11 +255,11 @@ def test_transport_missing_relator():
                                                 (True, W + [1, -1, 1, 2], 0, 1, 4)):
         b = SequenceBuilder(pres, initial)
         b.transport(chain, start, start + step, 1, right)
-        before = (list(b.word), list(b.moves), b.area, b.fl)
+        before = (list(b.word), list(b.finish().moves), b.area, b.fl)
         assert before[2] == 1
         with pytest.raises(NoTransportRelator):
             b.transport(chain, start + step, target, 1, right)
-        assert (b.word, b.moves, b.area, b.fl) == before
+        assert (b.word, b.finish().moves, b.area, b.fl) == before
 
 
 def _per_swap_moves(pool, chain, word, start, target, sign):
@@ -340,7 +341,7 @@ def test_a_transport_equals_its_swaps_one_per_call(name, right, sign, monkeypatc
         b.transport(tuple(chain), start, target, sign, right)
         moves = _per_swap_moves(pool, chain, initial, start, target, sign)
         assert one_move_per_call(pool, initial, moves) == ("ok", b.area, b.fl, b.word)
-        assert b.moves == moves and b.metrics.height == len(moves)
+        assert b.finish().moves == moves and b.metrics.height == len(moves)
         assert bool(calls) == any(m[0] == "fe" for m in moves), (k, initial, target)
 
 
@@ -369,7 +370,7 @@ def test_a_refused_transport_fails_as_its_per_swap_moves(right, fault):
     assert want.value.reason.startswith("word does not carry relator prefix")
     assert (got.value.reason, got.value.move_index) == (want.value.reason,
                                                         want.value.move_index)
-    assert b.word == parent.word and b.moves == parent.moves == []
+    assert b.word == parent.word and b.finish().moves == parent.finish().moves == []
 
 
 @pytest.mark.parametrize("right,start,target", [(True, -9, -6), (False, 5, -3)],
@@ -384,13 +385,13 @@ def test_a_transport_with_a_negative_end_is_refused(right, start, target):
     pool = Presentation(pres.names, pres.weights, pres.relators, pres.nclass)
     b = SequenceBuilder(pool, initial)
     b.extend([("fe", 0, 2), ("fr", 0)])
-    before = (list(b.word), list(b.moves), b.area, b.fl)
+    before = (list(b.word), list(b.finish().moves), b.area, b.fl)
     direction = "rightward" if right else "leftward"
     with pytest.raises(NotApplicable) as got:
         b.transport(chain, start, target, 1, right)
     assert (got.value.reason, got.value.move_index) == (
         f"{direction} transport from {start} to {target} runs past the start of the word", None)
-    assert (b.word, b.moves, b.area, b.fl) == before
+    assert (b.word, b.finish().moves, b.area, b.fl) == before
     assert pool._transport_ids == {}
 
 
@@ -404,16 +405,16 @@ def test_a_transport_toward_the_wrong_side_is_refused(right):
     start = len(letters)
     b = SequenceBuilder(pres, initial)
     b.transport(chain, start, start + (1 if right else -1), 1, right)
-    before = (list(b.word), list(b.moves), b.area, b.fl)
+    before = (list(b.word), list(b.finish().moves), b.area, b.fl)
     start += 1 if right else -1
     b.transport(chain, start, start, 1, right)
-    assert (b.word, b.moves, b.area, b.fl) == before
+    assert (b.word, b.finish().moves, b.area, b.fl) == before
     direction = "rightward" if right else "leftward"
     wrong = start - 1 if right else start + 1
     with pytest.raises(NotApplicable, match=f"{direction} transport from {start} "
                                             f"cannot end at {wrong}"):
         b.transport(chain, start, wrong, 1, right)
-    assert (b.word, b.moves, b.area, b.fl) == before
+    assert (b.word, b.finish().moves, b.area, b.fl) == before
 
 
 @pytest.mark.parametrize("pres,chain,initial,start,target", [
@@ -435,7 +436,7 @@ def test_a_transport_past_the_words_end_is_refused(pres, chain, initial, start, 
                                             f"past the end of a word of {len(initial)} letters"):
         b.transport(chain, start, target, 1, right)
     assert (b.word, b.segments, b.area, b.fl) == before
-    assert b.moves == [("fe", 0, 2), ("fr", 0)]
+    assert b.finish().moves == [("fe", 0, 2), ("fr", 0)]
 
 
 @pytest.mark.parametrize("name", ("pres-1", "pres-2", "pres-3"))
@@ -444,8 +445,8 @@ def test_a_transport_past_the_words_end_is_refused(pres, chain, initial, start, 
 def test_a_transport_is_one_entry_read_as_its_per_swap_moves(name, right, sign):
     # a checked transport is recorded as one segment entry, and every reader
     # of the sequence sees the moves of the same swaps recorded one per swap;
-    # a builder or sequence whose one segment is the entry hands out a fresh
-    # list of its moves, never the entry
+    # a sequence whose one segment is the entry hands out a fresh list of
+    # its moves, never the entry
     pool, chain, letters = _transport_pool(name)
     block = list(nested_commutator(chain))
     if sign < 0:
@@ -456,13 +457,12 @@ def test_a_transport_is_one_entry_read_as_its_per_swap_moves(name, right, sign):
     start, target = (0, len(passed)) if right else (len(passed), 0)
     b = SequenceBuilder(pool, initial)
     b.transport(tuple(chain), start, target, sign, right)
-    [(record, entry, offset)] = b.segments
-    assert (record, type(entry), offset) == (None, engine.Transport, 0)
+    [(entry, offset)] = b.segments
+    assert (type(entry), offset) == (engine.Transport, 0)
     per_swap = SequenceBuilder(pool, initial)
     per_swap.extend(_per_swap_moves(pool, chain, initial, start, target, sign))
     seq, want = b.finish(), per_swap.finish()
-    for got in (b, seq):
-        assert type(got.moves) is list and got.moves is not got.moves
+    assert type(seq.moves) is list and seq.moves is not seq.moves
     assert seq.moves == want.moves and len(want.moves) == len(passed)
     assert len(seq) == len(want) == seq.metrics.height
     assert serialize_trace(seq, "p.pres") == serialize_trace(want, "p.pres")
@@ -503,8 +503,8 @@ def test_a_transport_that_is_not_checked_whole_records_per_swap_moves():
     b.transport(chain, 3, 0, 1, False)
     moves = _per_swap_moves(pool, chain, initial, 3, 0, 1)
     assert ("fr", 1) in moves
-    assert [(r, type(m)) for r, m, _ in b.segments] == [(None, list)]
-    assert b.moves == moves
+    assert [(type(m), offset) for m, offset in b.segments] == [(list, 0)]
+    assert b.finish().moves == moves
     chain = (1, 2, 3, 4, 5)
     ctx = ChainContext(Presentation([f"x{i}" for i in range(1, 8)], [1] * 7, [], 1), chain)
     W = list(nested_commutator(chain))
@@ -512,8 +512,8 @@ def test_a_transport_that_is_not_checked_whole_records_per_swap_moves():
     b = SequenceBuilder(ctx, [7, 6, -7] + W)
     b.transport(chain, 3, 0, 1, False)
     assert b.word == W + [7, 6, -7]
-    assert [(r, type(m)) for r, m, _ in b.segments] == [(None, list)]
-    assert b.moves == _per_swap_moves(ctx, chain, [7, 6, -7] + W, 3, 0, 1)
+    assert [(type(m), offset) for m, offset in b.segments] == [(list, 0)]
+    assert b.finish().moves == _per_swap_moves(ctx, chain, [7, 6, -7] + W, 3, 0, 1)
 
 
 def test_context_relator_id_adds_a_relator_once():
@@ -547,7 +547,7 @@ def test_power_compression_c1_zero_moves():
     seq = power_compression_sequence(pres, chain, 3)
     assert seq.moves == []
     assert seq.initial == (1, 1, 1)
-    assert all(record is None for record, _, _ in seq.segments)  # nothing spliced
+    assert all(type(part) is not CheckedMoves for part, _ in seq.segments)  # nothing spliced
 
 
 def test_power_compression_c2_n2():
@@ -600,7 +600,7 @@ def test_power_compression_equals_isolated_increments(c, chain, n):
     pres = build_chain_presentation(c, 1)
     seq = power_compression_sequence(pres, chain, n)
     ref = isolated_increments(pres, chain, n, 0, n**c)
-    assert seq.moves == ref.moves
+    assert seq.moves == ref.finish().moves
     assert seq.initial == ref.initial
     assert replay(seq)[1] == tuple(ref.word) == compression_word(pres, chain, n, n**c)
 
@@ -618,19 +618,18 @@ def _part_fields(part):
 @pytest.mark.parametrize("c,chain,n", _SPLICED_CASES)
 def test_power_compression_is_spliced_records(c, chain, n):
     # the moves sit in records, one for s = 0 and one for each carrying s;
-    # each segment holds its record's own parts, with no copy, a record
+    # each segment holds its record, with no copy of its parts, a record
     # keeps its transports as entries, and no flat moves sit between
     # records
     pres = build_chain_presentation(c, 1)
     seq = power_compression_sequence(pres, chain, n)
-    assert all(not parts for r, parts, _ in seq.segments if r is None)
-    spliced = [(r, parts) for r, parts, _ in seq.segments if r is not None and r.parts]
-    assert all(parts is r.parts for r, parts in spliced)
+    assert all(not part for part, _ in seq.segments if type(part) is not CheckedMoves)
+    spliced = [r for r, _ in seq.segments if type(r) is CheckedMoves and r.parts]
     assert all(type(part) in (tuple, engine.Transport) and part
-               for r, _ in spliced for part in r.parts)
-    assert any(type(part) is engine.Transport for r, _ in spliced for part in r.parts)
+               for r in spliced for part in r.parts)
+    assert any(type(part) is engine.Transport for r in spliced for part in r.parts)
     assert len(spliced) == 1 + n ** (c - 1)
-    assert len(seq) == len(seq.moves) == sum(len(part) for r, _ in spliced for part in r.parts)
+    assert len(seq) == len(seq.moves) == sum(len(part) for r in spliced for part in r.parts)
     flat = PSequence(pres, seq.initial, seq.moves)
     assert serialize_trace(seq, "p.pres") == serialize_trace(flat, "p.pres")
     assert replay(seq)[0] == seq.metrics
@@ -646,14 +645,14 @@ def test_power_compression_records_equal_register_records(c, chain, n):
     seq = power_compression_sequence(pres, chain, n)
     assert chain_context(pres, chain).increments == {}
     total, lz = n**c, len(nested_commutator(chain))
-    spliced = [(r, offset) for r, _, offset in seq.segments if r is not None]
+    spliced = [(r, offset) for r, offset in seq.segments if type(r) is CheckedMoves]
     for s, (record, offset) in zip((0, *range(n - 1, total, n)), spliced, strict=True):
         reg = CompressedPower(chain_context(pres, chain), n)
         reg.q = s
         forward = reg.local_moves()
         assert offset == (total - s - 1) * lz
         assert list(map(_part_fields, record.parts)) == list(map(_part_fields, forward.parts))
-        assert record.moves == forward.moves
+        assert record_moves(record) == record_moves(forward)
         assert record.before == forward.before
         assert record.after == forward.after
 
@@ -678,7 +677,7 @@ def test_a_power_compression_with_entries_reads_as_its_flattened_copy(c, chain, 
     pres = build_chain_presentation(c, 1)
     seq = power_compression_sequence(pres, chain, n)
     assert any(type(part) is engine.Transport
-               for r, _, _ in seq.segments if r is not None for part in r.parts)
+               for r, _ in seq.segments if type(r) is CheckedMoves for part in r.parts)
     _assert_reads_as_its_flattened_copy(seq)
 
 
@@ -693,13 +692,13 @@ def test_fills_with_entries_read_as_their_flattened_copies():
     seqs = [fill(w, pres) for w in corpus_generate(pres, 12, 8, seed=7)]
     records, writes = {}, Counter()
     for seq in seqs:
-        for r, _, _ in seq.segments:
-            if r is not None and r.parts:
+        for r, _ in seq.segments:
+            if type(r) is CheckedMoves and r.parts:
                 records[id(r)] = r
                 writes[id(r)] += 1
     assert {min(k, 3) for k in writes.values()} == {1, 2, 3}
     assert any(type(part) is engine.Transport
-               for seq in seqs for r, part, _ in seq.segments if r is None)
+               for seq in seqs for part, _ in seq.segments)
     assert any(type(part) is engine.Transport for r in records.values() for part in r.parts)
     for seq in seqs:
         _assert_reads_as_its_flattened_copy(seq)
@@ -725,7 +724,7 @@ def test_power_compression_leaves_no_shared_state(c, chain, n):
         seq = power_compression_sequence(pres, chain, n)
         assert replay(seq)[1] == compression_word(pres, chain, n, n**c)
         assert pres._chain_ctxs == {}
-        record = weakref.ref(next(r for r, _, _ in seq.segments if r is not None))
+        record = weakref.ref(next(r for r, _ in seq.segments if type(r) is CheckedMoves))
         del seq
         assert record() is None
         assert gc.collect() == 0
@@ -775,8 +774,8 @@ def test_register_increment_equals_isolated_increment(c, n, qs):
         reg = CompressedPower(chain_context(pres, chain), n)
         reg.q = q
         a_part = q % n**c
-        assert list(reg.local_moves().moves) == isolated_increments(
-            pres, chain, n, a_part, a_part + 1).moves
+        assert record_moves(reg.local_moves()) == isolated_increments(
+            pres, chain, n, a_part, a_part + 1).finish().moves
 
 
 def extended_word(ctx, n, q):
@@ -816,9 +815,9 @@ def test_splice_matches_kernel_extend(c, n, qs, mirrored):
             assert list(word[offset:offset + len(record.before)]) == record.before
             spliced, twin = SequenceBuilder(pres, word), SequenceBuilder(pres, word)
             spliced.splice(record, offset)
-            twin.extend(record.moves, offset)
+            twin.extend(record_moves(record), offset)
             assert spliced.word == twin.word
-            assert spliced.moves == twin.moves
+            assert spliced.finish().moves == twin.finish().moves
             assert spliced.metrics == twin.metrics == replay(spliced.finish())[0]
 
 
@@ -829,7 +828,7 @@ def test_splice_where_before_does_not_sit_is_refused_by_the_kernel():
     record = reg.local_moves()
     word, offset = _register_site(reg.ctx, 2, 3, False, (2, 1), ())
     with pytest.raises(NotApplicable) as kernel:
-        apply_moves(list(word), record.moves, pres, offset + 1)
+        apply_moves(list(word), record_moves(record), pres, offset + 1)
     b = SequenceBuilder(pres, word)
     with pytest.raises(NotApplicable) as spliced:
         b.splice(record, offset + 1)
@@ -865,7 +864,7 @@ def test_corrupt_mirror_caught_on_first_mirrored_absorption(monkeypatch, corrupt
     b = SequenceBuilder(pres, word)
     with pytest.raises(error):
         reg.absorb(b, len(word) - len(z1))
-    assert b.word == list(word) and not b.moves
+    assert b.word == list(word) and not b.finish().moves
     memo = reg.ctx.increments
     assert reg.q == q and (n, q, False) in memo and (n, q, True) not in memo
 

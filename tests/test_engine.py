@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import (apply_move, fill, longest_relator, one_move_per_call,
+from helpers import (apply_move, check_moves, fill, longest_relator, one_move_per_call,
                      random_valid_sequence)
 
 from nilfill import engine, oracle
@@ -18,7 +18,6 @@ from nilfill.engine import (
     SequenceBuilder,
     apply_moves,
     block_reduction_moves,
-    check_moves,
     invert_sequence,
     normalize_insertions,
     pair_inverse_moves,
@@ -253,10 +252,10 @@ def test_kernel_offset_and_emit(chain22):
     batch = [("fe", 0, 1), ("fr", 0), ("ar", 0, 0, 0, 0, 0)]
     b = SequenceBuilder(chain22, (2, 2))
     b.extend(batch, 1)
-    assert b.moves == [("fe", 1, 1), ("fr", 1), ("ar", 1, 0, 0, 0, 0)]
+    assert b.finish().moves == [("fe", 1, 1), ("fr", 1), ("ar", 1, 0, 0, 0, 0)]
     assert b.word == [2] + list(inverse_word(r)) + [2]
     assert (b.area, b.fl) == (1, max(4, 2 + len(r)))
-    metrics, final = replay(PSequence(chain22, (2, 2), b.moves))
+    metrics, final = replay(PSequence(chain22, (2, 2), b.finish().moves))
     assert list(final) == b.word
     assert (metrics.area, metrics.fl) == (b.area, b.fl)
     # errors carry the index within the batch, and a refused batch is not
@@ -265,7 +264,7 @@ def test_kernel_offset_and_emit(chain22):
     with pytest.raises(NotApplicable) as exc:
         b.extend([("fe", 0, 1), ("fr", 5)], 1)
     assert exc.value.move_index == 1
-    assert b.moves == []
+    assert b.finish().moves == []
 
 
 def test_builder_metrics_equal_replay():
@@ -292,7 +291,8 @@ def spliced_fills():
 
     fpres = build_filler_presentation(3, 2)
     seqs = [fill(w, fpres) for w in corpus_generate(fpres, 12, 4, seed=5)]
-    return [seq for seq in seqs if sum(r is not None for r, _, _ in seq.segments) >= 2]
+    return [seq for seq in seqs
+            if sum(type(r) is CheckedMoves for r, _ in seq.segments) >= 2]
 
 
 @pytest.fixture(scope="module")
@@ -312,8 +312,8 @@ def _entry_sites(seq):
     """(segment index, part index, entry) of every ``Transport`` entry of
     ``seq``; the part index is None for an entry that is a segment."""
     sites = []
-    for i, (record, moves, _) in enumerate(seq.segments):
-        parts = enumerate(record.parts) if record is not None else [(None, moves)]
+    for i, (part, _) in enumerate(seq.segments):
+        parts = enumerate(part.parts) if type(part) is CheckedMoves else [(None, part)]
         sites += [(i, j, part) for j, part in parts if type(part) is engine.Transport]
     return sites
 
@@ -354,16 +354,14 @@ def test_segmented_length_needs_no_flattening(spliced_fills, monkeypatch):
 
 
 def test_spliced_segment_holds_the_records_own_moves(spliced_fills):
-    # a segment holds its record's own parts, with no copy: flat batches
-    # as interned tuples and transports as entries
+    # a segment holds its record itself, with no copy of its parts: flat
+    # batches as interned tuples and transports as entries
     kinds = set()
     for seq in spliced_fills:
-        spliced = [(r, parts) for r, parts, _ in seq.segments if r is not None]
+        spliced = [r for r, _ in seq.segments if type(r) is CheckedMoves]
         assert len(spliced) >= 2
-        for record, parts in spliced:
-            assert isinstance(record, CheckedMoves)
-            assert parts is record.parts
-            kinds.update(type(part) for part in parts)
+        for record in spliced:
+            kinds.update(type(part) for part in record.parts)
     assert kinds == {tuple, engine.Transport}
 
 
@@ -374,21 +372,23 @@ def test_flattened_moves_sit_at_their_offsets(chain22):
     b.splice(record, 3)
     b.extend([("fr", 0)])
     assert b.word == [2, 2, -2]
-    assert b.moves == [("fe", 0, 1), ("fr", 3), ("fe", 3, 2), ("fr", 0)]
     seq = b.finish()
-    assert [r for r, _, _ in seq.segments] == [None, record, None]
-    assert len(seq) == 4 and seq.moves == b.moves
+    assert seq.moves == [("fe", 0, 1), ("fr", 3), ("fe", 3, 2), ("fr", 0)]
+    assert [(type(part), offset) for part, offset in seq.segments] == [
+        (list, 0), (CheckedMoves, 3), (list, 0)]
+    assert seq.segments[1][0] is record
+    assert len(seq) == 4
 
 
 def test_replay_reports_index_in_the_whole_sequence(chain22):
     # a bad move in a later segment, flat or spliced, is reported by its
     # index in the whole sequence
     record = check_moves(chain22, [1, -1], [("fe", 2, 2), ("fr", 0)])
-    head = (None, [("fe", 0, 1), ("fe", 0, 2)], 0)      # word 2 -2 1 -1
-    spliced = (record, record.moves, 2)                  # word 2 -2 2 -2
-    for segments, index in (([head, spliced, (None, [("fr", 0), ("fr", 3)], 0)], 5),
-                            ([head, (record, record.moves, 1)], 3),
-                            ([head, spliced, (record, record.moves, 3)], 4)):
+    head = ([("fe", 0, 1), ("fe", 0, 2)], 0)      # word 2 -2 1 -1
+    spliced = (record, 2)                          # word 2 -2 2 -2
+    for segments, index in (([head, spliced, ([("fr", 0), ("fr", 3)], 0)], 5),
+                            ([head, (record, 1)], 3),
+                            ([head, spliced, (record, 3)], 4)):
         seq = PSequence(chain22, (), segments=segments)
         with pytest.raises(NotApplicable) as exc:
             replay(seq)
@@ -417,12 +417,12 @@ def _with_entry(seq, site, entry) -> PSequence:
     that holds it is copied, never changed."""
     i, j, _ = site
     segments = list(seq.segments)
-    record, _, offset = segments[i]
+    part, offset = segments[i]
     if j is None:
-        segments[i] = (None, entry, 0)
+        segments[i] = (entry, offset)
     else:
-        parts = record.parts[:j] + (entry,) + record.parts[j + 1:]
-        segments[i] = (dataclasses.replace(record, parts=parts), parts, offset)
+        parts = part.parts[:j] + (entry,) + part.parts[j + 1:]
+        segments[i] = (dataclasses.replace(part, parts=parts), offset)
     return PSequence(seq.presentation, seq.initial, segments=segments)
 
 
@@ -465,7 +465,8 @@ def test_a_corrupted_entry_replays_as_its_flattened_copy(entry_sequences, draw):
     else:
         k = draw.draw(st.integers(0, 2))
         fields[k] += draw.draw(st.sampled_from([-2, -1, 1, 2]))
-    mutated = _with_entry(seq, site, engine.Transport(positions, ids, *fields))
+    mutated = _with_entry(seq, site, engine.Transport(positions.start, positions.step, ids,
+                                                      *fields))
     flat = PSequence(seq.presentation, seq.initial, mutated.moves)
     assert _replay_verdict(mutated) == _replay_verdict(flat)
 
@@ -478,7 +479,7 @@ def _entry_and_word(seqs, step):
         for part, offset in engine._parts(seq.segments):
             if type(part) is engine.Transport and part.positions.step == step and len(part) > 2:
                 return pool, part, offset, list(word)
-            word = replay(PSequence(pool, word, segments=[(None, part, offset)]))[1]
+            word = replay(PSequence(pool, word, segments=[(part, offset)]))[1]
     raise AssertionError(f"no entry of step {step}")
 
 
@@ -487,10 +488,14 @@ def test_the_entry_kernel_refuses_each_failed_check(spliced_fills, built_compres
     # a built entry on the word it was applied to, then on that word with a
     # letter of the block or a letter passed changed, cut short, or with
     # the run moved past the start, and the entry with its positions two
-    # apart or one fewer than its ids: each leaves the word as it was, and
-    # replay gives the verdict of the flattened copy, a refusal on a changed
-    # word
-    pool, entry, offset, word = _entry_and_word(built_compressions + spliced_fills, step)
+    # apart: each leaves the word as it was, and replay gives the verdict
+    # of the flattened copy, a refusal on a changed word.  An entry's range
+    # is built from its ids, so every built entry has one move per id
+    seqs = built_compressions + spliced_fills
+    entries = [part for seq in seqs for part, _ in engine._parts(seq.segments)
+               if type(part) is engine.Transport and part.positions.step == step]
+    assert entries and all(len(e) == len(list(e)) == len(e.positions) for e in entries)
+    pool, entry, offset, word = _entry_and_word(seqs, step)
     after = list(word)
     assert engine._apply_transport(after, entry, pool, offset)
     positions, k, L = entry.positions_at(offset), len(entry), entry.split - 1
@@ -504,14 +509,12 @@ def test_the_entry_kernel_refuses_each_failed_check(spliced_fills, built_compres
         variants.append((w, entry, offset))
     variants.append((word[:max(positions) + L], entry, offset))
     variants.append((word, entry, offset - min(positions) - 1))
-    start = entry.positions.start
-    for other in (range(start, start + 2 * k * step, 2 * step), entry.positions[:-1]):
-        variants.append((word, engine.Transport(other, *fields), offset))
+    variants.append((word, engine.Transport(entry.positions.start, 2 * step, *fields), offset))
     for w, e, at in variants:
         kept = list(w)
         assert not engine._apply_transport(w, e, pool, at)
         assert w == kept
-        got = _replay_verdict(PSequence(pool, tuple(w), segments=[(None, e, at)]))
+        got = _replay_verdict(PSequence(pool, tuple(w), segments=[(e, at)]))
         assert got == _replay_verdict(PSequence(pool, tuple(w), list(e.at(at))))
         if w != word:
             assert type(got[0]) is str
@@ -537,11 +540,10 @@ def test_an_entry_on_a_long_relator_is_expanded(right, monkeypatch):
     b = SequenceBuilder(pool, block + letters if right else letters + block)
     b.transport(chain, 0 if right else 4, 4 if right else 0, 1, right)
     assert b.word == (letters + block if right else block + letters)
-    moves = b.moves
+    moves = b.finish().moves
     assert len(pool.relators[moves[0][2]]) > engine.MAX_CACHED_RELATOR
-    entry = engine.Transport(range(moves[0][1], moves[-1][1] + (1 if right else -1),
-                                   1 if right else -1),
-                             tuple(m[2] for m in moves), *moves[0][3:])
+    entry = engine.Transport(moves[0][1], 1 if right else -1, tuple(m[2] for m in moves),
+                             *moves[0][3:])
     assert list(entry) == moves
     applied = []
     kernel = engine._apply_transport
@@ -653,7 +655,7 @@ def _transport(pres, chain, letters, right: bool):
     else:
         mover.move_left(b, len(letters), 0, 1)
     assert b.word == (letters + W if right else W + letters)
-    return b.initial, b.moves
+    return b.initial, b.finish().moves
 
 
 @pytest.mark.parametrize("right", (False, True))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from helpers import fill, longest_relator, witt_number
+from helpers import fill, longest_relator, record_moves, witt_number
 
 from nilfill.compression import ChainContext
 from nilfill.corpus import corpus_generate
@@ -169,7 +169,7 @@ def test_register_memo_holds_only_records_that_move_letters(p3):
         for ctx in level._chain_ctxs.values():
             for (n, s, mirrored), record in ctx.increments.items():
                 keys.append((ctx.c, mirrored))
-                assert record.moves, (ctx.chain, n, s, mirrored)
+                assert record_moves(record), (ctx.chain, n, s, mirrored)
                 assert s == 0 or s % n == n - 1, (ctx.chain, n, s)
     assert {(3, False), (3, True), (2, False), (2, True)} <= set(keys)
 

@@ -8,13 +8,15 @@ from nilfill import traces
 from nilfill.cli import main
 from nilfill.compression import power_compression_sequence
 from nilfill.corpus import corpus_generate
-from nilfill.engine import PSequence, Transport, check_moves, replay
+from nilfill.engine import (CheckedMoves, PSequence, SequenceBuilder, Transport,
+                            block_reduction_moves, iter_moves, replay)
 from nilfill.errors import TraceSyntaxError
 from nilfill.presentations import (Presentation, build_chain_presentation,
                                    build_filler_presentation, save_presentation)
 from nilfill.traces import parse_trace, serialize_trace, verdict_line
+from nilfill.words import inverse_word, nested_commutator
 
-from helpers import fill, random_valid_sequence
+from helpers import check_moves, fill, random_valid_sequence
 
 
 def test_roundtrip_bit_exact():
@@ -122,23 +124,23 @@ def test_roundtrip_bit_exact_long_traces(kind):
 
 
 def test_segmented_trace_writes_as_its_flattened_copy():
-    # fills splice memoized register increments; each spliced record, whose
-    # segment holds its own parts (flat batches and transport entries), is
+    # fills splice memoized register increments; each spliced record, a
+    # segment of its own holding flat batches and transport entries, is
     # written from its line template, at the segment's offset.  The fills
     # run on a fresh copy of the presentation, so no earlier test has
     # written their records.
     base = build_filler_presentation(3, 2)
     pres = Presentation(base.names, base.weights, base.relators, 3, base.parents)
     seqs = [fill(w, pres) for w in corpus_generate(pres, 12, 4, seed=5)]
-    seqs = [seq for seq in seqs if sum(r is not None for r, _, _ in seq.segments) >= 2]
+    seqs = [seq for seq in seqs
+            if sum(type(r) is CheckedMoves for r, _ in seq.segments) >= 2]
     assert seqs
     records, writes = {}, Counter()
     for seq in seqs:
         flat = PSequence(pres, seq.initial, seq.moves)
         text = serialize_trace(seq, "p.pres")
-        for r, parts, _ in seq.segments:
-            if r is not None and parts:
-                assert parts is r.parts
+        for r, _ in seq.segments:
+            if type(r) is CheckedMoves and r.parts:
                 records[id(r)] = r
                 writes[id(r)] += 1
         assert text == serialize_trace(flat, "p.pres")
@@ -165,7 +167,7 @@ def test_a_record_keeps_its_line_template_from_its_second_write():
     # same text
     pres = build_chain_presentation(3, 1)
     seq = power_compression_sequence(pres, (1, 2, 3), 2)
-    records = {id(r): r for r, moves, _ in seq.segments if r is not None and moves}
+    records = {id(r): r for r, _ in seq.segments if type(r) is CheckedMoves and r.parts}
     text = serialize_trace(seq, "p")
     assert text == serialize_trace(PSequence(pres, seq.initial, seq.moves), "p")
     assert records and all(r.trace_lines == {pres.names: ""} for r in records.values())
@@ -175,30 +177,51 @@ def test_a_record_keeps_its_line_template_from_its_second_write():
 
 
 def test_record_with_no_moves_writes_no_line():
+    # empty records write nothing; a flat batch and a transport entry at
+    # non-zero offsets are read with their positions shifted, by every
+    # reader: the flat view, the move walk, the writer and replay
     pres = build_chain_presentation(2, 1)
     empty = check_moves(pres, [1], [])
     pair = check_moves(pres, [], [("fe", 0, 2), ("fr", 0)])
-    head = (None, [("fe", 0, 1)], 0)
-    seq = PSequence(pres, (), segments=[head, (empty, (), 1), (pair, pair.moves, 1),
-                                        (empty, (), 0), (None, [("fr", 0)], 0)])
-    flat = PSequence(pres, (), seq.moves)
-    assert flat.moves == [("fe", 0, 1), ("fe", 1, 2), ("fr", 1), ("fr", 0)]
+    W = list(nested_commutator((1, 2)))
+    mover = SequenceBuilder(pres, W + [1])
+    mover.transport((1, 2), 0, 1, 1, True)
+    [(entry, _)] = mover.segments
+    assert type(entry) is Transport
+    initial = (-1, *W, 1, *inverse_word(W))    # entry at 1 gives -1 1 W W^-1
+    head = ([("fe", 0, 1)], 0)
+    seq = PSequence(pres, initial, segments=[
+        head, (empty, 1), (pair, 1), (empty, 0), ([("fr", 0)], 0),
+        (entry, 1), (block_reduction_moves(0, len(W)), 2), ([("fr", 0)], 0)])
+    flat = PSequence(pres, initial, seq.moves)
+    swap = ("ar", 1, entry.ids[0], entry.shift, entry.inv, entry.split)
+    assert seq.moves == list(iter_moves(seq.segments)) == [
+        ("fe", 0, 1), ("fe", 1, 2), ("fr", 1), ("fr", 0), swap,
+        ("fr", 5), ("fr", 4), ("fr", 3), ("fr", 2), ("fr", 0)]
     text = serialize_trace(seq, "p")
-    assert text == serialize_trace(flat, "p") == _trace_lines(
-        "fe 0 x1", "fe 1 x2", "fr 1", "fr 0")
-    assert verdict_line(seq) == verdict_line(flat) == (0, "ok area=0 fl=4 height=4")
+    assert text == serialize_trace(flat, "p")
+    assert text.splitlines()[2:6] == ["fe 0 x1", "fe 1 x2", "fr 1", "fr 0"]
+    back, _ = parse_trace(text, pres)
+    assert replay(back) == replay(seq) == replay(flat)
+    assert replay(seq)[1] == ()
+    assert verdict_line(seq) == verdict_line(flat) == (0, "ok area=1 fl=14 height=10")
+    # a lone flat batch at an offset is no longer read as at offset 0
+    lone = PSequence(pres, (1, 1, -1, -1), segments=[([("fr", 0)], 1)])
+    assert lone.moves == list(iter_moves(lone.segments)) == [("fr", 1)]
+    assert serialize_trace(lone, "p") == serialize_trace(PSequence(pres, lone.initial,
+                                                                   lone.moves), "p")
+    assert replay(parse_trace(serialize_trace(lone, "p"), pres)[0]) == replay(lone)
 
 
 def test_verdict_names_the_line_of_a_bad_move_in_a_later_segment():
     pres = build_chain_presentation(2, 1)
     pair = check_moves(pres, [], [("fe", 0, 2), ("fr", 0)])
-    head = (None, [("fe", 0, 1)], 0)
-    late = PSequence(pres, (), segments=[head, (pair, pair.moves, 1),
-                                         (None, [("fr", 1)], 0)])
+    head = ([("fe", 0, 1)], 0)
+    late = PSequence(pres, (), segments=[head, (pair, 1), ([("fr", 1)], 0)])
     assert verdict_line(late) == (1, "error line=6 free reduction at 1 out of range")
-    spliced = PSequence(pres, (), segments=[head, (pair, pair.moves, 3)])
+    spliced = PSequence(pres, (), segments=[head, (pair, 3)])
     assert verdict_line(spliced) == (1, "error line=4 free expansion at 3 out of range")
-    short = PSequence(pres, (), segments=[head, (pair, pair.moves, 1)])
+    short = PSequence(pres, (), segments=[head, (pair, 1)])
     assert verdict_line(short) == (1, "error line=6 final word nonempty (2 letters)")
 
 
