@@ -36,8 +36,9 @@ reason and index.
 checked) by its effect wherever the subword it was checked on sits.  A
 ``PSequence`` keeps its moves as (part, offset) segments, a part being a
 flat batch, an entry or a record, each read with its positions shifted
-by the offset; its ``moves`` list is built only when it is read, and
-``iter_moves`` walks them one move at a time for a one-pass reader.
+by the offset: a builder keeps each batch at the offset the kernel
+checked it at.  ``iter_moves`` walks the moves one at a time for a
+one-pass reader, and ``moves`` is a new list of them on each read.
 """
 
 from __future__ import annotations
@@ -136,13 +137,14 @@ class Transport:
 class PSequence:
     """A move sequence from ``initial``, kept as segments.  A segment is a
     pair (part, offset): the part's moves act with every position shifted
-    by ``offset``.  A part is a flat batch (a list or tuple of moves), a
-    builder's ``Transport`` entry or a spliced ``CheckedMoves`` record,
-    whose own parts all sit at the segment's offset; ``_parts`` is the one
-    place that opens a record.  ``PSequence(pres, initial, moves)`` is one
-    flat segment at offset 0.  ``metrics`` is what the builder measured
-    while it checked every move; None for a sequence that was not built
-    (parsed or rewritten), whose metrics ``replay`` gives."""
+    by ``offset``.  A part is a flat batch (a list or tuple of moves, as
+    the kernel checked it at that offset), a builder's ``Transport`` entry
+    or a spliced ``CheckedMoves`` record, whose own parts all sit at the
+    segment's offset; ``_parts`` is the one place that opens a record.
+    ``PSequence(pres, initial, moves)`` is one flat segment at offset 0.
+    ``metrics`` is what the builder measured while it checked every move;
+    None for a sequence that was not built (parsed or rewritten), whose
+    metrics ``replay`` gives."""
 
     __slots__ = ("presentation", "initial", "segments", "metrics")
 
@@ -158,10 +160,9 @@ class PSequence:
 
     @property
     def moves(self) -> list:
-        """Every move at its place in the whole sequence.  Built anew on
-        each read, except for a single flat batch at offset 0, which is
-        returned as it is."""
-        return _flatten(self.segments)
+        """Every move at its place in the whole sequence, as a new list on
+        each read."""
+        return list(iter_moves(self.segments))
 
 
 def _parts(segments):
@@ -183,14 +184,6 @@ def iter_moves(segments):
     """Every move of ``segments`` at its place, one at a time: each part's
     moves shifted by its offset, an entry's moves as it builds them."""
     return chain.from_iterable(_shifted(part, offset) for part, offset in _parts(segments))
-
-
-def _flatten(segments):
-    if len(segments) == 1:
-        part, offset = segments[0]
-        if not offset and type(part) not in (Transport, CheckedMoves):
-            return part
-    return list(iter_moves(segments))
 
 
 def _template(pool, key, index: int):
@@ -569,36 +562,32 @@ class SequenceBuilder:
     batch the kernel checked on the very subword it lands on (``splice``),
     so a finished builder yields a valid sequence; the builder keeps the
     area and FL the kernel returns, so its ``metrics`` equal those of a
-    replay.  Of its (part, offset) segments, ``extend`` records a batch it
-    accepts, shifted by ``_shifted``, in the open flat one at offset 0,
-    opened when there is none (``flat`` is None); ``transport`` adds the
-    swaps it checked as one ``Transport`` entry, and ``splice`` the record
-    at its offset, each closing the flat segment.  Other compound
-    emissions are move lists built by the functions above."""
+    replay.  Its (part, offset) segments are what it checked, where it
+    checked it: ``extend`` adds each batch it accepts at its offset,
+    ``transport`` the swaps it checked as one ``Transport`` entry, and
+    ``splice`` the record at its offset.  Other compound emissions are
+    move lists built by the functions above."""
 
-    __slots__ = ("pres", "initial", "word", "segments", "flat", "area", "fl")
+    __slots__ = ("pres", "initial", "word", "segments", "area", "fl")
 
     def __init__(self, pres: RelatorPool, initial: Word):
         self.pres = pres
         self.initial = tuple(initial)
         self.word = list(initial)
-        self.flat = None
         self.segments: list = []
         self.area = 0
         self.fl = len(self.initial)
 
     def extend(self, moves, offset: int = 0) -> None:
-        """Apply and record ``moves``, each position shifted by ``offset``.
-        A batch the kernel refuses is not recorded, while the word keeps
-        the moves before the refused one, so a refused builder is spent."""
+        """Apply ``moves``, each position shifted by ``offset``, and record
+        a list of them as the segment (moves, offset), unshifted.  A batch
+        the kernel refuses is not recorded, while the word keeps the moves
+        before the refused one, so a refused builder is spent."""
         area, fl = apply_moves(self.word, moves, self.pres, offset)
         self.area += area
         if fl > self.fl:
             self.fl = fl
-        if self.flat is None:
-            self.flat = []
-            self.segments.append((self.flat, 0))
-        self.flat += _shifted(moves, offset)
+        self.segments.append((list(moves), offset))
 
     def transport(self, chain: tuple, start: int, target: int, sign: int,
                   right: bool) -> None:
@@ -679,7 +668,6 @@ class SequenceBuilder:
             self.area += hi - lo
             rids = tuple(map(ids.__getitem__, order if sign > 0 else map(neg, order)))
             self.segments.append((Transport(first, step, rids, shift, inv, split), 0))
-            self.flat = None
             if right:
                 word[start:target + L] = letters + block
             else:
@@ -707,14 +695,13 @@ class SequenceBuilder:
         end = offset + len(before)
         fl = len(word) + record.grow
         if offset < 0 or word[offset:end] != before or fl > MAX_WORD_LENGTH:
-            self.extend(_flatten([(record, 0)]), offset)
+            self.extend(list(iter_moves([(record, 0)])), offset)
             return
         word[offset:end] = record.after
         self.area += record.area
         if fl > self.fl:
             self.fl = fl
         self.segments.append((record, offset))
-        self.flat = None
 
     @property
     def metrics(self) -> Metrics:

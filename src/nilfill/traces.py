@@ -132,7 +132,8 @@ def serialize_trace(seq: PSequence, presentation_path: str) -> str:
             if text:
                 append(text.format(*_positions(part.parts, offset)))
         elif type(part) is Transport:
-            append("\n".join(templates.lines(part)).format(*part.positions_at(offset)))
+            if part:
+                append("\n".join(templates.lines(part)).format(*part.positions_at(offset)))
         else:
             for move in _shifted(part, offset):
                 line = get(move)

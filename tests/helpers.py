@@ -1,7 +1,7 @@
 """Shared test utilities."""
 
 from nilfill import compression
-from nilfill.engine import (CheckedMoves, SequenceBuilder, _flatten, apply_moves,
+from nilfill.engine import (CheckedMoves, SequenceBuilder, apply_moves, iter_moves,
                             reduction_steps)
 from nilfill.errors import NotApplicable, OutOfRange
 from nilfill.filler import fill_with_report
@@ -25,7 +25,7 @@ def check_moves(pres, before, moves):
 
 def record_moves(record) -> list:
     """Every move of a record in order, as ``splice`` reads them."""
-    return _flatten([(record, 0)])
+    return list(iter_moves([(record, 0)]))
 
 
 def increment_sequence(pres, chain, n, s):

@@ -45,7 +45,7 @@ HEIGHT_LAW = {
     2: lambda n: 2 * n**3 + 8 * n**2 + 2 * n,
     3: lambda n: 20 * n**4 + Fraction(169, 2) * n**3 + Fraction(133, 2) * n**2 + 5 * n,
 }
-LAW_GRID = {2: range(2, 11), 3: range(2, 7), 4: range(2, 3)}
+LAW_GRID = {2: range(2, 11), 3: range(2, 7), 4: range(2, 4)}
 
 COMPRESSION_GRID = [(c, n) for c in (1, 2, 3) for n in (2, 3, 4)]
 

@@ -267,6 +267,22 @@ def test_kernel_offset_and_emit(chain22):
     assert b.finish().moves == []
 
 
+def test_extend_keeps_the_batch_at_its_offset(chain22):
+    # the builder records a list of the batch as given, not shifted, at the
+    # offset the kernel checked it at; the flat view is a new list per read
+    moves = [("fe", 0, 1), ("fr", 0)]
+    b = SequenceBuilder(chain22, (2, 2, 2))
+    b.extend(moves, 3)
+    assert b.segments[-1] == (moves, 3) and b.segments[-1][0] is not moves
+    b.extend(tuple(moves), 1)
+    assert b.segments[-1] == (moves, 1)
+    seq = b.finish()
+    assert seq.moves == [("fe", 3, 1), ("fr", 3), ("fe", 1, 1), ("fr", 1)]
+    assert seq.moves is not seq.moves
+    flat = PSequence(chain22, (2, 2, 2), moves)
+    assert flat.moves == moves and flat.moves is not moves
+
+
 def test_builder_metrics_equal_replay():
     # the builder sums what the kernel returns per batch; a replay of the
     # finished sequence must measure the same
@@ -347,7 +363,7 @@ def test_segmented_length_needs_no_flattening(spliced_fills, monkeypatch):
     def refuse(segments):
         raise AssertionError("flattened")
 
-    monkeypatch.setattr(engine, "_flatten", refuse)
+    monkeypatch.setattr(engine, "iter_moves", refuse)
     for seq in spliced_fills:
         assert len(seq) == seq.metrics.height
         assert replay(seq)[0] == seq.metrics

@@ -176,6 +176,17 @@ def test_a_record_keeps_its_line_template_from_its_second_write():
         assert all(r.trace_lines[pres.names] for r in records.values())
 
 
+def test_entry_with_no_swaps_writes_no_line():
+    # an empty entry writes nothing, as an empty record does, so its trace
+    # parses back
+    pres = build_chain_presentation(2, 1)
+    seq = PSequence(pres, (), segments=[(Transport(0, 1, (), 0, 0, 0), 0)])
+    text = serialize_trace(seq, "p")
+    assert text == "word:\npresentation: p\nqed\n"
+    back, _ = parse_trace(text, pres)
+    assert verdict_line(back) == verdict_line(seq) == (0, "ok area=0 fl=0 height=0")
+
+
 def test_record_with_no_moves_writes_no_line():
     # empty records write nothing; a flat batch and a transport entry at
     # non-zero offsets are read with their positions shifted, by every
